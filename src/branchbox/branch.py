@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import LabelError, StableRangeError, StableRangeWarning
-from .lr import lr_coefficient, lr_multi
+from .lr import lr_coefficient, lr_kernel, lr_multi
 from .partitions import (
     Partition,
     Signature,
@@ -63,7 +63,7 @@ def gl_to_o(lam, mu, n: int, policy: StablePolicy = ENFORCE) -> int:
     rest = sum(lam) - sum(mu)
     if rest < 0 or rest % 2:
         return 0
-    return sum(lr_coefficient(lam, mu, delta)
+    return sum(lr_kernel(lam, mu, delta)
                for delta in even_row_partitions(rest, len(lam)))
 
 
@@ -86,12 +86,15 @@ def gl_to_sp(lam, mu, n: int, policy: StablePolicy = ENFORCE) -> int:
     rest = sum(lam) - sum(mu)
     if rest < 0 or rest % 2:
         return 0
-    return sum(lr_coefficient(lam, mu, delta)
+    return sum(lr_kernel(lam, mu, delta)
                for delta in even_column_partitions(rest, len(lam)))
 
 
 def _triple_diagonal(mu: Partition, nu: Partition, lam: Partition) -> int:
-    """sum over (alpha, beta, delta) of c^lam_{alpha,beta} c^mu_{alpha,delta} c^nu_{beta,delta}."""
+    """sum over (alpha, beta, delta) of c^lam_{alpha,beta} c^mu_{alpha,delta} c^nu_{beta,delta}.
+
+    The labels are canonical partitions, checked by the caller.
+    """
     two_sa = sum(lam) + sum(mu) - sum(nu)
     two_sb = sum(lam) + sum(nu) - sum(mu)
     two_sd = sum(mu) + sum(nu) - sum(lam)
@@ -103,14 +106,14 @@ def _triple_diagonal(mu: Partition, nu: Partition, lam: Partition) -> int:
         if not _under(alpha, lam) or not _under(alpha, mu):
             continue
         for beta in partitions_of(sb, max_length=min(len(lam), len(nu))):
-            c_lab = lr_coefficient(lam, alpha, beta)
+            c_lab = lr_kernel(lam, alpha, beta)
             if not c_lab:
                 continue
             for delta in partitions_of(sd, max_length=min(len(mu), len(nu))):
-                c_mad = lr_coefficient(mu, alpha, delta)
+                c_mad = lr_kernel(mu, alpha, delta)
                 if not c_mad:
                     continue
-                c_nbd = lr_coefficient(nu, beta, delta)
+                c_nbd = lr_kernel(nu, beta, delta)
                 if c_nbd:
                     total += c_lab * c_mad * c_nbd
     return total

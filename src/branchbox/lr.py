@@ -17,7 +17,11 @@ _memo: dict[tuple[Partition, Partition, Partition], int] = {}
 
 def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
     """Multiplicity of the GL irrep lam inside the tensor product mu x nu."""
-    lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
+    return lr_kernel(as_partition(lam), as_partition(mu), as_partition(nu))
+
+
+def lr_kernel(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """lr_coefficient on canonical partitions, which it trusts and does not re-check."""
     if sum(mu) + sum(nu) != sum(lam):
         return 0
     if not (contains(lam, mu) and contains(lam, nu)):
@@ -83,7 +87,7 @@ def lr_multi(lam: Iterable[int], factors: Sequence[Iterable[int]]) -> int:
         nxt: dict[Partition, int] = {}
         for kappa, mult in state.items():
             for tau in partitions_between(kappa, lam, running):
-                c = lr_coefficient(tau, kappa, gamma)
+                c = lr_kernel(tau, kappa, gamma)
                 if c:
                     nxt[tau] = nxt.get(tau, 0) + mult * c
         state = nxt

@@ -6,6 +6,15 @@ S_m orbit of monomials.  schur_expand realizes a Schur polynomial through
 semistandard tableau counting (Kostka numbers), decompose peels a symmetric
 polynomial back into Schur coefficients, and multiply_schur works directly
 on monomial orbits so the product is independent of tableau combinatorics.
+
+Two facts keep the kernels small.  K_{lam,kappa} is nonzero exactly when
+kappa <| lam in dominance order, so schur_expand and the Kostka recursion
+visit only dominated keys.  The coefficient of m_gamma in m_a * m_b is
+|orb b| * #{alpha in orb a : sort(alpha + b) = gamma} / |orb gamma|, so
+monomial_product is one pass over an orbit.  The public functions check
+their partition arguments; the private kernels they call (and
+monomial_product, which sees only keys of dominant tables) trust canonical
+tuples and do not re-check them.
 """
 
 from __future__ import annotations
@@ -58,20 +67,40 @@ _product_memo: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
 
 def kostka(lam: Partition, content: Partition) -> int:
     """Count semistandard tableaux of shape lam and content `content`."""
-    lam, content = as_partition(lam), as_partition(content)
-    if sum(lam) != sum(content):
-        return 0
+    return _kostka(as_partition(lam), as_partition(content))
+
+
+def _kostka(lam: Partition, content: Partition) -> int:
+    """kostka on canonical partitions: peel the largest entry as a horizontal strip.
+
+    K_{lam,content} = 0 unless content <| lam, which prunes the recursion.
+    """
     key = (lam, content)
     hit = _kostka_memo.get(key)
     if hit is not None:
         return hit
-    if not content:
+    if not _dominates(lam, content):
+        val = 0
+    elif not content:
         val = 1 if not lam else 0
     else:
         h = content[-1]
-        val = sum(kostka(mu, content[:-1]) for mu in _strip_predecessors(lam, h))
+        val = sum(_kostka(mu, content[:-1]) for mu in _strip_predecessors(lam, h))
     _kostka_memo[key] = val
     return val
+
+
+def _dominates(lam: Partition, kappa: Partition) -> bool:
+    """kappa <| lam: equal sizes and every prefix sum of kappa at most that of lam."""
+    if sum(lam) != sum(kappa) or len(kappa) < len(lam):
+        return False
+    a = b = 0
+    for x, y in zip(lam, kappa):
+        a += x
+        b += y
+        if b > a:
+            return False
+    return True
 
 
 def _strip_predecessors(lam: Partition, h: int) -> list[Partition]:
@@ -82,7 +111,9 @@ def _strip_predecessors(lam: Partition, h: int) -> list[Partition]:
     def rec(i: int, remaining: int, prefix: tuple[int, ...]):
         if i == rows:
             if remaining == 0:
-                out.append(as_partition(prefix))
+                while prefix and not prefix[-1]:
+                    prefix = prefix[:-1]
+                out.append(prefix)
             return
         lo = lam[i + 1] if i + 1 < rows else 0
         for mu_i in range(lam[i], lo - 1, -1):
@@ -95,8 +126,37 @@ def _strip_predecessors(lam: Partition, h: int) -> list[Partition]:
     return out
 
 
+def _dominated(lam: Partition, m: int) -> list[Partition]:
+    """The kappa <| lam with at most m parts, lex-greatest first."""
+    bound, acc = [], 0
+    for a in lam:
+        acc += a
+        bound.append(acc)
+    out: list[Partition] = []
+
+    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
+        if not remaining:
+            out.append(prefix)
+            return
+        i = len(prefix)
+        room = bound[i] - (acc - remaining) if i < len(bound) else remaining
+        for part in range(min(cap, remaining, room), 0, -1):
+            if part * (m - i) < remaining:
+                break
+            rec(remaining - part, part, prefix + (part,))
+
+    if len(lam) <= m:
+        rec(acc, acc, ())
+    return out
+
+
 def schur_expand(lam, m: int) -> DominantMonomialPoly:
-    """The Schur polynomial s_lam(x_1..x_m) on dominant keys."""
+    """The Schur polynomial s_lam(x_1..x_m) on dominant keys.
+
+    The coefficient of m_kappa is the Kostka number K_{lam,kappa}, which is
+    positive exactly when kappa <| lam in dominance order.  So only the
+    dominated keys with at most m parts are visited.
+    """
     lam = as_partition(lam)
     if m < 0:
         raise UsageError("variable count must be nonnegative")
@@ -104,14 +164,8 @@ def schur_expand(lam, m: int) -> DominantMonomialPoly:
     hit = _expand_memo.get(key)
     if hit is not None:
         return hit
-    d = sum(lam)
-    terms: dict[Partition, int] = {}
-    if len(lam) <= m:
-        for kappa in partitions_of(d, max_length=m):
-            k = kostka(lam, kappa)
-            if k:
-                terms[kappa] = k
-    poly = DominantMonomialPoly(m, d, terms)
+    terms = {kappa: _kostka(lam, kappa) for kappa in _dominated(lam, m)}
+    poly = DominantMonomialPoly(m, sum(lam), terms)
     _expand_memo[key] = poly
     return poly
 
@@ -152,7 +206,10 @@ def orbit_vectors(key: Partition, m: int) -> list[tuple[int, ...]]:
 
 def orbit_size(key: Partition, m: int) -> int:
     """Size of the S_m orbit of `key` padded to length m."""
-    key = as_partition(key)
+    return _orbit_size(as_partition(key), m)
+
+
+def _orbit_size(key: Partition, m: int) -> int:
     if len(key) > m:
         return 0
     mult: dict[int, int] = {0: m - len(key)}
@@ -165,36 +222,43 @@ def orbit_size(key: Partition, m: int) -> int:
 
 
 def monomial_product(a: Partition, b: Partition, m: int) -> dict[Partition, int]:
-    """Expansion of m_a * m_b in the monomial basis for m variables."""
-    a, b = as_partition(a), as_partition(b)
+    """Expansion of m_a * m_b in the monomial basis for m variables.
+
+    The keys are canonical partitions, as the dominant tables hold them; they
+    are not re-checked.  The coefficient of m_gamma counts the pairs
+    (alpha, beta) in orb a x orb b with alpha + beta = gamma.  Every vector
+    of orb gamma has as many such pairs, and S_m carries each pair onto one
+    with beta = b, so
+
+        coeff(gamma) = |orb b| * #{alpha in orb a : sort(alpha + b) = gamma} / |orb gamma|,
+
+    one pass over the smaller of the two orbits.
+    """
+    if len(a) > m or len(b) > m:
+        raise UsageError(f"key {max(a, b, key=len)} does not fit in {m} variables")
     if a > b:
         a, b = b, a
     key = (a, b, m)
     hit = _product_memo.get(key)
     if hit is not None:
         return hit
-    small, big = (a, b) if orbit_size(a, m) <= orbit_size(b, m) else (b, a)
-    orb = orbit_vectors(small, m)
-    big_padded = tuple(big) + (0,) * (m - len(big))
-    candidates = {
-        as_partition(sorted((al[i] + big_padded[i] for i in range(m)), reverse=True))
-        for al in orb
-    }
+    size_a, size_b = _orbit_size(a, m), _orbit_size(b, m)
+    small, big, size_big = (a, b, size_b) if size_a <= size_b else (b, a, size_a)
+    big_padded = big + (0,) * (m - len(big))
+    hits: dict[Partition, int] = {}
+    for al in orbit_vectors(small, m):
+        gv = sorted(map(int.__add__, al, big_padded), reverse=True)
+        while gv and not gv[-1]:
+            gv.pop()
+        gamma = tuple(gv)
+        hits[gamma] = hits.get(gamma, 0) + 1
     out: dict[Partition, int] = {}
-    nb = len(big)
-    for gamma in candidates:
-        gv = tuple(gamma) + (0,) * (m - len(gamma))
-        n = 0
-        for al in orb:
-            diff = [gv[i] - al[i] for i in range(m)]
-            if min(diff) < 0:
-                continue
-            diff.sort(reverse=True)
-            # sums already agree, so matching the leading block forces the rest to 0
-            if tuple(diff[:nb]) == big:
-                n += 1
-        if n:
-            out[gamma] = n
+    for gamma, n in hits.items():
+        coeff, rest = divmod(size_big * n, _orbit_size(gamma, m))
+        if rest:
+            raise InternalInvariantError(
+                f"orbit count of {gamma} in m_{a} * m_{b} is not divisible by its orbit size")
+        out[gamma] = coeff
     _product_memo[key] = out
     return out
 
@@ -220,13 +284,14 @@ def decompose(p: DominantMonomialPoly) -> SchurVector:
     m = p.var_count
     work = dict(p.terms)
     out: dict[Partition, int] = {}
-    guard = 0
-    limit = 4 * (len(work) + 1) + 100
+    previous = None
     while work:
-        guard += 1
-        if guard > limit:
-            raise InternalInvariantError("peel did not terminate")
         kappa = max(work)  # lex-greatest key of the top grade dominates
+        # s_kappa only reaches keys dominated by kappa, which are lex-smaller, so
+        # the leading key falls strictly and the peel ends over the finitely many keys
+        if previous is not None and kappa >= previous:
+            raise InternalInvariantError(f"peel did not lower its leading key {kappa}")
+        previous = kappa
         c = work[kappa]
         out[kappa] = c
         for k2, c2 in schur_expand(kappa, m).terms.items():
@@ -235,8 +300,6 @@ def decompose(p: DominantMonomialPoly) -> SchurVector:
                 work[k2] = nxt
             else:
                 work.pop(k2, None)
-        if kappa in work:
-            raise InternalInvariantError("peel failed to remove its leading key")
     return SchurVector(m, out)
 
 

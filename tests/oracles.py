@@ -69,6 +69,14 @@ def kostka_brute(lam: tuple[int, ...], content: tuple[int, ...]) -> int:
     return sum(1 for c in ssyt_fillings(lam, m) if c == padded)
 
 
+def dominated(kappa: tuple[int, ...], lam: tuple[int, ...]) -> bool:
+    """Dominance kappa <| lam, comparing prefix sums over the longer length."""
+    rows = max(len(kappa), len(lam))
+    k = tuple(kappa) + (0,) * (rows - len(kappa))
+    lm = tuple(lam) + (0,) * (rows - len(lam))
+    return sum(k) == sum(lm) and all(sum(k[:i]) <= sum(lm[:i]) for i in range(1, rows + 1))
+
+
 def orbit_monomials(key: tuple[int, ...], m: int) -> set[tuple[int, ...]]:
     padded = tuple(key) + (0,) * (m - len(key))
     return set(permutations(padded))

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import branchbox
+from branchbox import branch, lr, schur
 from branchbox.errors import LabelError, UsageError
 from branchbox.partitions import (IrrepLabel, Signature, as_partition,
                                   as_signature, associate_o,
@@ -29,6 +31,52 @@ def test_as_partition_rejects_bad_input():
         as_partition((1, 2))
     with pytest.raises(UsageError):
         as_partition((2, -1))
+
+
+# Each public entry point with a placeholder p for one partition argument;
+# the other arguments are valid and in the stable range.
+BOUNDARY_CALLS = [
+    lambda p: lr.lr_coefficient(p, (1,), (1,)),
+    lambda p: lr.lr_coefficient((2,), p, (1,)),
+    lambda p: lr.lr_coefficient((2,), (1,), p),
+    lambda p: lr.lr_multi(p, [(1,), (1,)]),
+    lambda p: lr.lr_multi((2,), [(1,), p]),
+    lambda p: schur.kostka(p, (1, 1, 1)),
+    lambda p: schur.kostka((2, 1), p),
+    lambda p: schur.schur_expand(p, 3),
+    lambda p: schur.orbit_vectors(p, 3),
+    lambda p: branch.gl_to_o(p, (1,), 9),
+    lambda p: branch.gl_to_o((3,), p, 9),
+    lambda p: branch.gl_to_sp(p, (1,), 9),
+    lambda p: branch.gl_to_sp((3,), p, 9),
+    lambda p: branch.o_tensor_stable(p, (1,), (3,), 15),
+    lambda p: branch.o_tensor_stable((2,), p, (3,), 15),
+    lambda p: branch.o_tensor_stable((2,), (1,), p, 15),
+    lambda p: branch.sp_tensor_stable(p, (1,), (3,), 9),
+    lambda p: branch.sp_tensor_stable((2,), p, (3,), 9),
+    lambda p: branch.sp_tensor_stable((2,), (1,), p, 9),
+    lambda p: branch.o_restrict_stable(p, (1,), (1,), 9, 9),
+    lambda p: branch.o_restrict_stable((2,), p, (1,), 9, 9),
+    lambda p: branch.o_restrict_stable((2,), (1,), p, 9, 9),
+    lambda p: branch.gl_tensor_rational(Signature(p, ()), as_signature((1,), ()),
+                                        as_signature((3,), ()), 9),
+    lambda p: branch.gl_tensor_rational(as_signature((2,), ()), Signature((1,), p),
+                                        as_signature((3,), ()), 9),
+]
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (2, -1)])
+@pytest.mark.parametrize("call", range(len(BOUNDARY_CALLS)))
+def test_public_entry_points_reject_bad_partitions(call, bad):
+    BOUNDARY_CALLS[call]((1,))  # the call is valid with a good partition in place
+    with pytest.raises(UsageError):
+        BOUNDARY_CALLS[call](bad)
+
+
+def test_trusting_kernels_stay_out_of_the_public_api():
+    # these take partitions unchecked, so only library code may call them
+    assert not {"lr_kernel", "monomial_product"} & set(branchbox.__all__)
+    assert not [name for name in branchbox.__all__ if name.startswith("_")]
 
 
 def test_conjugate_examples():

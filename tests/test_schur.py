@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 from branchbox.errors import UsageError
 from branchbox.partitions import enumerate_partitions
 from branchbox.schur import (DominantMonomialPoly, SchurVector, decompose,
-                             dmp_multiply, eval_ones, kostka, multiply_schur,
-                             schur_expand, schur_vector, series)
+                             dmp_multiply, eval_ones, kostka, monomial_product,
+                             multiply_schur, orbit_size, schur_expand,
+                             schur_vector, series)
 
-from .oracles import (dense_symmetric_poly, dominant_part,
-                      graded_sym_character, kostka_brute, ssyt_count)
+from .oracles import (dense_product, dense_symmetric_poly, dominant_part,
+                      dominated, graded_sym_character, kostka_brute,
+                      ssyt_count)
 
 small_partitions = st.lists(st.integers(1, 4), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
@@ -29,6 +31,38 @@ def test_schur_expand_coefficients_are_kostka():
             assert coeff == kostka_brute(lam, key)
 
 
+def test_schur_expand_support_is_the_dominance_interval():
+    for lam in enumerate_partitions(6):
+        for m in range(5):
+            terms = schur_expand(lam, m).terms
+            expected = {kappa for kappa in enumerate_partitions(sum(lam), max_length=m)
+                        if dominated(kappa, lam)}
+            assert set(terms) == expected, (lam, m)
+            for kappa, coeff in terms.items():
+                assert coeff == kostka_brute(lam, kappa), (lam, kappa)
+
+
+def test_monomial_product_matches_dense_brute_force():
+    seen_equal_orbits = seen_overflow = False
+    for m in range(1, 5):
+        keys = enumerate_partitions(4, max_length=m)
+        for a in keys:
+            for b in keys:
+                dense = dense_product(dense_symmetric_poly({a: 1}, m),
+                                      dense_symmetric_poly({b: 1}, m))
+                assert monomial_product(a, b, m) == dominant_part(dense), (a, b, m)
+                seen_equal_orbits |= a != b and orbit_size(a, m) == orbit_size(b, m)
+                seen_overflow |= len(a) + len(b) > m
+    assert seen_equal_orbits and seen_overflow
+
+
+def test_monomial_product_rejects_keys_longer_than_m():
+    with pytest.raises(UsageError):
+        monomial_product((1, 1, 1), (1,), 2)
+    with pytest.raises(UsageError):
+        monomial_product((1,), (1, 1, 1), 2)
+
+
 def test_kostka_example():
     assert kostka((2, 1), (1, 1, 1)) == 2
 
@@ -44,6 +78,18 @@ def test_decompose_round_trip():
     assert decompose(schur_expand((2,), 2)).coeffs == {(2,): 1}
     for lam in enumerate_partitions(6, max_length=3):
         assert decompose(schur_expand(lam, 3)).coeffs == {lam: 1}
+
+
+def test_decompose_peels_long_monomial_orbit():
+    # m_lam has 117 Schur terms here: more peels than a guess from the input
+    # size allows, yet the leading key falls at every peel
+    lam = (6, 4, 4, 3, 1)
+    vec = decompose(DominantMonomialPoly(10, 18, {lam: 1}))
+    back: dict = {}
+    for kappa, c in vec.coeffs.items():
+        for key, k in schur_expand(kappa, 10).terms.items():
+            back[key] = back.get(key, 0) + c * k
+    assert {key: c for key, c in back.items() if c} == {lam: 1}
 
 
 def test_decompose_square_of_power_sum():
