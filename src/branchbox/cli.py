@@ -265,48 +265,49 @@ def _emit_verify(cfg: RunConfig, name: str, params: dict, rows) -> int:
     return 0 if ok else 1
 
 
+def _oracle_weights(entries) -> dict:
+    return {tuple(lab.weight for lab in e.labels): e.mult for e in entries}
+
+
 def _verify_seesaw_a(args, cfg: RunConfig) -> int:
     _require_positive(n=args.n, m=args.m)
     n, m, deg = args.n, args.m, cfg.max_degree
-    oracle_entries = hwv_multiplicities(MatrixSpaceShape("A", n, m), deg, FULL)
-    oracle = {tuple(lab.weight for lab in e.labels): e.mult for e in oracle_entries}
+    params = {"n": n, "policy": cfg.stable_policy}
     lmax = min(n, m)
     grid = {(mu, lam)
             for lam in enumerate_partitions(deg, max_length=lmax)
             for mu in enumerate_partitions(sum(lam), max_length=lmax)
             if is_admissible_o(mu, n)}
-    keys = sorted(grid | set(oracle))
-    values = _compute_formula("gl-o", {"n": n, "policy": cfg.stable_policy}, keys, cfg.jobs)
+    values = _compute_formula("gl-o", params, sorted(grid), cfg.jobs)
+    oracle = _oracle_weights(hwv_multiplicities(MatrixSpaceShape("A", n, m), deg, FULL))
+    values.update(_compute_formula("gl-o", params, sorted(set(oracle) - grid), cfg.jobs))
     rows = [((IrrepLabel("O", n, mu), IrrepLabel("GL", m, lam)),
              values[(mu, lam)], oracle.get((mu, lam), 0))
-            for mu, lam in keys]
+            for mu, lam in sorted(grid | set(oracle))]
     return _emit_verify(cfg, "seesaw-a", {"n": n, "m": m, "max_degree": deg}, rows)
 
 
 def _verify_seesaw_c(args, cfg: RunConfig) -> int:
     _require_positive(n=args.n, m=args.m, l=args.l)
     n, m, l, deg = args.n, args.m, args.l, cfg.max_degree
-    shape = MatrixSpaceShape("C", n, m, l, split_columns=True)
-    oracle_entries = hwv_multiplicities(shape, deg, FULL)
-    oracle = {tuple(lab.weight for lab in e.labels): e.mult for e in oracle_entries}
     grid = {(lam, mu, nu)
             for lam in enumerate_partitions(deg, max_length=min(n, m + l))
             for mu in enumerate_partitions(sum(lam), max_length=min(n, m))
             for nu in partitions_of(sum(lam) - sum(mu), max_length=min(n, l))}
-    keys = sorted(grid | set(oracle))
-    values = _compute_formula("lr", {}, keys, cfg.jobs)
+    values = _compute_formula("lr", {}, sorted(grid), cfg.jobs)
+    shape = MatrixSpaceShape("C", n, m, l, split_columns=True)
+    oracle = _oracle_weights(hwv_multiplicities(shape, deg, FULL))
+    values.update(_compute_formula("lr", {}, sorted(set(oracle) - grid), cfg.jobs))
     rows = [((IrrepLabel("GL", n, lam), IrrepLabel("GL", m, mu), IrrepLabel("GL", l, nu)),
              values[(lam, mu, nu)], oracle.get((lam, mu, nu), 0))
-            for lam, mu, nu in keys]
+            for lam, mu, nu in sorted(grid | set(oracle))]
     return _emit_verify(cfg, "seesaw-c", {"n": n, "m": m, "l": l, "max_degree": deg}, rows)
 
 
 def _verify_tensor_o(args, cfg: RunConfig) -> int:
     _require_positive(n=args.n, m=args.m, l=args.l)
     n, m, l, deg = args.n, args.m, args.l, cfg.max_degree
-    shape = MatrixSpaceShape("A", n, m, l, split_columns=True)
-    oracle_entries = hwv_multiplicities(shape, deg, MOD_IDEAL)
-    oracle = {tuple(lab.weight for lab in e.labels): e.mult for e in oracle_entries}
+    params = {"n": n, "policy": cfg.stable_policy}
     grid = set()
     for mu in enumerate_partitions(deg, max_length=m):
         for nu in enumerate_partitions(deg - sum(mu), max_length=l):
@@ -314,21 +315,25 @@ def _verify_tensor_o(args, cfg: RunConfig) -> int:
             for lam in enumerate_partitions(total, max_length=len(mu) + len(nu)):
                 if (total - sum(lam)) % 2 == 0 and is_admissible_o(lam, n):
                     grid.add((lam, mu, nu))
-    keys = sorted(grid | set(oracle))
-    values = _compute_formula("o-tensor", {"n": n, "policy": cfg.stable_policy},
-                              [(mu, nu, lam) for lam, mu, nu in keys], cfg.jobs)
+
+    def formula(keys):
+        return _compute_formula("o-tensor", params,
+                                [(mu, nu, lam) for lam, mu, nu in sorted(keys)], cfg.jobs)
+
+    values = formula(grid)
+    shape = MatrixSpaceShape("A", n, m, l, split_columns=True)
+    oracle = _oracle_weights(hwv_multiplicities(shape, deg, MOD_IDEAL))
+    values.update(formula(set(oracle) - grid))
     rows = [((IrrepLabel("O", n, lam), IrrepLabel("GL", m, mu), IrrepLabel("GL", l, nu)),
              values[(mu, nu, lam)], oracle.get((lam, mu, nu), 0))
-            for lam, mu, nu in keys]
+            for lam, mu, nu in sorted(grid | set(oracle))]
     return _emit_verify(cfg, "tensor-o", {"n": n, "m": m, "l": l, "max_degree": deg}, rows)
 
 
 def _verify_restrict_o(args, cfg: RunConfig) -> int:
     _require_positive(n=args.n, m=args.m, l=args.l)
     n1, n2, m, deg = args.n, args.l, args.m, cfg.max_degree
-    shape = MatrixSpaceShape("A", n1 + n2, m)
-    oracle_entries = hwv_multiplicities(shape, deg, ProductO(n1, n2))
-    oracle = {tuple(lab.weight for lab in e.labels): e.mult for e in oracle_entries}
+    params = {"n": n1, "m": n2, "policy": cfg.stable_policy}
     grid = set()
     for lam in enumerate_partitions(deg, max_length=min(n1 + n2, m)):
         for mu in enumerate_partitions(sum(lam), max_length=len(lam)):
@@ -338,12 +343,13 @@ def _verify_restrict_o(args, cfg: RunConfig) -> int:
             for nu in enumerate_partitions(rest, max_length=len(lam)):
                 if (rest - sum(nu)) % 2 == 0 and is_admissible_o(nu, n2):
                     grid.add((mu, nu, lam))
-    keys = sorted(grid | set(oracle))
-    values = _compute_formula("o-restrict", {"n": n1, "m": n2, "policy": cfg.stable_policy},
-                              keys, cfg.jobs)
+    values = _compute_formula("o-restrict", params, sorted(grid), cfg.jobs)
+    shape = MatrixSpaceShape("A", n1 + n2, m)
+    oracle = _oracle_weights(hwv_multiplicities(shape, deg, ProductO(n1, n2)))
+    values.update(_compute_formula("o-restrict", params, sorted(set(oracle) - grid), cfg.jobs))
     rows = [((IrrepLabel("O", n1, mu), IrrepLabel("O", n2, nu), IrrepLabel("GL", m, lam)),
              values[(mu, nu, lam)], oracle.get((mu, nu, lam), 0))
-            for mu, nu, lam in keys]
+            for mu, nu, lam in sorted(grid | set(oracle))]
     return _emit_verify(cfg, "restrict-o",
                         {"n": n1, "l": n2, "m": m, "max_degree": deg}, rows)
 

@@ -3,15 +3,18 @@
 Everything reduces to exact nullspace or rank computations on weight-space
 blocks: all operators in play are weight-homogeneous for the product torus,
 so each block can be handled on its own.  Raising-operator kernels are only
-computed at dominant weights; a kernel vector generates a highest weight
-module, so nothing is lost, and a nonzero kernel at a weight that is not a
-partition on an orthogonal factor is reported as an internal error rather
-than silently dropped.
+computed at dominant weights, and only those blocks are built; a kernel
+vector generates a highest weight module, so nothing is lost, and a nonzero
+kernel at a weight that is not a partition on an orthogonal factor is
+reported as an internal error rather than silently dropped.  Monomials are
+grouped by a packed integer code of their weight (`_weight_codes`), and every
+row handed to the elimination is made of `int`s.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -35,43 +38,97 @@ class BucketTable:
     by_degree: dict[int, list[tuple]]
 
 
+def _weight_codes(config: SpaceConfig, max_degree: int):
+    """Each variable's torus weight packed into one integer, and the decoder of sums.
+
+    The flat weight (all factors' coordinates in a row) is read as the digits
+    of a balanced base B = 2*h + 1 number, h = max|coord| * max_degree.  Every
+    coordinate of a monomial of degree <= max_degree lies in [-h, h], so the
+    digits of a sum of codes never carry: the code of a monomial is the sum
+    of its variables' codes, and it decodes back to the monomial's weight.
+    """
+    sizes = [len(weights[0]) for weights in config.var_weights]
+    coords = sum(sizes)
+    flat = [tuple(c for weights in config.var_weights for c in weights[v])
+            for v in range(config.var_count)]
+    half = max((abs(c) for w in flat for c in w), default=0) * max_degree
+    base = 2 * half + 1
+    codes = []
+    for w in flat:
+        code = 0
+        for c in reversed(w):
+            code = code * base + c
+        codes.append(code)
+
+    def decode(code: int) -> tuple[tuple[int, ...], ...]:
+        digits = []
+        for _ in range(coords):
+            digit = (code + half) % base - half
+            digits.append(digit)
+            code = (code - digit) // base
+        key, start = [], 0
+        for size in sizes:
+            key.append(tuple(digits[start:start + size]))
+            start += size
+        return tuple(key)
+
+    return codes, decode
+
+
 def build_buckets(config: SpaceConfig, max_degree: int,
-                  budget: int = DEFAULT_BUDGET) -> BucketTable:
-    buckets: dict[tuple, list[Monomial]] = {}
-    degree: dict[tuple, int] = {}
+                  budget: int = DEFAULT_BUDGET,
+                  keep: Callable[[tuple], bool] | None = None) -> BucketTable:
+    """Monomials of degree <= max_degree grouped by torus weight, grevlex inside a block.
+
+    With `keep` given, only the weight keys it accepts get a block; the
+    budget still covers every block.
+    """
+    codes, decode = _weight_codes(config, max_degree)
+    groups: dict[int, list[tuple[int, ...]]] = {}  # code -> variable multisets
     for d in range(max_degree + 1):
-        for mono in monomials_of_degree(config.var_count, d):
-            key = config.monomial_weight(mono)
-            if key not in buckets:
-                buckets[key] = []
-                degree[key] = d
-            buckets[key].append(mono)
-    by_degree: dict[int, list[tuple]] = {d: [] for d in range(max_degree + 1)}
-    for key, monos in buckets.items():
-        if len(monos) > budget:
+        for combo in itertools.combinations_with_replacement(range(config.var_count), d):
+            code = sum(map(codes.__getitem__, combo))
+            group = groups.get(code)
+            if group is None:
+                groups[code] = group = []
+            group.append(combo)
+    table = BucketTable({}, {}, {d: [] for d in range(max_degree + 1)})
+    for code, combos in groups.items():
+        if len(combos) > budget:
             raise BudgetError(
-                f"weight space of dimension {len(monos)} exceeds the budget {budget}")
+                f"weight space of dimension {len(combos)} exceeds the budget {budget}")
+        key = decode(code)
+        if keep is not None and not keep(key):
+            continue
+        monos = []
+        for combo in combos:
+            mono = [0] * config.var_count
+            for v in combo:
+                mono[v] += 1
+            monos.append(tuple(mono))
         monos.sort(key=grevlex_mono_key)
-        by_degree[degree[key]].append(key)
-    for keys in by_degree.values():
+        table.buckets[key] = monos
+        table.degree[key] = len(combos[0])
+        table.by_degree[len(combos[0])].append(key)
+    for keys in table.by_degree.values():
         keys.sort()
-    return BucketTable(buckets, degree, by_degree)
+    return table
 
 
-def _annihilator_rows(ops, basis: list[Monomial]) -> list[list[Fraction]]:
+def _annihilator_rows(ops, basis: list[Monomial]) -> list[list[int]]:
     """Equations cutting out the joint kernel of ops on span(basis)."""
     rows: dict[tuple, list] = {}
     n = len(basis)
     for oi, op in enumerate(ops):
         for col, mono in enumerate(basis):
             for tm, tc in apply_to_monomial(op, mono).items():
-                row = rows.setdefault((oi, tm), [Fraction(0)] * n)
+                row = rows.setdefault((oi, tm), [0] * n)
                 row[col] += tc
     return list(rows.values())
 
 
 def _annihilator_rows_on_domain(ops, basis: list[Monomial],
-                                domain: list[tuple[Fraction, ...]]) -> list[list[Fraction]]:
+                                domain: list[tuple[int, ...]]) -> list[list[int]]:
     rows: dict[tuple, list] = {}
     n = len(domain)
     for oi, op in enumerate(ops):
@@ -81,7 +138,7 @@ def _annihilator_rows_on_domain(ops, basis: list[Monomial],
                 if not c:
                     continue
                 for tm, tc in applied[j].items():
-                    row = rows.setdefault((oi, tm), [Fraction(0)] * n)
+                    row = rows.setdefault((oi, tm), [0] * n)
                     row[col] += c * tc
     return list(rows.values())
 
@@ -146,13 +203,14 @@ def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
     else:
         raise UsageError(f"unknown mode {mode!r}")
 
-    table = build_buckets(config, max_degree, budget)
+    def dominant(key: tuple) -> bool:
+        return all(_dominant(f, w) for f, w in zip(config.factors, key))
+
+    table = build_buckets(config, max_degree, budget, keep=dominant)
     raisers = config.raisings
     entries = []
     for d in range(max_degree + 1):
         for key in table.by_degree[d]:
-            if not all(_dominant(f, w) for f, w in zip(config.factors, key)):
-                continue
             basis = table.buckets[key]
             if use_harmonics and config.deltas:
                 domain = nullspace(_annihilator_rows(config.deltas, basis), len(basis))
@@ -204,7 +262,7 @@ def _rank_of_polys(vecs: list[Poly]) -> int:
     pos = {m: i for i, m in enumerate(cols)}
     rows = []
     for v in vecs:
-        row = [Fraction(0)] * len(cols)
+        row = [0] * len(cols)
         for m, c in v.items():
             row[pos[m]] = c
         rows.append(row)
@@ -331,7 +389,7 @@ def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
     family = list(config.deltas + config.r2s + config.eulers + config.k_raisings)
     actions: dict[str, dict[Monomial, Poly]] = {
         op.name: {src: apply_to_monomial(op, src) for src in sources} for op in family}
-    actions["id"] = {src: {src: Fraction(1)} for src in sources}
+    actions["id"] = {src: {src: 1} for src in sources}
     spans = {
         "euler_id": [op.name for op in config.eulers] + ["id"],
         "delta": [op.name for op in config.deltas],
@@ -342,7 +400,7 @@ def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
     entries = []
     for a, b in itertools.combinations(family, 2):
         rule, span = _bracket_rule(a.kind, b.kind)
-        comm = {src: commutator_apply(a, b, {src: Fraction(1)}) for src in sources}
+        comm = {src: commutator_apply(a, b, {src: 1}) for src in sources}
         if span is None:
             ok = all(not p for p in comm.values())
             entries.append(BracketEntry(a.name, b.name, rule, ok, ()))
@@ -351,9 +409,9 @@ def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
         eq_keys = sorted({(src, tm) for src, p in comm.items() for tm in p} |
                          {(src, tm) for name in names
                           for src, p in actions[name].items() for tm in p})
-        columns = [[actions[name][src].get(tm, Fraction(0)) for src, tm in eq_keys]
+        columns = [[actions[name][src].get(tm, 0) for src, tm in eq_keys]
                    for name in names]
-        rhs = [comm[src].get(tm, Fraction(0)) for src, tm in eq_keys]
+        rhs = [comm[src].get(tm, 0) for src, tm in eq_keys]
         sol = solve_columns(columns, rhs)
         if sol is None:
             entries.append(BracketEntry(a.name, b.name, rule, False, ()))
@@ -416,7 +474,7 @@ def minor_hwv(n: int, m: int, columns) -> MinorCertificate:
         for row in range(1, j + 1):
             mono[idx(row, cols[perm[row - 1]])] += 1
         key = tuple(mono)
-        poly[key] = poly.get(key, Fraction(0)) + sign
+        poly[key] = poly.get(key, 0) + sign
     poly = {k: v for k, v in poly.items() if v}
 
     def annihilates(ops):
@@ -424,7 +482,7 @@ def minor_hwv(n: int, m: int, columns) -> MinorCertificate:
             acc: Poly = {}
             for mono, c in poly.items():
                 for tm, tc in apply_to_monomial(op, mono).items():
-                    val = acc.get(tm, Fraction(0)) + c * tc
+                    val = acc.get(tm, 0) + c * tc
                     if val:
                         acc[tm] = val
                     else:
@@ -451,7 +509,7 @@ class GradedOperator:
     kind: str
     source_degree: int
     target_degree: int
-    matrix: tuple[tuple[Fraction, ...], ...]  # rows over the target basis, grevlex order
+    matrix: tuple[tuple[int | Fraction, ...], ...]  # rows over the target basis, grevlex order
 
 
 def build_operators(shape: MatrixSpaceShape, max_degree: int,
@@ -475,7 +533,7 @@ def build_operators(shape: MatrixSpaceShape, max_degree: int,
             td = d + op.shift
             if not 0 <= td <= max_degree:
                 continue
-            rows = [[Fraction(0)] * len(bases[d]) for _ in bases[td]]
+            rows = [[0] * len(bases[d]) for _ in bases[td]]
             for col, mono in enumerate(bases[d]):
                 for tm, tc in apply_to_monomial(op, mono).items():
                     rows[index[td][tm]][col] = tc

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
+Entries are `int`, or `Fraction` where a caller has rational data.
 Elimination is fraction-free (Bareiss) on integer rows; rational input rows
 are cleared of denominators first, which changes neither row space nor
-kernel.  Kernels come back as Fraction vectors via back-substitution.
+kernel, and all-`int` rows pass through unscaled.  Kernels come back as
+primitive integer vectors from a fraction-free back-substitution.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ Row = Sequence[int | Fraction]
 def _integer_rows(rows: Sequence[Row]) -> list[list[int]]:
     out = []
     for row in rows:
+        if all(type(a) is int for a in row):
+            out.append(list(row))
+            continue
         scale = 1
         for a in row:
             if isinstance(a, Fraction) and a.denominator != 1:
@@ -64,31 +69,52 @@ def rank(rows: Sequence[Row]) -> int:
     return len(echelon(rows)[1])
 
 
-def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : A v = 0}, one vector per free column."""
+def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[int, ...]]:
+    """Basis of {v : A v = 0}, one vector per free column.
+
+    Each vector is primitive (its entries have gcd 1) with a positive entry at
+    its free column, and zeros at the other free columns.  Back-substitution
+    stays in integers: before solving pivot p against the partial sum s, the
+    vector is scaled by k = |p| / g, g = gcd(s, p), so the new entry -s*k/p =
+    -(s/g)*sign(p) is exact.  The vector starts as a unit vector and each step
+    keeps it primitive, because k is coprime to s/g; no content is left to
+    divide out.
+    """
     if not rows:
-        return [tuple(Fraction(i == j) for j in range(ncols)) for i in range(ncols)]
+        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
     m, pivots = echelon(rows)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
+        v = [0] * ncols
+        v[free] = 1
         for r, c in reversed(pivots):
             row = m[r]
-            s = Fraction(0)
+            s = 0
             for j in range(c + 1, ncols):
                 if v[j]:
                     s += row[j] * v[j]
-            v[c] = -s / row[c]
+            if not s:
+                continue
+            p = row[c]
+            k = abs(p) // gcd(s, p)
+            if k != 1:
+                v = [a * k for a in v]
+                s *= k
+            v[c] = -s // p
         basis.append(tuple(v))
     return basis
 
 
-def solve_columns(columns: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve sum_k c_k * columns[k] = rhs exactly; None if inconsistent."""
+def solve_columns(columns: list[list[int | Fraction]], rhs: list[int | Fraction]
+                  ) -> list[Fraction] | None:
+    """Solve sum_k c_k * columns[k] = rhs exactly; None if inconsistent.
+
+    The solution is made of `Fraction`s whatever the input; `int` input is
+    never divided as `int`, which would give a float.
+    """
     ncand = len(columns)
     nrows = len(rhs)
     aug = [[columns[k][i] for k in range(ncand)] + [rhs[i]] for i in range(nrows)]
@@ -99,7 +125,7 @@ def solve_columns(columns: list[list[Fraction]], rhs: list[Fraction]) -> list[Fr
         if found is None:
             continue
         aug[pr], aug[found] = aug[found], aug[pr]
-        inv = 1 / aug[pr][c]
+        inv = Fraction(1) / aug[pr][c]
         aug[pr] = [a * inv for a in aug[pr]]
         for r in range(nrows):
             if r != pr and aug[r][c]:

@@ -1,9 +1,14 @@
 """Sparse exact polynomials and polynomial-coefficient differential operators.
 
 A monomial is a dense exponent tuple over a fixed variable list; a polynomial
-maps monomials to Fraction coefficients.  An operator is a sum of terms
+maps monomials to exact coefficients.  An operator is a sum of terms
 c * x^a * d^b applied by falling factorials, so it stays exact on any
 polynomial and needs no degree truncation.
+
+Coefficients are `int` wherever they are integral, which covers every
+Delta, r2 and raising operator and so the whole multiplicity oracle; only
+the Euler operators' n/2 shift (odd n) is a `Fraction`, and it reaches
+nothing but the bracket check.
 """
 
 from __future__ import annotations
@@ -13,11 +18,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Monomial = tuple[int, ...]
-Poly = dict[Monomial, Fraction]
+Poly = dict[Monomial, int | Fraction]
 
 
 class Term(NamedTuple):
-    coeff: Fraction
+    coeff: int | Fraction
     xs: tuple[tuple[int, int], ...]  # (variable index, exponent), multiplication part
     ds: tuple[tuple[int, int], ...]  # (variable index, order), differentiation part
 
@@ -33,17 +38,24 @@ class Operator:
 def make_operator(name: str, kind: str,
                   raw_terms: Iterable[tuple[Fraction | int, Mapping[int, int], Mapping[int, int]]],
                   ) -> Operator:
-    """Build an operator from (coeff, {var: exp}, {var: order}) triples, merging duplicates."""
-    merged: dict[tuple, Fraction] = {}
+    """Build an operator from (coeff, {var: exp}, {var: order}) triples, merging duplicates.
+
+    A merged coefficient is stored as an `int` when it is integral.
+    """
+    merged: dict[tuple, int | Fraction] = {}
     for coeff, xs, ds in raw_terms:
         key = (tuple(sorted((v, e) for v, e in xs.items() if e)),
                tuple(sorted((v, e) for v, e in ds.items() if e)))
-        merged[key] = merged.get(key, Fraction(0)) + Fraction(coeff)
-    terms = tuple(Term(c, xs, ds) for (xs, ds), c in sorted(merged.items()) if c)
+        merged[key] = merged.get(key, 0) + coeff
+    terms = tuple(Term(_integral(c), xs, ds) for (xs, ds), c in sorted(merged.items()) if c)
     shifts = {sum(e for _, e in t.xs) - sum(e for _, e in t.ds) for t in terms}
     if len(shifts) > 1:
         raise ValueError(f"operator {name} is not degree-homogeneous: shifts {shifts}")
     return Operator(name, kind, shifts.pop() if shifts else 0, terms)
+
+
+def _integral(c: int | Fraction) -> int | Fraction:
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
 def apply_term(term: Term, mono: Monomial) -> tuple[Monomial, int] | None:
@@ -73,7 +85,7 @@ def apply_operator(op: Operator, poly: Poly) -> Poly:
             target, ff = hit
             if not ff:
                 continue
-            val = out.get(target, Fraction(0)) + c * term.coeff * ff
+            val = out.get(target, 0) + c * term.coeff * ff
             if val:
                 out[target] = val
             else:
@@ -82,14 +94,14 @@ def apply_operator(op: Operator, poly: Poly) -> Poly:
 
 
 def apply_to_monomial(op: Operator, mono: Monomial) -> Poly:
-    return apply_operator(op, {mono: Fraction(1)})
+    return apply_operator(op, {mono: 1})
 
 
 def commutator_apply(a: Operator, b: Operator, poly: Poly) -> Poly:
     first = apply_operator(a, apply_operator(b, poly))
     second = apply_operator(b, apply_operator(a, poly))
     for mono, c in second.items():
-        val = first.get(mono, Fraction(0)) - c
+        val = first.get(mono, 0) - c
         if val:
             first[mono] = val
         else:

@@ -280,9 +280,23 @@ def dmp_multiply(p: DominantMonomialPoly, q: DominantMonomialPoly) -> DominantMo
 
 
 def decompose(p: DominantMonomialPoly) -> SchurVector:
-    """Peel a symmetric polynomial into Schur coefficients, leading key first."""
+    """Peel a symmetric polynomial into Schur coefficients, leading key first.
+
+    Keys are canonicalized (trailing zeros dropped, equal keys merged); a key
+    that is not a partition or has more than var_count parts is a UsageError.
+    """
     m = p.var_count
-    work = dict(p.terms)
+    work: dict[Partition, int] = {}
+    for key, c in p.terms.items():
+        lam = as_partition(key)
+        if len(lam) > m:
+            raise UsageError(f"key {tuple(key)} has more than {m} parts")
+        work[lam] = work.get(lam, 0) + c
+    return _peel(m, {lam: c for lam, c in work.items() if c})
+
+
+def _peel(m: int, work: dict[Partition, int]) -> SchurVector:
+    """decompose on canonical keys of at most m parts; consumes `work`."""
     out: dict[Partition, int] = {}
     previous = None
     while work:
@@ -334,7 +348,7 @@ def multiply_schur(a: SchurVector, b: SchurVector) -> SchurVector:
                     bucket.pop(key, None)
     out: dict[Partition, int] = {}
     for d, terms in by_degree.items():
-        part = decompose(DominantMonomialPoly(m, d, terms))
+        part = _peel(m, terms)
         for lam, c in part.coeffs.items():
             out[lam] = out.get(lam, 0) + c
     return SchurVector(m, {k: v for k, v in out.items() if v})

@@ -150,6 +150,24 @@ def test_verify_tensor_o_fails_outside_stable_range(capsys):
     assert table[((1,), (1,), (1,))] == (0, 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ("seesaw-a", "--n", "4", "--m", "2"),
+    ("tensor-o", "--n", "4", "--m", "1", "--l", "1", "--max-degree", "4"),
+    ("restrict-o", "--n", "2", "--m", "1", "--l", "2", "--max-degree", "4"),
+])
+def test_verify_refuses_before_running_the_oracle(capsys, monkeypatch, argv):
+    # even n outside the stable range used to reach the oracle (and its internal
+    # error on non-partition weights) before the formula refused
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the refusal")
+
+    monkeypatch.setattr("branchbox.cli.hwv_multiplicities", oracle)
+    rc, out, err = run(capsys, "verify", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: outside the stable range")
+
+
 def test_verify_brackets_case_a(capsys):
     rc, out, err = run(capsys, "verify", "brackets", "--case", "a",
                        "--n", "4", "--m", "2")

@@ -1,12 +1,16 @@
 import warnings
+from math import comb
 
 import pytest
 
 from branchbox import branch
 from branchbox.dims import dim_o, dim_sp
 from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
+                                build_buckets, build_config, build_product_config,
                                 harmonic_isotypic_dims, harmonic_report,
                                 hwv_multiplicities, hwv_table)
+from branchbox.dualpair.analysis import _dominant
+from branchbox.dualpair.poly import grevlex_mono_key
 from branchbox.errors import BudgetError, UsageError
 from branchbox.lr import lr_coefficient
 from branchbox.partitions import Signature, enumerate_partitions
@@ -118,6 +122,64 @@ def test_hwv_table_keys():
     table = hwv_table(entries)
     assert all(v == 1 for v in table.values())
     assert len(table) == 4
+
+
+# ---------------------------------------------------------------------------
+# weight blocks
+
+BUCKET_CONFIGS = [
+    ("A", lambda: build_config(MatrixSpaceShape("A", 4, 2))),
+    ("A odd", lambda: build_config(MatrixSpaceShape("A", 3, 2))),
+    ("A split", lambda: build_config(MatrixSpaceShape("A", 3, 1, 2, split_columns=True))),
+    ("B", lambda: build_config(MatrixSpaceShape("B", 2, 2))),
+    ("C", lambda: build_config(MatrixSpaceShape("C", 2, 2))),
+    ("C signed y", lambda: build_config(MatrixSpaceShape("C", 2, 1, 2))),
+    ("C stacked", lambda: build_config(MatrixSpaceShape("C", 2, 1, 1, split_columns=True))),
+    ("ProductO", lambda: build_product_config(ProductO(2, 3), 1)),
+]
+
+
+def _is_dominant(config):
+    return lambda key: all(_dominant(f, w) for f, w in zip(config.factors, key))
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 3])
+@pytest.mark.parametrize("name,make", BUCKET_CONFIGS, ids=[c[0] for c in BUCKET_CONFIGS])
+def test_bucket_keys_decode_to_monomial_weights(name, make, max_degree):
+    config = make()
+    table = build_buckets(config, max_degree)
+    seen = 0
+    for key, monos in table.buckets.items():
+        assert monos == sorted(monos, key=grevlex_mono_key)
+        for mono in monos:
+            assert config.monomial_weight(mono) == key
+            assert sum(mono) == table.degree[key]
+        assert key in table.by_degree[table.degree[key]]
+        seen += len(monos)
+    assert seen == comb(config.var_count + max_degree, max_degree)
+    if name == "C signed y" and max_degree:
+        assert any(a < 0 for key in table.buckets for a in key[0])
+
+
+@pytest.mark.parametrize("name,make", BUCKET_CONFIGS, ids=[c[0] for c in BUCKET_CONFIGS])
+def test_dominant_buckets_are_the_full_table_restricted(name, make):
+    config = make()
+    full = build_buckets(config, 4)
+    keep = _is_dominant(config)
+    dominant = build_buckets(config, 4, keep=keep)
+    assert dominant.buckets == {k: v for k, v in full.buckets.items() if keep(k)}
+    assert dominant.degree == {k: d for k, d in full.degree.items() if keep(k)}
+    assert dominant.by_degree == {d: [k for k in keys if keep(k)]
+                                  for d, keys in full.by_degree.items()}
+    assert len(dominant.buckets) < len(full.buckets)
+
+
+def test_budget_covers_blocks_that_are_not_kept():
+    config = build_config(MatrixSpaceShape("A", 3, 2))
+    largest = max(len(v) for v in build_buckets(config, 4).buckets.values())
+    assert not build_buckets(config, 4, budget=largest, keep=lambda key: False).buckets
+    with pytest.raises(BudgetError):
+        build_buckets(config, 4, budget=largest - 1, keep=lambda key: False)
 
 
 def test_budget_error():

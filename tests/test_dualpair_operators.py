@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -100,6 +102,44 @@ def test_nullspace_with_fractions():
     assert Fraction(1, 2) * a + Fraction(1, 3) * b == 0
 
 
+def _apply_rows(rows, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nullspace_returns_primitive_integer_kernel_vectors(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 7)
+    rows = [[rng.choice((0, 0, 1, -1, 2, -3, 6)) for _ in range(ncols)] for _ in range(nrows)]
+    if seed % 2:  # rational rows: the kernel is the same, so still integral
+        rows = [[Fraction(a, rng.choice((1, 2, 3, 4))) for a in row] for row in rows]
+    basis = nullspace(rows, ncols)
+    assert len(basis) == ncols - rank(rows)
+    pivot_cols = {c for _, c in echelon(rows)[1]}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    for v, free in zip(basis, free_cols):
+        assert all(type(a) is int for a in v)
+        assert math.gcd(*v) == 1
+        assert v[free] > 0
+        assert all(v[c] == 0 for c in free_cols if c != free)
+        assert _apply_rows(rows, v) == [0] * nrows
+
+
+def test_nullspace_clears_denominators_of_back_substitution():
+    # 2x + 3y = 0 has kernel (-3, 2): the rational (-3/2, 1) scaled to primitive
+    assert nullspace([[2, 3]], 2) == [(-3, 2)]
+    assert nullspace([[Fraction(1, 2), Fraction(1, 3)]], 2) == [(-2, 3)]
+
+
+def test_solve_columns_returns_fractions_on_int_input():
+    sol = solve_columns([[1, 0], [1, 1]], [3, 2])
+    assert sol == [1, 2]
+    assert all(type(c) is Fraction for c in sol)
+    # a pivot that does not divide: 1 / int would give the float 0.5
+    sol = solve_columns([[2]], [1])
+    assert sol == [Fraction(1, 2)] and type(sol[0]) is Fraction
+
+
 def test_solve_columns():
     cols = [[F(1), F(0)], [F(1), F(1)]]
     sol = solve_columns(cols, [F(3), F(2)])
@@ -111,6 +151,29 @@ def test_solve_columns():
 
 # ---------------------------------------------------------------------------
 # model configurations
+
+@pytest.mark.parametrize("shape", [MatrixSpaceShape("A", 3, 2),
+                                   MatrixSpaceShape("A", 3, 1, 1, split_columns=True),
+                                   MatrixSpaceShape("B", 2, 2),
+                                   MatrixSpaceShape("C", 3, 2, 1),
+                                   MatrixSpaceShape("C", 3, 1, 1, split_columns=True)])
+def test_integral_operators_carry_int_coefficients(shape):
+    cfg = build_config(shape)
+    for op in cfg.deltas + cfg.r2s + cfg.k_raisings + cfg.gl_raisings:
+        assert all(type(t.coeff) is int for t in op.terms), op.name
+        for mono in monomials_of_degree(cfg.var_count, 2):
+            assert all(type(c) is int for c in apply_to_monomial(op, mono).values())
+
+
+def test_euler_operators_keep_their_half_integer_shift():
+    # E[i,i] carries n/2 = 3/2 for n = 3: the one non-integral coefficient
+    cfg = build_config(MatrixSpaceShape("A", 3, 1))
+    (euler,) = cfg.eulers
+    assert [t.coeff for t in euler.terms if not t.xs] == [Fraction(3, 2)]
+    out = apply_to_monomial(euler, (1, 0, 0))
+    assert out == {(1, 0, 0): Fraction(5, 2)}
+    assert all(type(c) is Fraction for c in out.values())
+
 
 def test_case_a_operator_counts():
     cfg = build_config(MatrixSpaceShape("A", 5, 2))

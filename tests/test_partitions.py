@@ -155,6 +155,23 @@ def test_partitions_between():
     assert set(partitions_between((), (2, 2), 2)) == {(2,), (1, 1)}
 
 
+def test_partitions_between_matches_a_brute_force_filter():
+    # every inner <= outer pair with |outer| <= 6, inner shorter, as long as, or longer
+    # than any tail, against containment checked cell by cell
+    def inside(small, big):
+        return len(small) <= len(big) and all(a <= b for a, b in zip(small, big))
+
+    labels = enumerate_partitions(6)
+    for outer in labels:
+        for inner in labels:
+            for size in range(8):
+                want = [tau for tau in partitions_of(size)
+                        if inside(inner, tau) and inside(tau, outer)]
+                got = list(partitions_between(inner, outer, size))
+                assert sorted(got) == sorted(want), (inner, outer, size)
+                assert len(set(got)) == len(got)
+
+
 def test_even_series_index_sets():
     assert even_row_partitions(4, 2) == [(4,), (2, 2)]
     assert even_row_partitions(3, 2) == []

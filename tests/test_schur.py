@@ -92,6 +92,21 @@ def test_decompose_peels_long_monomial_orbit():
     assert {key: c for key, c in back.items() if c} == {lam: 1}
 
 
+def test_decompose_rejects_keys_longer_than_var_count():
+    with pytest.raises(UsageError):
+        decompose(DominantMonomialPoly(2, 3, {(1, 1, 1): 1}))
+    with pytest.raises(UsageError):
+        decompose(DominantMonomialPoly(2, 3, {(1, 2): 1}))
+
+
+def test_decompose_canonicalizes_trailing_zeros():
+    # (2, 1, 0) and (2, 1) name the same orbit in three variables
+    padded = decompose(DominantMonomialPoly(3, 3, {(2, 1, 0): 1}))
+    assert padded == decompose(DominantMonomialPoly(3, 3, {(2, 1): 1}))
+    merged = decompose(DominantMonomialPoly(3, 3, {(2, 1, 0): 1, (2, 1): -1}))
+    assert merged.coeffs == {}
+
+
 def test_decompose_square_of_power_sum():
     # (x1 + x2)^2 expands to the dominant table {(2):1, (1,1):2}
     sq = dmp_multiply(schur_expand((1,), 2), schur_expand((1,), 2))
