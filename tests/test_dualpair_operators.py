@@ -87,6 +87,8 @@ def test_nullspace_known_kernel():
     assert v[0] + v[1] + v[2] == 0
     assert v[1] == v[2]
     assert any(c != 0 for c in v)
+    # 2x + 3y = 0: back-substitution gives (-3/2, 1), returned as primitive (-3, 2)
+    assert nullspace([[2, 3]], 2) == [(-3, 2)]
 
 
 def test_nullspace_no_rows_gives_identity():
@@ -100,6 +102,7 @@ def test_nullspace_with_fractions():
     assert len(basis) == 1
     a, b = basis[0]
     assert Fraction(1, 2) * a + Fraction(1, 3) * b == 0
+    assert basis == [(-2, 3)]
 
 
 def _apply_rows(rows, v):
@@ -123,12 +126,6 @@ def test_nullspace_returns_primitive_integer_kernel_vectors(seed):
         assert v[free] > 0
         assert all(v[c] == 0 for c in free_cols if c != free)
         assert _apply_rows(rows, v) == [0] * nrows
-
-
-def test_nullspace_clears_denominators_of_back_substitution():
-    # 2x + 3y = 0 has kernel (-3, 2): the rational (-3/2, 1) scaled to primitive
-    assert nullspace([[2, 3]], 2) == [(-3, 2)]
-    assert nullspace([[Fraction(1, 2), Fraction(1, 3)]], 2) == [(-2, 3)]
 
 
 def test_solve_columns_returns_fractions_on_int_input():
