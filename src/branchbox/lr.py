@@ -80,9 +80,12 @@ def lr_multi(lam: Iterable[int], factors: Sequence[Iterable[int]]) -> int:
     parts = [as_partition(f) for f in factors]
     if sum(sum(p) for p in parts) != sum(lam):
         return 0
-    state: dict[Partition, int] = {(): 1}
-    running = 0
-    for gamma in parts:
+    if not parts:
+        return 1  # the size check left only lam == ()
+    # c^tau_{(), gamma} = [tau == gamma]: the first factor is the starting state
+    state: dict[Partition, int] = {parts[0]: 1}
+    running = sum(parts[0])
+    for gamma in parts[1:]:
         running += sum(gamma)
         nxt: dict[Partition, int] = {}
         for kappa, mult in state.items():

@@ -10,8 +10,8 @@ from branchbox.branch import (ENFORCE, WARN_AND_COMPUTE, _shifted_lr,
                               o_restrict_stable, o_tensor_stable,
                               sp_tensor_stable)
 from branchbox.errors import (LabelError, StableRangeError, StableRangeWarning)
-from branchbox.lr import lr_coefficient
-from branchbox.partitions import Signature, enumerate_partitions
+from branchbox.lr import lr_coefficient, lr_multi
+from branchbox.partitions import Signature, enumerate_partitions, even_row_partitions
 
 small_partitions = st.lists(st.integers(1, 3), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
@@ -45,6 +45,22 @@ def test_o_restrict_examples():
     assert o_restrict_stable((1,), (1,), (), 3, 3) == 1
     assert o_restrict_stable((2,), (), (), 3, 3) == 1
     assert o_restrict_stable((2,), (1,), (1,), 3, 3) == 1
+
+
+def test_o_restrict_factors_through_gl_intermediate():
+    # sum over tau of c^tau_{mu,nu} times the even-row sum of c^lam_{tau,delta}
+    # against the three-factor form sum_delta c^lam_{mu,nu,delta}
+    checked = 0
+    for lam in enumerate_partitions(8, max_length=4):
+        size = sum(lam)
+        for mu in enumerate_partitions(size):
+            for nu in enumerate_partitions(size - sum(mu)):
+                rest = size - sum(mu) - sum(nu)
+                want = sum(lr_multi(lam, [mu, nu, delta])
+                           for delta in even_row_partitions(rest, len(lam)))
+                assert o_restrict_stable(lam, mu, nu, 9, 9) == want, (lam, mu, nu)
+                checked += 1
+    assert checked > 7000
 
 
 def test_gl_tensor_rational_examples():

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import warnings
 
 import pytest
 
-from branchbox import lr
+from branchbox import branch, cli, lr
 from branchbox.cli import main
+from branchbox.errors import StableRangeWarning
 
 
 def run(capsys, *argv, ignore_warnings=False):
@@ -114,12 +116,119 @@ def test_restrict_value_requires_both_labels(capsys):
     assert "mu" in err and "nu" in err
 
 
-def test_jobs_do_not_change_output(capsys):
+def test_jobs_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tensor", "o", "--mu", "1", "--nu", "1", "--n", "5", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+# sha256 of the full stdout, recorded before the table handlers mapped kernels
+PINNED_TABLES = [
+    (("restrict", "o", "--lam", "3,2,1", "--n", "7", "--m", "7"),
+     "dbc8d6d39f343015a680cf8ab798008898e0f4988af9c0b67fbb94224e867bff"),
+    (("tensor", "o", "--mu", "2,1", "--nu", "1,1", "--n", "9"),
+     "6252ad6224ffc4d3449eb92cb72f244316808e8e0a29565cb6585acec89205c3"),
+    (("tensor", "sp", "--mu", "2,1", "--nu", "2", "--n", "4"),
+     "ad5a000ceb74a612594baf55f98b4917475067338f6e881ef360d3cd56ae5b16"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_TABLES)
+def test_table_output_is_pinned(capsys, argv, digest):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _single_argv(argv, labels):
+    """The single-value request for one table row."""
+    weights = [",".join(map(str, lab["weight"])) for lab in labels]
+    if argv[0] == "restrict":
+        return argv + ("--mu", weights[0], "--nu", weights[1])
+    return argv + ("--lam", weights[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ("restrict", "o", "--lam", "3,2,1", "--n", "7", "--m", "7"),
+    ("restrict", "o", "--lam", "2,2,1", "--n", "3", "--m", "4", "--stable-policy", "warn"),
+    ("tensor", "o", "--mu", "2,1", "--nu", "1,1", "--n", "9"),
+    ("tensor", "o", "--mu", "2,1", "--nu", "1,1", "--n", "4", "--stable-policy", "warn"),
+    ("tensor", "sp", "--mu", "2,1", "--nu", "2", "--n", "4"),
+    ("tensor", "sp", "--mu", "2,1", "--nu", "2", "--n", "2", "--stable-policy", "warn"),
+])
+def test_table_rows_equal_single_values(capsys, argv):
+    rc, out, _ = run(capsys, *argv, ignore_warnings=True)
+    assert rc == 0
+    rows = json.loads(out)
+    assert rows
+    for row in rows:
+        rc, out, _ = run(capsys, *_single_argv(argv, row["labels"]), ignore_warnings=True)
+        assert rc == 0
+        assert json.loads(out) == {"value": row["mult"], "stable": row["stable"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("restrict", "o", "--lam", "2,2,1", "--n", "3", "--m", "4"),
+    ("tensor", "sp", "--mu", "2,1", "--nu", "2", "--n", "2"),
+])
+def test_table_warns_once_and_never_calls_the_checked_entry_point(capsys, monkeypatch, argv):
+    def checked(*args, **kwargs):
+        raise AssertionError("a table key went through the checked entry point")
+
+    monkeypatch.setattr(branch, "o_restrict_stable", checked)
+    monkeypatch.setattr(branch, "sp_tensor_stable", checked)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(list(argv) + ["--stable-policy", "warn"])
+    assert rc == 0
+    assert [type(w.message) for w in caught] == [StableRangeWarning]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("policy,err", [
+    ("enforce", "error: outside the stable range: requires min(n, m) > 2*len(lam) = 4\n"),
+    ("warn", "error: (2, 2) is not an admissible O_2 label\n"),
+])
+def test_inadmissible_restrict_lam_exits_2(capsys, policy, err):
+    rc, out, got = run(capsys, "restrict", "o", "--lam", "2,2", "--n", "1", "--m", "1",
+                       "--stable-policy", policy)
+    assert (rc, out, got) == (2, "", err)
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    run(capsys, "lr", "--lam", "2", "--mu", "1", "--nu", "1")
+    run(capsys, "tensor", "o", "--mu", "1", "--nu", "1", "--n", "5")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_single_value_does_not_leak_into_the_next_table(capsys):
     argv = ("tensor", "o", "--mu", "2,1", "--nu", "1,1", "--n", "9")
-    rc1, out1, _ = run(capsys, *argv)
-    rc4, out4, _ = run(capsys, *argv, "--jobs", "4")
-    assert rc1 == rc4 == 0
-    assert out1 == out4
+    lr.clear_cache()
+    _, alone, _ = run(capsys, *argv)
+    lr.clear_cache()
+    run(capsys, *argv, "--lam", "3,1")
+    _, after, _ = run(capsys, *argv)
+    assert after == alone
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("tensor", "o", "--help")])
+def test_help_is_the_same_from_the_cached_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(list(argv))
+    assert texts[0] == texts[1] == capsys.readouterr().out
+    if argv == ("--help",):  # recorded before the parser was cached
+        digest = "3fbcca4d06a47d3079cbf2d0d23c2f08182c45df8e13078a2565c527cdb174ba"
+        assert hashlib.sha256(texts[0].encode()).hexdigest() == digest
 
 
 def test_verify_seesaw_a_passes(capsys):

@@ -69,6 +69,38 @@ def test_lr_multi_empty_factor_list():
     assert lr_multi((1,), []) == 0
 
 
+def _lr_multi_unpruned(lam, factors):
+    """Sum over every partition tau of each running size, no containment pruning."""
+    state = {(): 1}
+    running = 0
+    for gamma in factors:
+        running += sum(gamma)
+        nxt = {}
+        for kappa, mult in state.items():
+            for tau in partitions_of(running):
+                c = lr_coefficient(tau, kappa, gamma)
+                if c:
+                    nxt[tau] = nxt.get(tau, 0) + mult * c
+        state = nxt
+    return state.get(tuple(lam), 0)
+
+
+def test_lr_multi_matches_unpruned_sum():
+    checked = 0
+    for lam in enumerate_partitions(6):
+        size = sum(lam)
+        for first in enumerate_partitions(size):
+            assert lr_multi(lam, [first]) == _lr_multi_unpruned(lam, [first])
+            for second in enumerate_partitions(size - sum(first)):
+                factors = [first, second]
+                assert lr_multi(lam, factors) == _lr_multi_unpruned(lam, factors)
+                third = partitions_of(size - sum(first) - sum(second))
+                for factors in ([first, second, t] for t in third):
+                    assert lr_multi(lam, factors) == _lr_multi_unpruned(lam, factors)
+                    checked += 1
+    assert checked > 1000
+
+
 def test_cache_preload_and_snapshot():
     clear_cache()
     preload_cache({((2,), (1,), (1,)): 1})
