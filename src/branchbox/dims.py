@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import StableRangeError, UsageError
+from .errors import InternalInvariantError, StableRangeError, UsageError
 from .partitions import Partition, as_partition, partitions_of
 
 
@@ -24,7 +24,8 @@ def dim_gl(lam, n: int) -> int:
         for j in range(i + 1, n):
             num *= w[i] - w[j] + j - i
             den *= j - i
-    assert num % den == 0
+    if num % den:
+        raise InternalInvariantError(f"dim_gl({lam}, n={n}): Weyl dimension is not an integer")
     return num // den
 
 
@@ -51,7 +52,8 @@ def dim_so(mu, n: int) -> int:
         for i in range(k):
             for j in range(i + 1, k):
                 total *= Fraction(a[i] ** 2 - a[j] ** 2, b[i] ** 2 - b[j] ** 2)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise InternalInvariantError(f"dim_so({mu}, n={n}): Weyl dimension is not an integer")
     return int(total)
 
 
@@ -70,7 +72,8 @@ def dim_sp(mu, n: int) -> int:
         total *= Fraction(a[i], b[i])
         for j in range(i + 1, n):
             total *= Fraction(a[i] ** 2 - a[j] ** 2, b[i] ** 2 - b[j] ** 2)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise InternalInvariantError(f"dim_sp({mu}, n={n}): Weyl dimension is not an integer")
     return int(total)
 
 

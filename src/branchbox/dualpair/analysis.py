@@ -7,14 +7,16 @@ computed at dominant weights, and only those blocks are built; a kernel
 vector generates a highest weight module, so nothing is lost, and a nonzero
 kernel at a weight that is not a partition on an orthogonal factor is
 reported as an internal error rather than silently dropped.  Monomials are
-grouped by a packed integer code of their weight (`_weight_codes`), and every
-row handed to the elimination is made of `int`s.
+grouped by a packed integer code of their weight (`_weight_codes`), a second
+packed code tests dominance before any weight is decoded
+(`_dominance_codes`), and every row handed to the multiplicity eliminations
+is made of `int`s.  The bracket check applies each operator to each monomial
+once and builds every commutator from those images.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -38,6 +40,14 @@ class BucketTable:
     by_degree: dict[int, list[tuple]]
 
 
+def _flat_weights(config: SpaceConfig) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each factor's coordinate count, and each variable's weight as one flat row."""
+    sizes = [len(weights[0]) for weights in config.var_weights]
+    flat = [tuple(c for weights in config.var_weights for c in weights[v])
+            for v in range(config.var_count)]
+    return sizes, flat
+
+
 def _weight_codes(config: SpaceConfig, max_degree: int):
     """Each variable's torus weight packed into one integer, and the decoder of sums.
 
@@ -47,10 +57,8 @@ def _weight_codes(config: SpaceConfig, max_degree: int):
     digits of a sum of codes never carry: the code of a monomial is the sum
     of its variables' codes, and it decodes back to the monomial's weight.
     """
-    sizes = [len(weights[0]) for weights in config.var_weights]
+    sizes, flat = _flat_weights(config)
     coords = sum(sizes)
-    flat = [tuple(c for weights in config.var_weights for c in weights[v])
-            for v in range(config.var_count)]
     half = max((abs(c) for w in flat for c in w), default=0) * max_degree
     base = 2 * half + 1
     codes = []
@@ -75,13 +83,57 @@ def _weight_codes(config: SpaceConfig, max_degree: int):
     return codes, decode
 
 
+def _dominance_codes(config: SpaceConfig, max_degree: int) -> tuple[list[int], int]:
+    """Each variable's dominance functionals packed into one integer, and the sign mask.
+
+    Every dominance condition of every factor is a functional f(w) >= 0 with
+    two terms of coefficient +-1 (`_dominance_functionals`), so on a monomial
+    of degree <= max_degree it lies in [-b, b], b = 2 * max|coord| * max_degree.
+    A variable's code holds f(weight) in the k-bit digit of each functional,
+    2^(k-1) > b.  Adding mask = 2^(k-1) in every digit turns the digits of a
+    sum of codes into f + 2^(k-1), inside [0, 2^k) so nothing carries, and
+    each digit's top bit is set iff its f >= 0: a monomial is dominant iff
+    (sum of its variables' codes + mask) & mask == mask.
+    """
+    sizes, flat = _flat_weights(config)
+    functionals = []  # (flat coordinate, coefficient) pairs
+    start = 0
+    for factor, size in zip(config.factors, sizes):
+        functionals += [tuple((start + i, c) for i, c in f)
+                        for f in _dominance_functionals(factor, size)]
+        start += size
+    bound = 2 * max((abs(c) for w in flat for c in w), default=0) * max_degree
+    k = bound.bit_length() + 1
+    codes = []
+    for w in flat:
+        code = 0
+        for f in reversed(functionals):
+            code = (code << k) + sum(c * w[i] for i, c in f)
+        codes.append(code)
+    mask = sum(1 << (k * j + k - 1) for j in range(len(functionals)))
+    return codes, mask
+
+
+def _dominance_functionals(factor: TorusFactor, coords: int) -> list[tuple[tuple[int, int], ...]]:
+    """A factor's dominance conditions, each sum(c * w[i]) >= 0 as (i, c) pairs."""
+    if not coords:
+        return []
+    out = [((i, 1), (i + 1, -1)) for i in range(coords - 1)]
+    if factor.family == "O" and factor.rank % 2 == 0 and coords >= 2:
+        out.append(((coords - 2, 1), (coords - 1, 1)))  # type D allows one sign flip in the last slot
+    elif factor.family != "GL" or not factor.signed:
+        out.append(((coords - 1, 1),))
+    return out
+
+
 def build_buckets(config: SpaceConfig, max_degree: int,
                   budget: int = DEFAULT_BUDGET,
-                  keep: Callable[[tuple], bool] | None = None) -> BucketTable:
+                  dominant_only: bool = False) -> BucketTable:
     """Monomials of degree <= max_degree grouped by torus weight, grevlex inside a block.
 
-    With `keep` given, only the weight keys it accepts get a block; the
-    budget still covers every block.
+    With `dominant_only`, only dominant weights get a block, tested on the
+    packed code (`_dominance_codes`) before the weight is decoded; the budget
+    still covers every block.
     """
     codes, decode = _weight_codes(config, max_degree)
     groups: dict[int, list[tuple[int, ...]]] = {}  # code -> variable multisets
@@ -92,14 +144,16 @@ def build_buckets(config: SpaceConfig, max_degree: int,
             if group is None:
                 groups[code] = group = []
             group.append(combo)
+    if dominant_only:
+        dominance, mask = _dominance_codes(config, max_degree)
     table = BucketTable({}, {}, {d: [] for d in range(max_degree + 1)})
     for code, combos in groups.items():
         if len(combos) > budget:
             raise BudgetError(
                 f"weight space of dimension {len(combos)} exceeds the budget {budget}")
-        key = decode(code)
-        if keep is not None and not keep(key):
+        if dominant_only and (sum(map(dominance.__getitem__, combos[0])) + mask) & mask != mask:
             continue
+        key = decode(code)
         monos = []
         for combo in combos:
             mono = [0] * config.var_count
@@ -149,20 +203,6 @@ def _kernel_dim(ops, basis: list[Monomial]) -> int:
     return len(basis) - rank(_annihilator_rows(ops, basis))
 
 
-def _dominant(factor: TorusFactor, w: tuple[int, ...]) -> bool:
-    if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
-        return False
-    if not w:
-        return True
-    if factor.family == "O":
-        if factor.rank % 2 == 0 and len(w) >= 2:
-            return w[-2] + w[-1] >= 0  # type D allows one sign flip in the last slot
-        return w[-1] >= 0
-    if factor.family == "Sp":
-        return w[-1] >= 0
-    return factor.signed or w[-1] >= 0
-
-
 def _labels_for(config: SpaceConfig, key: tuple) -> tuple[IrrepLabel, ...] | None:
     labels = []
     for factor, w in zip(config.factors, key):
@@ -203,10 +243,7 @@ def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
     else:
         raise UsageError(f"unknown mode {mode!r}")
 
-    def dominant(key: tuple) -> bool:
-        return all(_dominant(f, w) for f, w in zip(config.factors, key))
-
-    table = build_buckets(config, max_degree, budget, keep=dominant)
+    table = build_buckets(config, max_degree, budget, dominant_only=True)
     raisers = config.raisings
     entries = []
     for d in range(max_degree + 1):
@@ -397,10 +434,19 @@ def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
         "raising": [op.name for op in config.k_raisings],
     }
 
+    images = {op.name: dict(actions[op.name]) for op in family}
+
+    def image(op: Operator, mono: Monomial) -> Poly:
+        known = images[op.name]
+        img = known.get(mono)
+        if img is None:
+            img = known[mono] = apply_to_monomial(op, mono)
+        return img
+
     entries = []
     for a, b in itertools.combinations(family, 2):
         rule, span = _bracket_rule(a.kind, b.kind)
-        comm = {src: commutator_apply(a, b, {src: 1}) for src in sources}
+        comm = {src: commutator_apply(a, b, {src: 1}, image) for src in sources}
         if span is None:
             ok = all(not p for p in comm.values())
             entries.append(BracketEntry(a.name, b.name, rule, ok, ()))

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Entries are `int`, or `Fraction` where a caller has rational data.
-Elimination is fraction-free (Bareiss) on integer rows; rational input rows
-are cleared of denominators first, which changes neither row space nor
-kernel, and all-`int` rows pass through unscaled.  Kernels come back as
-primitive integer vectors from a fraction-free back-substitution.
+There is one elimination routine, `echelon`: fraction-free (Bareiss) on
+integer rows; rational input rows are cleared of denominators first, which
+changes neither row space nor kernel, and all-`int` rows pass through
+unscaled.  `rank`, `nullspace` and `solve_columns` all run on it.  Kernels
+come back as primitive integer vectors from a fraction-free
+back-substitution, and `solve_columns` reads its solution off the kernel
+vector of [A | -b] at the rhs column.
 """
 
 from __future__ import annotations
@@ -69,77 +72,63 @@ def rank(rows: Sequence[Row]) -> int:
     return len(echelon(rows)[1])
 
 
+def _back_substitute(m: list[list[int]], pivots: list[tuple[int, int]],
+                     free: int, ncols: int) -> list[int]:
+    """The kernel vector of the echelon form `m` with a 1 at `free`, 0 at other free columns.
+
+    Back-substitution stays in integers: before solving pivot p against the
+    partial sum s, the vector is scaled by k = |p| / g, g = gcd(s, p), so the
+    new entry -s*k/p = -(s/g)*sign(p) is exact.  The vector starts as a unit
+    vector and each step keeps it primitive, because k is coprime to s/g; no
+    content is left to divide out.
+    """
+    v = [0] * ncols
+    v[free] = 1
+    for r, c in reversed(pivots):
+        row = m[r]
+        s = 0
+        for j in range(c + 1, ncols):
+            if v[j]:
+                s += row[j] * v[j]
+        if not s:
+            continue
+        p = row[c]
+        k = abs(p) // gcd(s, p)
+        if k != 1:
+            v = [a * k for a in v]
+            s *= k
+        v[c] = -s // p
+    return v
+
+
 def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[int, ...]]:
     """Basis of {v : A v = 0}, one vector per free column.
 
     Each vector is primitive (its entries have gcd 1) with a positive entry at
-    its free column, and zeros at the other free columns.  Back-substitution
-    stays in integers: before solving pivot p against the partial sum s, the
-    vector is scaled by k = |p| / g, g = gcd(s, p), so the new entry -s*k/p =
-    -(s/g)*sign(p) is exact.  The vector starts as a unit vector and each step
-    keeps it primitive, because k is coprime to s/g; no content is left to
-    divide out.
+    its free column, and zeros at the other free columns.
     """
     if not rows:
         return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
     m, pivots = echelon(rows)
     pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for r, c in reversed(pivots):
-            row = m[r]
-            s = 0
-            for j in range(c + 1, ncols):
-                if v[j]:
-                    s += row[j] * v[j]
-            if not s:
-                continue
-            p = row[c]
-            k = abs(p) // gcd(s, p)
-            if k != 1:
-                v = [a * k for a in v]
-                s *= k
-            v[c] = -s // p
-        basis.append(tuple(v))
-    return basis
+    return [tuple(_back_substitute(m, pivots, free, ncols))
+            for free in range(ncols) if free not in pivot_cols]
 
 
 def solve_columns(columns: list[list[int | Fraction]], rhs: list[int | Fraction]
                   ) -> list[Fraction] | None:
     """Solve sum_k c_k * columns[k] = rhs exactly; None if inconsistent.
 
-    The solution is made of `Fraction`s whatever the input; `int` input is
-    never divided as `int`, which would give a float.
+    The system is the kernel of [A | -rhs]: it is consistent iff the rhs
+    column is not a pivot column of the echelon form, and then the kernel
+    vector v with v_rhs > 0 and zeros at the free candidate columns gives
+    the particular solution c_k = v_k / v_rhs.  The solution is made of
+    `Fraction`s whatever the input.
     """
     ncand = len(columns)
-    nrows = len(rhs)
-    aug = [[columns[k][i] for k in range(ncand)] + [rhs[i]] for i in range(nrows)]
-    pr = 0
-    pivots = []
-    for c in range(ncand):
-        found = next((r for r in range(pr, nrows) if aug[r][c]), None)
-        if found is None:
-            continue
-        aug[pr], aug[found] = aug[found], aug[pr]
-        inv = Fraction(1) / aug[pr][c]
-        aug[pr] = [a * inv for a in aug[pr]]
-        for r in range(nrows):
-            if r != pr and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[pr])]
-        pivots.append((pr, c))
-        pr += 1
-        if pr == nrows:
-            break
-    # rows at positions >= pr carry no candidate entries once every column is swept
-    for r in range(pr, nrows):
-        if aug[r][ncand]:
-            return None
-    sol = [Fraction(0)] * ncand
-    for r, c in pivots:
-        sol[c] = aug[r][ncand]
-    return sol
+    rows = [[col[i] for col in columns] + [-b] for i, b in enumerate(rhs)]
+    m, pivots = echelon(rows)
+    if any(c == ncand for _, c in pivots):
+        return None
+    v = _back_substitute(m, pivots, ncand, ncand + 1)
+    return [Fraction(a, v[ncand]) for a in v[:ncand]]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int | Fraction]
@@ -33,6 +33,9 @@ class Operator:
     kind: str  # "delta" | "r2" | "euler" | "raising"
     shift: int  # homogeneous degree shift
     terms: tuple[Term, ...]
+
+
+Image = Callable[[Operator, Monomial], Poly]  # an operator's image of a monomial
 
 
 def make_operator(name: str, kind: str,
@@ -75,17 +78,34 @@ def apply_term(term: Term, mono: Monomial) -> tuple[Monomial, int] | None:
     return tuple(out), ff
 
 
-def apply_operator(op: Operator, poly: Poly) -> Poly:
+def apply_to_monomial(op: Operator, mono: Monomial) -> Poly:
+    """op applied to one monomial: the one routine that applies operator terms."""
+    out: Poly = {}
+    for term in op.terms:
+        hit = apply_term(term, mono)
+        if hit is None:
+            continue
+        target, ff = hit
+        if not ff:
+            continue
+        val = out.get(target, 0) + term.coeff * ff
+        if val:
+            out[target] = val
+        else:
+            out.pop(target, None)
+    return out
+
+
+def apply_operator(op: Operator, poly: Poly, image: Image = apply_to_monomial) -> Poly:
+    """op applied to poly, by linearity from op's images of its monomials.
+
+    `image(op, mono)` defaults to `apply_to_monomial`; a caller may pass a
+    cache of it instead.  The images it returns are only read.
+    """
     out: Poly = {}
     for mono, c in poly.items():
-        for term in op.terms:
-            hit = apply_term(term, mono)
-            if hit is None:
-                continue
-            target, ff = hit
-            if not ff:
-                continue
-            val = out.get(target, 0) + c * term.coeff * ff
+        for target, tc in image(op, mono).items():
+            val = out.get(target, 0) + c * tc
             if val:
                 out[target] = val
             else:
@@ -93,13 +113,11 @@ def apply_operator(op: Operator, poly: Poly) -> Poly:
     return out
 
 
-def apply_to_monomial(op: Operator, mono: Monomial) -> Poly:
-    return apply_operator(op, {mono: 1})
-
-
-def commutator_apply(a: Operator, b: Operator, poly: Poly) -> Poly:
-    first = apply_operator(a, apply_operator(b, poly))
-    second = apply_operator(b, apply_operator(a, poly))
+def commutator_apply(a: Operator, b: Operator, poly: Poly,
+                     image: Image = apply_to_monomial) -> Poly:
+    """[a, b] applied to poly, with monomial images from `image` as in `apply_operator`."""
+    first = apply_operator(a, apply_operator(b, poly, image), image)
+    second = apply_operator(b, apply_operator(a, poly, image), image)
     for mono, c in second.items():
         val = first.get(mono, 0) - c
         if val:

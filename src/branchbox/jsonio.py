@@ -163,20 +163,6 @@ def poly_json(poly: Mapping[tuple, Fraction], var_names: Sequence[str]) -> list[
     return out
 
 
-def harmonic_report_json(report) -> dict:
-    def by_degree(values: Sequence[int]) -> dict[str, int]:
-        return {str(d): v for d, v in enumerate(values)}
-
-    return {"descriptor": report.descriptor,
-            "max_degree": report.max_degree,
-            "full": by_degree(report.full),
-            "harmonic": by_degree(report.harmonic),
-            "ideal": by_degree(report.ideal),
-            "identity_ok": report.identity_ok,
-            "separation_ok": report.separation_ok,
-            "generator_count": report.generator_count}
-
-
 def bracket_report_json(report) -> dict:
     entries = [{"left": e.left, "right": e.right, "rule": e.rule, "ok": e.ok,
                 "expression": [[name, str(coeff)] for name, coeff in e.expression]}

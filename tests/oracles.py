@@ -7,6 +7,7 @@ used to check.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -128,3 +129,53 @@ def graded_sym_character(weights: list[tuple[int, ...]], max_degree: int) -> lis
                     nxt[d][key] = nxt[d].get(key, 0) + coeff
         graded = nxt
     return graded
+
+
+def dominant_weight(factor, w: tuple[int, ...]) -> bool:
+    """Whether w is dominant for a torus factor (family, rank, signed), by the inequalities."""
+    if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
+        return False
+    if not w:
+        return True
+    if factor.family == "O":
+        if factor.rank % 2 == 0 and len(w) >= 2:
+            return w[-2] + w[-1] >= 0  # type D allows one sign flip in the last slot
+        return w[-1] >= 0
+    if factor.family == "Sp":
+        return w[-1] >= 0
+    return factor.signed or w[-1] >= 0
+
+
+def solve_columns_gauss_jordan(columns: list[list], rhs: list) -> list[Fraction] | None:
+    """Solve sum_k c_k * columns[k] = rhs by Gauss-Jordan in Fractions; None if inconsistent.
+
+    Pivots are taken left to right, first nonzero row first, and free
+    columns are set to 0.
+    """
+    ncand = len(columns)
+    nrows = len(rhs)
+    aug = [[Fraction(columns[k][i]) for k in range(ncand)] + [Fraction(rhs[i])]
+           for i in range(nrows)]
+    pr = 0
+    pivots = []
+    for c in range(ncand):
+        found = next((r for r in range(pr, nrows) if aug[r][c]), None)
+        if found is None:
+            continue
+        aug[pr], aug[found] = aug[found], aug[pr]
+        inv = 1 / aug[pr][c]
+        aug[pr] = [a * inv for a in aug[pr]]
+        for r in range(nrows):
+            if r != pr and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[pr])]
+        pivots.append((pr, c))
+        pr += 1
+        if pr == nrows:
+            break
+    if any(aug[r][ncand] for r in range(pr, nrows)):
+        return None
+    sol = [Fraction(0)] * ncand
+    for r, c in pivots:
+        sol[c] = aug[r][ncand]
+    return sol

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import branchbox
 from branchbox.dims import (PowerSeriesTruncated, dim_gl, dim_o, dim_so,
                             dim_sp, hilbert_check)
 from branchbox.errors import StableRangeError, UsageError
@@ -79,3 +83,14 @@ def test_hilbert_check_acceptance_pairs():
 def test_hilbert_check_range_error():
     with pytest.raises(StableRangeError, match="n > 2"):
         hilbert_check(4, 2, 4)
+
+
+def test_library_has_no_assert_statements():
+    # python -O drops asserts, so an invariant check must raise an error instead
+    root = Path(branchbox.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert len(list(root.rglob("*.py"))) > 10
+    assert found == []

@@ -6,14 +6,16 @@ import pytest
 from branchbox import branch
 from branchbox.dims import dim_o, dim_sp
 from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
-                                build_buckets, build_config, build_product_config,
-                                harmonic_isotypic_dims, harmonic_report,
-                                hwv_multiplicities, hwv_table)
-from branchbox.dualpair.analysis import _dominant
+                                SpaceConfig, build_buckets, build_config,
+                                build_product_config, harmonic_isotypic_dims,
+                                harmonic_report, hwv_multiplicities, hwv_table)
+from branchbox.dualpair.configs import TorusFactor
 from branchbox.dualpair.poly import grevlex_mono_key
 from branchbox.errors import BudgetError, UsageError
 from branchbox.lr import lr_coefficient
 from branchbox.partitions import Signature, enumerate_partitions
+
+from .oracles import dominant_weight
 
 
 def weights_table(entries):
@@ -136,11 +138,18 @@ BUCKET_CONFIGS = [
     ("C signed y", lambda: build_config(MatrixSpaceShape("C", 2, 1, 2))),
     ("C stacked", lambda: build_config(MatrixSpaceShape("C", 2, 1, 1, split_columns=True))),
     ("ProductO", lambda: build_product_config(ProductO(2, 3), 1)),
+    # w0 - w1 = +-2 per variable on the GL_2 factor, so the dominance sums reach
+    # the bound 2*max|coord|*degree; the GL_1 factor counts the degree
+    ("GL at the bound", lambda: SpaceConfig(
+        "GL_2 x GL_1", 4, ("a", "b", "c", "d"),
+        (TorusFactor("GL", 2, 2), TorusFactor("GL", 1, 1)),
+        (((1, -1), (-1, 1), (0, 1), (0, -1)), ((1,), (1,), (1,), (1,))),
+        (), (), (), (), ())),
 ]
 
 
 def _is_dominant(config):
-    return lambda key: all(_dominant(f, w) for f, w in zip(config.factors, key))
+    return lambda key: all(dominant_weight(f, w) for f, w in zip(config.factors, key))
 
 
 @pytest.mark.parametrize("max_degree", [0, 1, 3])
@@ -163,23 +172,37 @@ def test_bucket_keys_decode_to_monomial_weights(name, make, max_degree):
 
 @pytest.mark.parametrize("name,make", BUCKET_CONFIGS, ids=[c[0] for c in BUCKET_CONFIGS])
 def test_dominant_buckets_are_the_full_table_restricted(name, make):
+    # the packed sign test against the inequalities, on type D's last-slot
+    # sign flip, Sp, O_2, signed and unsigned GL
     config = make()
-    full = build_buckets(config, 4)
     keep = _is_dominant(config)
-    dominant = build_buckets(config, 4, keep=keep)
-    assert dominant.buckets == {k: v for k, v in full.buckets.items() if keep(k)}
-    assert dominant.degree == {k: d for k, d in full.degree.items() if keep(k)}
-    assert dominant.by_degree == {d: [k for k in keys if keep(k)]
-                                  for d, keys in full.by_degree.items()}
-    assert len(dominant.buckets) < len(full.buckets)
+    for max_degree in range(6):
+        full = build_buckets(config, max_degree)
+        dominant = build_buckets(config, max_degree, dominant_only=True)
+        assert dominant.buckets == {k: v for k, v in full.buckets.items() if keep(k)}
+        assert dominant.degree == {k: d for k, d in full.degree.items() if keep(k)}
+        assert dominant.by_degree == {d: [k for k in keys if keep(k)]
+                                      for d, keys in full.by_degree.items()}
+        if max_degree:
+            assert len(dominant.buckets) < len(full.buckets)
 
 
 def test_budget_covers_blocks_that_are_not_kept():
-    config = build_config(MatrixSpaceShape("A", 3, 2))
-    largest = max(len(v) for v in build_buckets(config, 4).buckets.values())
-    assert not build_buckets(config, 4, budget=largest, keep=lambda key: False).buckets
+    # one unsigned GL_2 factor on three variables of weights (0,1), (0,1), (1,0):
+    # the weight (0, 4) block holds 5 monomials and is not dominant, while no
+    # dominant block at degree <= 4 holds more than 3
+    factor = TorusFactor("GL", 2, 2)
+    config = SpaceConfig("GL_2 on three lines", 3, ("u", "v", "w"), (factor,),
+                         (((0, 1), (0, 1), (1, 0)),), (), (), (), (), ())
+    full = build_buckets(config, 4)
+    keep = _is_dominant(config)
+    largest = max(len(v) for v in full.buckets.values())
+    assert largest == 5
+    assert max(len(v) for k, v in full.buckets.items() if keep(k)) == 3
+    dominant = build_buckets(config, 4, budget=largest, dominant_only=True)
+    assert dominant.buckets == {k: v for k, v in full.buckets.items() if keep(k)}
     with pytest.raises(BudgetError):
-        build_buckets(config, 4, budget=largest - 1, keep=lambda key: False)
+        build_buckets(config, 4, budget=largest - 1, dominant_only=True)
 
 
 def test_budget_error():

@@ -1,9 +1,12 @@
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from branchbox import jsonio
 from branchbox.dualpair import (MatrixSpaceShape, ProductO, build_config,
                                 build_operators, build_product_config,
                                 minor_hwv, verify_brackets)
@@ -13,6 +16,8 @@ from branchbox.dualpair.poly import (apply_operator, apply_to_monomial,
                                      make_operator, monomials_of_degree,
                                      poly_degree)
 from branchbox.errors import UsageError
+
+from .oracles import solve_columns_gauss_jordan
 
 
 def F(x):
@@ -146,6 +151,58 @@ def test_solve_columns():
     assert solve_columns([[F(1), F(0)]], [F(0), F(1)]) is None
 
 
+def _random_system(rng, kind: str, halves: bool):
+    """Columns and rhs of a random system of the given kind, with zero rows and columns."""
+    nrows, ncand = rng.randrange(1, 7), rng.randrange(1, 6)
+    pool = (0, 0, 0, 1, -1, 2, -3, 5)
+
+    def entry():
+        a = rng.choice(pool)
+        return Fraction(a, 2) if halves and a % 2 else a
+
+    cols = [[entry() for _ in range(nrows)] for _ in range(ncand)]
+    if rng.random() < 0.5:  # a zero row
+        zero = rng.randrange(nrows)
+        for col in cols:
+            col[zero] = 0
+    if rng.random() < 0.5:  # a zero column
+        cols[rng.randrange(ncand)] = [0] * nrows
+    if kind == "rank-deficient":  # one column a combination of two others
+        a, b = rng.choice(pool), rng.choice(pool)
+        cols.append([a * x + b * y for x, y in zip(rng.choice(cols), rng.choice(cols))])
+        rng.shuffle(cols)
+    coeffs = [entry() for _ in cols]
+    rhs = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(nrows)]
+    if kind == "inconsistent":  # a combination of the equations with its rhs moved
+        alphas = [rng.choice(pool) for _ in range(nrows)]
+        for col in cols:
+            col.append(sum(a * x for a, x in zip(alphas, col)))
+        rhs.append(sum(a * b for a, b in zip(alphas, rhs)) + rng.choice((1, -2, Fraction(3, 2))))
+    return cols, rhs
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "rank-deficient"])
+def test_solve_columns_matches_gauss_jordan(kind, seed):
+    rng = random.Random(f"{kind}{seed}")
+    cols, rhs = _random_system(rng, kind, halves=seed % 2 == 1)
+    sol = solve_columns(cols, rhs)
+    assert sol == solve_columns_gauss_jordan(cols, rhs)
+    if kind == "inconsistent":
+        assert sol is None
+        return
+    assert sol is not None and all(type(c) is Fraction for c in sol)
+    assert [sum(c * col[i] for c, col in zip(sol, cols)) for i in range(len(rhs))] == rhs
+
+
+def test_solve_columns_edge_shapes():
+    assert solve_columns([], []) == []
+    assert solve_columns([], [0, 0]) == []
+    assert solve_columns([], [0, 1]) is None
+    assert solve_columns([[], []], []) == [0, 0]
+    assert solve_columns([[0, 0], [0, 0]], [0, 0]) == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # model configurations
 
@@ -247,6 +304,53 @@ def test_bracket_abelian_pieces_checked():
     assert ("D", "D", "abelian") in rules
     assert ("r", "r", "abelian") in rules
     assert all(e.ok for e in report.entries if e.rule == "abelian")
+
+
+# sha256 of jsonio.dumps(bracket_report_json(verify_brackets(shape, printed_euler_variant=v)))
+# for the bench's bracket shapes, recorded before the bracket check cached
+# operator images and solved its spans by fraction-free elimination
+BRACKET_REPORT_DIGESTS = [
+    (("A", 5, 1, 0), False, "d7aaad05a2647221920a4ac3f5e50d8343f7974f3938e79568ce40e547eebf2e"),
+    (("B", 1, 2, 0), False, "1ca8b76b8b1ee011da69de03d90c0d236b70ca28a6e5701b1943510287e816bb"),
+    (("C", 3, 1, 1), False, "b9737cb10c718964288542d604b1cdaa3a2cae976201766e0ef28455a27c9a97"),
+    (("C", 1, 2, 1), False, "6b3fab1ac449f3f55139b117d4bb2f08f6b0975f478ff63155b5e8d6cf8b55c5"),
+    (("C", 3, 2, 0), False, "287e4f4043cb1fbd31345eb2d76c86799ee11cbb1dbec5a7669b1a664a84ed1c"),
+    (("A", 4, 2, 0), True, "8706674187ccbdece665520537b659dc203d36739a282511a0bdb5e96c68333b"),
+]
+
+
+@pytest.mark.parametrize("shape,printed,digest", BRACKET_REPORT_DIGESTS,
+                         ids=[f"{s[0]}{s[1:]}{'-printed' if p else ''}"
+                              for s, p, _ in BRACKET_REPORT_DIGESTS])
+def test_bracket_report_is_pinned(shape, printed, digest):
+    report = verify_brackets(MatrixSpaceShape(*shape), printed_euler_variant=printed)
+    text = jsonio.dumps(jsonio.bracket_report_json(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_commutator_with_image_cache_matches_direct_application():
+    # every pair of the case C family, Euler operators with their n/2 shift included
+    cfg = build_config(MatrixSpaceShape("C", 3, 1, 1))
+    family = cfg.deltas + cfg.r2s + cfg.eulers + cfg.k_raisings + cfg.gl_raisings
+    sources = [mono for d in range(3) for mono in monomials_of_degree(cfg.var_count, d)]
+    cache: dict = {}
+    lookups = []
+
+    def image(op, mono):
+        lookups.append((op.name, mono))
+        if (op.name, mono) not in cache:
+            cache[op.name, mono] = apply_to_monomial(op, mono)
+        return cache[op.name, mono]
+
+    for a, b in itertools.combinations(family, 2):
+        for src in sources:
+            poly = {src: 1}
+            assert commutator_apply(a, b, poly, image) == commutator_apply(a, b, poly)
+            assert poly == {src: 1}
+    assert len(lookups) > len(cache)  # images were reused
+    # the caller's cached images are read, never written
+    assert all(img == apply_to_monomial(next(op for op in family if op.name == name), mono)
+               for (name, mono), img in cache.items())
 
 
 def test_printed_euler_variant_fails_brackets():
