@@ -3,8 +3,7 @@
 Exit status: 0 on success (and all-PASS for verification suites), 1 when any
 verification entry fails, 2 on usage or stable-range errors.  Table rows are
 always assembled and sorted by graded-revlex label keys before emission, so
-output is byte-identical for identical inputs, and a cache can only speed
-things up, never change a value.
+output is byte-identical for identical inputs.
 
 The argument parser is built once per process, on the first `main` call.  A
 `restrict o` or `tensor sp` table checks its fixed labels and applies the
@@ -20,8 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -31,8 +28,8 @@ from .dims import hilbert_check
 from .dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                        hwv_multiplicities, verify_brackets)
 from .errors import BudgetError, StableRangeError, UsageError
-from .partitions import (IrrepLabel, Partition, enumerate_partitions,
-                         grevlex_key, is_admissible_o, partitions_of)
+from .partitions import (IrrepLabel, enumerate_partitions,
+                         is_admissible_o, partitions_of)
 from .reports import MultiplicityEntry, labels_sort_key, sorted_entries
 
 _POLICIES = {"enforce": branch.ENFORCE, "warn": branch.WARN_AND_COMPUTE}
@@ -43,7 +40,6 @@ class RunConfig:
     output_format: str = "json"
     stable_policy: str = "enforce"
     max_degree: int = 6
-    cache_path: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -68,48 +64,6 @@ def _formula_value(name: str, key, params: dict) -> int:
 
 def _compute_formula(name: str, params: dict, keys: Iterable) -> dict:
     return {key: _formula_value(name, key, params) for key in keys}
-
-
-# ---------------------------------------------------------------------------
-# persistent LR cache (append-only JSON lines)
-
-def _load_cache(path: str) -> None:
-    if not os.path.exists(path):
-        return
-    loaded: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                lam, mu, nu = (tuple(int(a) for a in part) for part in rec["key"])
-                loaded[(lam, mu, nu)] = int(rec["value"])
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-                print(f"warning: skipping corrupt cache line {lineno} in {path}",
-                      file=sys.stderr)
-    try:
-        lr.preload_cache(loaded)
-    except UsageError:
-        print(f"warning: discarding malformed cache entries from {path}",
-              file=sys.stderr)
-
-
-def _save_cache(path: str, baseline: set) -> None:
-    new = {k: v for k, v in lr.cache_snapshot().items() if k not in baseline}
-    if not new:
-        open(path, "a", encoding="utf-8").close()
-        return
-
-    def entry_key(item):
-        lam, mu, nu = item[0]
-        return (grevlex_key(lam), grevlex_key(mu), grevlex_key(nu))
-
-    with open(path, "a", encoding="utf-8") as fh:
-        for (lam, mu, nu), v in sorted(new.items(), key=entry_key):
-            rec = {"key": [list(lam), list(mu), list(nu)], "value": v}
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--stable-policy", choices=("enforce", "warn"), default="enforce")
     common.add_argument("--max-degree", type=int, default=6,
                         help="degree bound for oracle computations (default 6)")
-    common.add_argument("--cache", dest="cache_path", default=None,
-                        help="JSON-lines cache of LR coefficients "
-                             "(default: $BRANCHBOX_CACHE if set)")
 
     parser = argparse.ArgumentParser(
         prog="branchbox",
@@ -464,25 +415,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> RunConfig:
-    cache = args.cache_path
-    if cache is None:
-        cache = os.environ.get("BRANCHBOX_CACHE") or None
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
-    return RunConfig(args.output_format, args.stable_policy, args.max_degree, cache)
+    return RunConfig(args.output_format, args.stable_policy, args.max_degree)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        if cfg.cache_path:
-            _load_cache(cfg.cache_path)
-            baseline = set(lr.cache_snapshot())
-        code = args.handler(args, cfg)
-        if cfg.cache_path:
-            _save_cache(cfg.cache_path, baseline)
-        return code
+        return args.handler(args, _config(args))
     except (UsageError, StableRangeError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

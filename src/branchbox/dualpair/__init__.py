@@ -4,15 +4,12 @@ from .analysis import (
     BracketEntry,
     BracketReport,
     DEFAULT_BUDGET,
-    GradedOperator,
     HarmonicReport,
     MinorCertificate,
     build_buckets,
-    build_operators,
     harmonic_isotypic_dims,
     harmonic_report,
     hwv_multiplicities,
-    hwv_table,
     minor_hwv,
     verify_brackets,
 )
@@ -32,7 +29,6 @@ __all__ = [
     "BracketReport",
     "DEFAULT_BUDGET",
     "FULL",
-    "GradedOperator",
     "HarmonicReport",
     "MOD_IDEAL",
     "MatrixSpaceShape",
@@ -44,12 +40,10 @@ __all__ = [
     "apply_to_monomial",
     "build_buckets",
     "build_config",
-    "build_operators",
     "build_product_config",
     "harmonic_isotypic_dims",
     "harmonic_report",
     "hwv_multiplicities",
-    "hwv_table",
     "minor_hwv",
     "monomials_of_degree",
     "verify_brackets",

@@ -10,8 +10,11 @@ reported as an internal error rather than silently dropped.  Monomials are
 grouped by a packed integer code of their weight (`_weight_codes`), a second
 packed code tests dominance before any weight is decoded
 (`_dominance_codes`), and every row handed to the multiplicity eliminations
-is made of `int`s.  The bracket check applies each operator to each monomial
-once and builds every commutator from those images.
+is made of `int`s.  One builder, `_stacked_rows`, turns per-operator images
+of a block's columns into annihilator rows: for the kernel dimensions, for
+the raisings on the harmonic domain in `hwv_multiplicities`, and for the
+ideal's rank in `harmonic_report`.  The bracket check applies each operator
+to each monomial once and builds every commutator from those images.
 """
 
 from __future__ import annotations
@@ -131,6 +134,9 @@ def build_buckets(config: SpaceConfig, max_degree: int,
                   dominant_only: bool = False) -> BucketTable:
     """Monomials of degree <= max_degree grouped by torus weight, grevlex inside a block.
 
+    A weight must fix the degree: a config whose weights put monomials of two
+    degrees in one block is a UsageError.
+
     With `dominant_only`, only dominant weights get a block, tested on the
     packed code (`_dominance_codes`) before the weight is decoded; the budget
     still covers every block.
@@ -151,6 +157,9 @@ def build_buckets(config: SpaceConfig, max_degree: int,
         if len(combos) > budget:
             raise BudgetError(
                 f"weight space of dimension {len(combos)} exceeds the budget {budget}")
+        if len(combos[0]) != len(combos[-1]):  # combos come in increasing degree
+            raise UsageError(f"weight {decode(code)} holds monomials of degrees "
+                             f"{len(combos[0])} and {len(combos[-1])}")
         if dominant_only and (sum(map(dominance.__getitem__, combos[0])) + mask) & mask != mask:
             continue
         key = decode(code)
@@ -169,38 +178,44 @@ def build_buckets(config: SpaceConfig, max_degree: int,
     return table
 
 
-def _annihilator_rows(ops, basis: list[Monomial]) -> list[list[int]]:
-    """Equations cutting out the joint kernel of ops on span(basis)."""
-    rows: dict[tuple, list] = {}
-    n = len(basis)
-    for oi, op in enumerate(ops):
-        for col, mono in enumerate(basis):
-            for tm, tc in apply_to_monomial(op, mono).items():
-                row = rows.setdefault((oi, tm), [0] * n)
-                row[col] += tc
-    return list(rows.values())
+def _images(ops, basis: list[Monomial]) -> list[list[Poly]]:
+    """Each operator's image of each basis monomial."""
+    return [[apply_to_monomial(op, mono) for mono in basis] for op in ops]
 
 
-def _annihilator_rows_on_domain(ops, basis: list[Monomial],
-                                domain: list[tuple[int, ...]]) -> list[list[int]]:
-    rows: dict[tuple, list] = {}
-    n = len(domain)
-    for oi, op in enumerate(ops):
-        applied = [apply_to_monomial(op, mono) for mono in basis]
-        for col, vec in enumerate(domain):
-            for j, c in enumerate(vec):
-                if not c:
-                    continue
-                for tm, tc in applied[j].items():
-                    row = rows.setdefault((oi, tm), [0] * n)
-                    row[col] += c * tc
-    return list(rows.values())
+def _combine(vec: tuple[int, ...], cols: list[Poly]) -> Poly:
+    """The image of sum(vec[j] * basis[j]), given the images cols[j] of the basis."""
+    out: Poly = {}
+    for c, col in zip(vec, cols):
+        if c:
+            for tm, tc in col.items():
+                out[tm] = out.get(tm, 0) + c * tc
+    return out
+
+
+def _stacked_rows(images: list[list[Poly]]) -> list[list[int]]:
+    """The one builder of annihilator rows: per-operator column images, stacked.
+
+    images[k][j] is operator k applied to column j.  Operator k gives one
+    dense row per target monomial, so the rows' kernel is the joint kernel of
+    the operators on the span of the columns, and their rank is the rank of
+    the columns when there is one operator.
+    """
+    out = []
+    for cols in images:
+        rows: dict[Monomial, list] = {}
+        for col, img in enumerate(cols):
+            for tm, tc in img.items():
+                row = rows.get(tm)
+                if row is None:
+                    rows[tm] = row = [0] * len(cols)
+                row[col] = tc
+        out += rows.values()
+    return out
 
 
 def _kernel_dim(ops, basis: list[Monomial]) -> int:
-    if not ops:
-        return len(basis)
-    return len(basis) - rank(_annihilator_rows(ops, basis))
+    return len(basis) - rank(_stacked_rows(_images(ops, basis)))
 
 
 def _labels_for(config: SpaceConfig, key: tuple) -> tuple[IrrepLabel, ...] | None:
@@ -250,11 +265,12 @@ def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
         for key in table.by_degree[d]:
             basis = table.buckets[key]
             if use_harmonics and config.deltas:
-                domain = nullspace(_annihilator_rows(config.deltas, basis), len(basis))
+                domain = nullspace(_stacked_rows(_images(config.deltas, basis)), len(basis))
                 if not domain:
                     continue
-                rows = _annihilator_rows_on_domain(raisers, basis, domain)
-                mult = len(domain) - rank(rows)
+                images = [[_combine(vec, cols) for vec in domain]
+                          for cols in _images(raisers, basis)]
+                mult = len(domain) - rank(_stacked_rows(images))
             else:
                 mult = _kernel_dim(raisers, basis)
             if not mult:
@@ -265,11 +281,6 @@ def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
                     f"nonzero raising kernel at non-partition weight {key}")
             entries.append(MultiplicityEntry(labels, mult, True))
     return entries
-
-
-def hwv_table(entries) -> dict[tuple, int]:
-    """Index a multiplicity report by its label tuple."""
-    return {e.labels: e.mult for e in entries}
 
 
 def _op_weight_shift(config: SpaceConfig, op: Operator) -> tuple[tuple[int, ...], ...]:
@@ -290,20 +301,6 @@ def _op_weight_shift(config: SpaceConfig, op: Operator) -> tuple[tuple[int, ...]
 
 def _add_keys(a: tuple, b: tuple) -> tuple:
     return tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
-
-
-def _rank_of_polys(vecs: list[Poly]) -> int:
-    if not vecs:
-        return 0
-    cols = sorted({m for v in vecs for m in v})
-    pos = {m: i for i, m in enumerate(cols)}
-    rows = []
-    for v in vecs:
-        row = [0] * len(cols)
-        for m, c in v.items():
-            row[pos[m]] = c
-        rows.append(row)
-    return rank(rows)
 
 
 @dataclass(frozen=True)
@@ -349,7 +346,7 @@ def harmonic_report(shape: MatrixSpaceShape, max_degree: int,
                 if img:
                     vecs.append(img)
     for tkey, vecs in groups.items():
-        ideal[table.degree[tkey]] += _rank_of_polys(vecs)
+        ideal[table.degree[tkey]] += rank(_stacked_rows([vecs]))
 
     identity_ok = all(full[d] == harmonic[d] + ideal[d] for d in range(max_degree + 1))
 
@@ -547,46 +544,6 @@ def minor_hwv(n: int, m: int, columns) -> MinorCertificate:
     return MinorCertificate(config.var_names, poly, cols,
                             annihilates(config.deltas), annihilates(config.k_raisings),
                             weight, weight_ok)
-
-
-@dataclass(frozen=True)
-class GradedOperator:
-    name: str
-    kind: str
-    source_degree: int
-    target_degree: int
-    matrix: tuple[tuple[int | Fraction, ...], ...]  # rows over the target basis, grevlex order
-
-
-def build_operators(shape: MatrixSpaceShape, max_degree: int,
-                    printed_euler_variant: bool = False,
-                    budget: int = DEFAULT_BUDGET) -> dict[str, tuple[GradedOperator, ...]]:
-    """All operator families as exact matrices between graded monomial bases."""
-    config = build_config(shape, printed_euler_variant=printed_euler_variant)
-    bases = {}
-    index = {}
-    for d in range(max_degree + 1):
-        basis = sorted(monomials_of_degree(config.var_count, d), key=grevlex_mono_key)
-        if len(basis) > budget:
-            raise BudgetError(f"degree {d} basis of size {len(basis)} exceeds the budget {budget}")
-        bases[d] = basis
-        index[d] = {mono: i for i, mono in enumerate(basis)}
-    out: dict[str, tuple[GradedOperator, ...]] = {}
-    family = config.deltas + config.r2s + config.eulers + config.k_raisings + config.gl_raisings
-    for op in family:
-        graded = []
-        for d in range(max_degree + 1):
-            td = d + op.shift
-            if not 0 <= td <= max_degree:
-                continue
-            rows = [[0] * len(bases[d]) for _ in bases[td]]
-            for col, mono in enumerate(bases[d]):
-                for tm, tc in apply_to_monomial(op, mono).items():
-                    rows[index[td][tm]][col] = tc
-            graded.append(GradedOperator(op.name, op.kind, d, td,
-                                         tuple(tuple(r) for r in rows)))
-        out[op.name] = tuple(graded)
-    return out
 
 
 def harmonic_isotypic_dims(shape: MatrixSpaceShape, max_degree: int,

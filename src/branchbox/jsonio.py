@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UsageError
@@ -126,13 +125,6 @@ def verify_csv(rows) -> str:
     return _csv_rows(header, out)
 
 
-def schur_vector_json(vec) -> list[dict]:
-    from .partitions import grevlex_key
-
-    return [{"partition": list(lam), "coeff": str(vec.coeffs[lam])}
-            for lam in sorted(vec.coeffs, key=grevlex_key)]
-
-
 def series_json(series) -> list[str]:
     return [str(c) for c in series.coeffs]
 
@@ -151,16 +143,6 @@ def hilbert_csv(ok: bool, series: Mapping[str, object]) -> str:
     rows = [[d, harmonic[d], invariants[d], full[d]] for d in range(len(full))]
     rows.append(["verdict", "", "", "PASS" if ok else "FAIL"])
     return _csv_rows(["degree", "harmonic", "invariants", "full"], rows)
-
-
-def poly_json(poly: Mapping[tuple, Fraction], var_names: Sequence[str]) -> list[dict]:
-    from .dualpair.poly import grevlex_mono_key
-
-    out = []
-    for mono in sorted(poly, key=grevlex_mono_key):
-        table = {var_names[i]: e for i, e in enumerate(mono) if e}
-        out.append({"monomial": table, "coeff": str(poly[mono])})
-    return out
 
 
 def bracket_report_json(report) -> dict:

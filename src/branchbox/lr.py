@@ -99,15 +99,6 @@ def lr_multi(lam: Iterable[int], factors: Sequence[Iterable[int]]) -> int:
     return state.get(lam, 0)
 
 
-def preload_cache(entries: dict[tuple[Partition, Partition, Partition], int]) -> None:
-    """Seed the in-process memo, e.g. from a persistent cache file."""
-    for (lam, mu, nu), val in entries.items():
-        lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-        if mu < nu:
-            mu, nu = nu, mu
-        _memo[(lam, mu, nu)] = int(val)
-
-
 def cache_snapshot() -> dict[tuple[Partition, Partition, Partition], int]:
     return dict(_memo)
 

@@ -23,14 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError, UsageError
-from .partitions import (
-    Partition,
-    as_partition,
-    even_column_partitions,
-    even_row_partitions,
-    grevlex_key,
-    partitions_of,
-)
+from .partitions import Partition, as_partition, grevlex_key
 
 
 @dataclass(frozen=True)
@@ -358,32 +351,3 @@ def eval_ones(p: DominantMonomialPoly) -> int:
     """Evaluate at x_1 = ... = x_m = 1 (the polynomial's dimension count)."""
     return sum(c * orbit_size(key, p.var_count) for key, c in p.terms.items())
 
-
-SERIES_KINDS = ("sym2", "wedge2", "cauchy")
-
-
-def series(kind: str, m: int, max_degree: int, l: int | None = None) -> list:
-    """Graded pieces of the classical generating series of Schur polynomials.
-
-    sym2 lists the even-row partitions in each degree (the symmetric square
-    algebra), wedge2 the even-column ones (the alternating square algebra),
-    cauchy the diagonal pairs (delta, delta) of the two-sided algebra.
-    """
-    kind = kind.lower()
-    if kind not in SERIES_KINDS:
-        raise UsageError(f"unknown series kind {kind!r}")
-    if kind == "cauchy":
-        if l is None:
-            raise UsageError("cauchy series needs the second variable count l")
-    elif l is not None:
-        raise UsageError("l is only meaningful for the cauchy series")
-    out = []
-    for d in range(max_degree + 1):
-        if kind == "sym2":
-            out.append(schur_vector(m, {p: 1 for p in even_row_partitions(d, m)}))
-        elif kind == "wedge2":
-            out.append(schur_vector(m, {p: 1 for p in even_column_partitions(d, m)}))
-        else:
-            bound = min(m, l)
-            out.append({(p, p): 1 for p in partitions_of(d, max_length=bound)})
-    return out

@@ -300,67 +300,15 @@ def test_hilbert_outside_range_exits_2(capsys):
     assert err == "error: outside the stable range: requires n > 2*m = 4\n"
 
 
-def test_cache_roundtrip(tmp_path, capsys):
-    lr.clear_cache()  # cold memo so the first run has entries to persist
-    cache = tmp_path / "lr.jsonl"
-    argv = ("lr", "--lam", "4,2", "--mu", "2,1", "--nu", "2,1",
-            "--cache", str(cache))
-    rc, out1, _ = run(capsys, *argv)
-    assert rc == 0
-    first = cache.read_text()
-    assert first
-    for line in first.splitlines():
-        doc = json.loads(line)
-        assert set(doc) == {"key", "value"}
-        assert len(doc["key"]) == 3
-    rc, out2, _ = run(capsys, *argv)
-    assert rc == 0
-    assert out1 == out2
-    assert cache.read_text() == first  # warm run appends nothing
+def test_cache_option_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lr", "--lam", "2", "--mu", "1", "--nu", "1", "--cache", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache x" in capsys.readouterr().err
 
 
-def test_cache_corrupt_line_skipped(tmp_path, capsys):
-    cache = tmp_path / "lr.jsonl"
-    cache.write_text('not json\n{"key":[[1],[1],[]],"value":1}\n')
-    rc, out, err = run(capsys, "lr", "--lam", "2", "--mu", "1", "--nu", "1",
-                       "--cache", str(cache))
-    assert rc == 0
-    assert out == '{"value":1}\n'
-    assert "corrupt cache line 1" in err
-
-
-def test_cache_poisoned_entry_is_trusted(tmp_path, capsys):
-    # the cache is an input: a planted wrong value is reproduced verbatim
-    cache = tmp_path / "lr.jsonl"
-    cache.write_text('{"key":[[2],[1],[1]],"value":99}\n')
-    try:
-        rc, out, _ = run(capsys, "lr", "--lam", "2", "--mu", "1", "--nu", "1",
-                         "--cache", str(cache))
-        assert rc == 0
-        assert out == '{"value":99}\n'
-    finally:
-        lr.clear_cache()  # do not leak the planted value into the process memo
-    assert lr.lr_coefficient((2,), (1,), (1,)) == 1
-
-
-def test_cache_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
-    env_cache = tmp_path / "env.jsonl"
-    flag_cache = tmp_path / "flag.jsonl"
-    monkeypatch.setenv("BRANCHBOX_CACHE", str(env_cache))
-    rc, _, _ = run(capsys, "lr", "--lam", "2,1", "--mu", "1,1", "--nu", "1")
-    assert rc == 0
-    assert env_cache.exists()
-    rc, _, _ = run(capsys, "lr", "--lam", "2,1", "--mu", "2", "--nu", "1",
-                   "--cache", str(flag_cache))
-    assert rc == 0
-    assert flag_cache.exists()
-
-
-def test_cache_does_not_change_output(tmp_path, capsys):
-    argv = ("tensor", "o", "--mu", "2", "--nu", "1,1", "--n", "7")
-    rc, plain, _ = run(capsys, *argv)
-    cache = tmp_path / "lr.jsonl"
-    rc2, cached, _ = run(capsys, *argv, "--cache", str(cache))
-    rc3, warm, _ = run(capsys, *argv, "--cache", str(cache))
-    assert rc == rc2 == rc3 == 0
-    assert plain == cached == warm
+def test_cache_environment_variable_writes_nothing(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "lr.jsonl"
+    monkeypatch.setenv("BRANCHBOX_CACHE", str(path))
+    assert run(capsys, "lr", "--lam", "2", "--mu", "1", "--nu", "1")[:2] == (0, '{"value":1}\n')
+    assert not path.exists()

@@ -8,12 +8,13 @@ from branchbox.dims import dim_o, dim_sp
 from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                                 SpaceConfig, build_buckets, build_config,
                                 build_product_config, harmonic_isotypic_dims,
-                                harmonic_report, hwv_multiplicities, hwv_table)
+                                harmonic_report, hwv_multiplicities)
 from branchbox.dualpair.configs import TorusFactor
-from branchbox.dualpair.poly import grevlex_mono_key
+from branchbox.dualpair.linalg import rank
+from branchbox.dualpair.poly import apply_to_monomial, grevlex_mono_key
 from branchbox.errors import BudgetError, UsageError
 from branchbox.lr import lr_coefficient
-from branchbox.partitions import Signature, enumerate_partitions
+from branchbox.partitions import Signature, as_partition, enumerate_partitions
 
 from .oracles import dominant_weight
 
@@ -75,6 +76,42 @@ def test_product_o_restriction():
             assert mult == want
 
 
+def _joint_kernel_dim(ops, basis):
+    rows = []
+    for op in ops:
+        targets = {}
+        for col, mono in enumerate(basis):
+            for tm, tc in apply_to_monomial(op, mono).items():
+                targets.setdefault(tm, [0] * len(basis))[col] = tc
+        rows += targets.values()
+    return len(basis) - rank(rows)
+
+
+HARMONIC_CASES = [
+    ("A split", MatrixSpaceShape("A", 3, 1, 1, split_columns=True), MOD_IDEAL),
+    ("A even", MatrixSpaceShape("A", 6, 1), MOD_IDEAL),
+    ("A odd", MatrixSpaceShape("A", 3, 2), MOD_IDEAL),
+    ("ProductO", MatrixSpaceShape("A", 5, 1), ProductO(2, 3)),
+]
+
+
+@pytest.mark.parametrize("name,shape,mode", HARMONIC_CASES, ids=[c[0] for c in HARMONIC_CASES])
+def test_harmonic_multiplicity_is_the_joint_kernel(name, shape, mode):
+    # the raisings' kernel on the Delta family's kernel is the joint kernel
+    # of both families on the whole weight block
+    if isinstance(mode, ProductO):
+        config = build_product_config(mode, shape.m)
+    else:
+        config = build_config(shape)
+    table = build_buckets(config, 4, dominant_only=True)
+    expected = {}
+    for key, basis in table.buckets.items():
+        dim = _joint_kernel_dim(config.deltas + config.raisings, basis)
+        if dim:
+            expected[tuple(as_partition(w) for w in key)] = dim
+    assert weights_table(hwv_multiplicities(shape, 4, mode)) == expected
+
+
 def test_product_o_requires_matching_block_sizes():
     with pytest.raises(UsageError):
         hwv_multiplicities(MatrixSpaceShape("A", 5, 1), 3, ProductO(3, 3))
@@ -121,7 +158,7 @@ def test_case_c_without_y_block_pairs_diagonally():
 
 def test_hwv_table_keys():
     entries = hwv_multiplicities(MatrixSpaceShape("A", 5, 1), 2, FULL)
-    table = hwv_table(entries)
+    table = weights_table(entries)
     assert all(v == 1 for v in table.values())
     assert len(table) == 4
 
@@ -185,6 +222,18 @@ def test_dominant_buckets_are_the_full_table_restricted(name, make):
                                       for d, keys in full.by_degree.items()}
         if max_degree:
             assert len(dominant.buckets) < len(full.buckets)
+
+
+@pytest.mark.parametrize("dominant_only", [False, True])
+def test_weight_that_does_not_fix_the_degree_is_refused(dominant_only):
+    # the GL_2 config of "GL at the bound" without its degree-counting GL_1
+    # factor: a*b has weight (0, 0), as does the constant monomial
+    config = SpaceConfig("GL_2 alone", 4, ("a", "b", "c", "d"),
+                         (TorusFactor("GL", 2, 2),),
+                         (((1, -1), (-1, 1), (0, 1), (0, -1)),), (), (), (), (), ())
+    assert build_buckets(config, 1, dominant_only=dominant_only).buckets  # nothing mixes yet
+    with pytest.raises(UsageError, match=r"weight \(\(0, 0\),\) holds monomials of degrees 0 and 2"):
+        build_buckets(config, 2, dominant_only=dominant_only)
 
 
 def test_budget_covers_blocks_that_are_not_kept():

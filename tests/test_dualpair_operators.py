@@ -8,8 +8,7 @@ import pytest
 
 from branchbox import jsonio
 from branchbox.dualpair import (MatrixSpaceShape, ProductO, build_config,
-                                build_operators, build_product_config,
-                                minor_hwv, verify_brackets)
+                                build_product_config, minor_hwv, verify_brackets)
 from branchbox.dualpair.linalg import echelon, nullspace, rank, solve_columns
 from branchbox.dualpair.poly import (apply_operator, apply_to_monomial,
                                      commutator_apply, grevlex_mono_key,
@@ -383,15 +382,8 @@ def test_minor_validation():
         minor_hwv(5, 2, [3])  # column out of range
 
 
-def test_build_operators_shapes():
-    graded = build_operators(MatrixSpaceShape("A", 3, 1), 3)
-    by_kind = {}
-    for pieces in graded.values():
-        for op in pieces:
-            by_kind.setdefault(op.kind, []).append(op)
-    assert set(by_kind) >= {"delta", "r2", "euler", "raising"}
-    for op in by_kind["delta"]:
-        assert op.target_degree == op.source_degree - 2
-        assert len(op.matrix[0]) >= len(op.matrix)  # fewer target monomials
-    for op in by_kind["r2"]:
-        assert op.target_degree == op.source_degree + 2
+def test_delta_and_r2_degree_shifts():
+    config = build_config(MatrixSpaceShape("A", 3, 1))
+    assert config.deltas and config.r2s
+    assert all(op.shift == -2 for op in config.deltas)
+    assert all(op.shift == 2 for op in config.r2s)

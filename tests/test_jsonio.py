@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -8,7 +7,6 @@ from branchbox.dims import PowerSeriesTruncated
 from branchbox.errors import UsageError
 from branchbox.partitions import IrrepLabel, Signature
 from branchbox.reports import MultiplicityEntry
-from branchbox.schur import schur_vector
 
 
 def test_parse_partition():
@@ -87,23 +85,9 @@ def test_verify_json_and_csv():
     assert lines[2].endswith("FAIL")
 
 
-def test_schur_vector_json_sorted_grevlex():
-    vec = schur_vector(3, {(1, 1): 2, (2,): 3})
-    doc = jsonio.schur_vector_json(vec)
-    assert doc == [{"partition": [2], "coeff": "3"},
-                   {"partition": [1, 1], "coeff": "2"}]
-
-
 def test_series_json_strings():
     series = PowerSeriesTruncated(2, (1, 0, 14))
     assert jsonio.series_json(series) == ["1", "0", "14"]
-
-
-def test_poly_json_sparse_and_sorted():
-    poly = {(0, 2): Fraction(1, 3), (1, 0): Fraction(-2)}
-    doc = jsonio.poly_json(poly, ["x", "y"])
-    assert doc == [{"monomial": {"x": 1}, "coeff": "-2"},
-                   {"monomial": {"y": 2}, "coeff": "1/3"}]
 
 
 def test_dumps_is_compact_json():

@@ -1,8 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchbox.lr import (cache_snapshot, clear_cache, lr_coefficient,
-                          lr_multi, preload_cache)
+from branchbox.lr import cache_snapshot, clear_cache, lr_coefficient, lr_multi
 from branchbox.partitions import conjugate, enumerate_partitions, partitions_of
 from branchbox.schur import multiply_schur, schur_vector
 
@@ -101,20 +100,12 @@ def test_lr_multi_matches_unpruned_sum():
     assert checked > 1000
 
 
-def test_cache_preload_and_snapshot():
+def test_memo_stores_one_entry_under_the_normalized_key():
     clear_cache()
-    preload_cache({((2,), (1,), (1,)): 1})
-    assert cache_snapshot()[((2,), (1,), (1,))] == 1
-    # a wrong preloaded value is trusted: proves the memo is actually used
-    clear_cache()
-    preload_cache({((2,), (1,), (1,)): 99})
-    assert lr_coefficient((2,), (1,), (1,)) == 99
-    clear_cache()
-    assert lr_coefficient((2,), (1,), (1,)) == 1
-
-
-def test_preload_normalizes_factor_order():
-    clear_cache()
-    preload_cache({((2, 1), (1,), (2,)): 7})
-    assert lr_coefficient((2, 1), (2,), (1,)) == 7
-    clear_cache()
+    try:
+        assert lr_coefficient((2, 1), (1,), (2,)) == 1
+        assert cache_snapshot() == {((2, 1), (2,), (1,)): 1}  # mu >= nu
+        assert lr_coefficient((2, 1), (2,), (1,)) == 1
+        assert cache_snapshot() == {((2, 1), (2,), (1,)): 1}  # swapped: no new entry
+    finally:
+        clear_cache()

@@ -3,11 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchbox.errors import UsageError
-from branchbox.partitions import enumerate_partitions
+from branchbox.partitions import (enumerate_partitions, even_column_partitions,
+                                  even_row_partitions, partitions_of)
 from branchbox.schur import (DominantMonomialPoly, SchurVector, decompose,
                              dmp_multiply, eval_ones, kostka, monomial_product,
                              multiply_schur, orbit_size, schur_expand,
-                             schur_vector, series)
+                             schur_vector)
 
 from .oracles import (dense_product, dense_symmetric_poly, dominant_part,
                       dominated, graded_sym_character, kostka_brute,
@@ -152,64 +153,41 @@ def test_multiply_schur_stable_in_variable_count(lam, mu):
             assert restricted == reference
 
 
-def test_series_examples():
-    sym2 = series("sym2", 2, 4)
-    assert sym2[4].coeffs == {(4,): 1, (2, 2): 1}
-    wedge2 = series("wedge2", 2, 2)
-    assert wedge2[2].coeffs == {(1, 1): 1}
-    cauchy = series("cauchy", 1, 3, l=1)
-    for d in range(4):
-        expected = {((d,), (d,)): 1} if d else {((), ()): 1}
-        assert cauchy[d] == expected
-    assert series("SYM2", 2, 0)[0].coeffs == {(): 1}
-
-
-def test_series_argument_validation():
-    with pytest.raises(UsageError):
-        series("cauchy", 2, 3)
-    with pytest.raises(UsageError):
-        series("sym2", 2, 3, l=1)
-    with pytest.raises(UsageError):
-        series("nope", 2, 3)
-
-
 def test_sym2_series_matches_brute_force_symmetric_algebra():
-    # Sym(S^2 C^2): generators of GL_2 weight (2,0), (1,1), (0,2);
-    # generator degree d carries weight degree 2d, the series index
+    # Sym(S^2 C^2): generators of GL_2 weight (2,0), (1,1), (0,2); generator
+    # degree d carries weight degree 2d, and the Schur content there is the
+    # even-row partitions, the delta-set that branch.gl_to_o sums over
     graded = graded_sym_character([(2, 0), (1, 1), (0, 2)], 3)
-    expected = series("sym2", 2, 6)
     for d in range(4):
         dom = dominant_part(graded[d])
         vec = decompose(DominantMonomialPoly(2, 2 * d, dom))
-        assert vec.coeffs == expected[2 * d].coeffs
+        assert vec.coeffs == {p: 1 for p in even_row_partitions(2 * d, 2)}
     for odd in (1, 3, 5):
-        assert expected[odd].coeffs == {}
+        assert even_row_partitions(odd, 2) == []
 
 
 def test_wedge2_series_matches_brute_force():
-    # Sym(wedge^2 C^2) is a polynomial ring on the single weight (1,1)
+    # Sym(wedge^2 C^2) is a polynomial ring on the single weight (1,1); its
+    # Schur content is the even-column partitions that branch.gl_to_sp sums over
     graded = graded_sym_character([(1, 1)], 3)
-    expected = series("wedge2", 2, 6)
     for d in range(4):
         dom = dominant_part(graded[d])
         vec = decompose(DominantMonomialPoly(2, 2 * d, dom))
-        assert vec.coeffs == expected[2 * d].coeffs
+        assert vec.coeffs == {p: 1 for p in even_column_partitions(2 * d, 2)}
 
 
 def test_cauchy_series_matches_brute_force():
     # Sym(C^2 x C^2): four generators with weight pairs e_i (x) e_j.
-    # The claimed sum of s_delta (x) s_delta pairs, expanded to dense
-    # monomials, must reproduce the brute-force character exactly.
+    # The sum of s_delta (x) s_delta over the diagonal pairs, expanded to
+    # dense monomials, must reproduce the brute-force character exactly.
     weights = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
     brute = graded_sym_character(weights, 4)
-    expected = series("cauchy", 2, 4, l=2)
     for d in range(5):
         dense: dict[tuple[int, ...], int] = {}
-        for (delta_left, delta_right), mult in expected[d].items():
-            left = dense_symmetric_poly(schur_expand(delta_left, 2).terms, 2)
-            right = dense_symmetric_poly(schur_expand(delta_right, 2).terms, 2)
-            for ml, cl in left.items():
-                for mr, cr in right.items():
+        for delta in partitions_of(d, max_length=2):
+            side = dense_symmetric_poly(schur_expand(delta, 2).terms, 2)
+            for ml, cl in side.items():
+                for mr, cr in side.items():
                     key = ml + mr
-                    dense[key] = dense.get(key, 0) + mult * cl * cr
+                    dense[key] = dense.get(key, 0) + cl * cr
         assert {k: v for k, v in dense.items() if v} == brute[d]
