@@ -26,13 +26,13 @@ SUITES = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-degree", type=int, default=4,
                         help="degree bound for the oracle tables (default 4)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the per-entry JSON, keep the summaries")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     failures = 0
     for argv in SUITES:

@@ -1,9 +1,18 @@
 """Batch front door: multiplicity tables, verification suites, reports.
 
 Exit status: 0 on success (and all-PASS for verification suites), 1 when any
-verification entry fails, 2 on usage or stable-range errors.  Table rows are
+verification entry fails, 2 on usage or stable-range errors, 3 on an
+internal invariant error (a bug, reported in one line).  Table rows are
 always assembled and sorted by graded-revlex label keys before emission, so
 output is byte-identical for identical inputs.
+
+Every formula-vs-oracle suite is one `Suite` row of `SUITES`: its flags, the
+label families, the label grid, the formula and the polynomial model.  One
+driver, `_cmd_verify`, evaluates the formula over the sorted grid (so
+`--stable-policy enforce` refuses before the oracle runs), counts highest
+weight vectors in the model, evaluates the formula on oracle-only labels
+too, and compares entry by entry.  The `verify` subparsers are built from
+the same table.
 
 The argument parser is built once per process, on the first `main` call.  A
 `restrict o` or `tensor sp` table checks its fixed labels and applies the
@@ -21,13 +30,13 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import branch, jsonio, lr
 from .dims import hilbert_check
 from .dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                        hwv_multiplicities, verify_brackets)
-from .errors import BudgetError, StableRangeError, UsageError
+from .errors import BudgetError, InternalInvariantError, StableRangeError, UsageError
 from .partitions import (IrrepLabel, enumerate_partitions,
                          is_admissible_o, partitions_of)
 from .reports import MultiplicityEntry, labels_sort_key, sorted_entries
@@ -40,30 +49,6 @@ class RunConfig:
     output_format: str = "json"
     stable_policy: str = "enforce"
     max_degree: int = 6
-
-
-# ---------------------------------------------------------------------------
-# formula evaluation over the label grid of a verify suite
-
-def _formula_value(name: str, key, params: dict) -> int:
-    policy = _POLICIES[params["policy"]] if "policy" in params else branch.ENFORCE
-    if name == "lr":
-        lam, mu, nu = key
-        return lr.lr_coefficient(lam, mu, nu)
-    if name == "gl-o":
-        mu, lam = key
-        return branch.gl_to_o(lam, mu, params["n"], policy)
-    if name == "o-tensor":
-        mu, nu, lam = key
-        return branch.o_tensor_stable(mu, nu, lam, params["n"], policy)
-    if name == "o-restrict":
-        mu, nu, lam = key
-        return branch.o_restrict_stable(lam, mu, nu, params["n"], params["m"], policy)
-    raise UsageError(f"unknown formula {name!r}")
-
-
-def _compute_formula(name: str, params: dict, keys: Iterable) -> dict:
-    return {key: _formula_value(name, key, params) for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +70,27 @@ def _require_positive(**named: int) -> None:
     for flag, value in named.items():
         if value < 1:
             raise UsageError(f"--{flag} must be a positive integer")
+
+
+# ---------------------------------------------------------------------------
+# label sets shared by the tables and the verify grids
+
+def _tensor_targets(mu, nu, admissible) -> list:
+    """The labels lam that can occur in mu (x) nu: |lam| <= |mu| + |nu|, same parity."""
+    total = sum(mu) + sum(nu)
+    return [lam for lam in enumerate_partitions(total, max_length=len(mu) + len(nu))
+            if (total - sum(lam)) % 2 == 0 and admissible(lam)]
+
+
+def _restrict_targets(lam, n: int, m: int) -> list:
+    """The O_n x O_m label pairs (mu, nu) that can occur in the O_{n+m} irrep lam."""
+    size, rows = sum(lam), len(lam)
+    return [(mu, nu)
+            for mu in enumerate_partitions(size, max_length=rows)
+            if is_admissible_o(mu, n)
+            for rest in [size - sum(mu)]
+            for nu in enumerate_partitions(rest, max_length=rows)
+            if (rest - sum(nu)) % 2 == 0 and is_admissible_o(nu, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +147,8 @@ def _cmd_tensor(args, cfg: RunConfig) -> int:
     else:
         branch.check_sp_tensor(mu, nu, n, policy)
         value = lambda lam: branch.tensor_kernel(mu, nu, lam)
-    total = sum(mu) + sum(nu)
-    lams = [lam for lam in enumerate_partitions(total, max_length=len(mu) + len(nu))
-            if (total - sum(lam)) % 2 == 0 and admissible(lam)]
     entries = [MultiplicityEntry((IrrepLabel(fam, rank, lam),), v, stable)
-               for lam in lams for v in [value(lam)] if v]
+               for lam in _tensor_targets(mu, nu, admissible) for v in [value(lam)] if v]
     _emit_entries(cfg, entries)
     return 0
 
@@ -178,15 +181,9 @@ def _cmd_restrict(args, cfg: RunConfig) -> int:
         raise StableRangeError(
             f"outside the stable range: requires {branch.o_restrict_bound(lam)}")
     branch.check_o_restrict(lam, n, m, policy)
-    size, rows = sum(lam), len(lam)
-    keys = [(mu, nu)
-            for mu in enumerate_partitions(size, max_length=rows)
-            if is_admissible_o(mu, n)
-            for rest in [size - sum(mu)]
-            for nu in enumerate_partitions(rest, max_length=rows)
-            if (rest - sum(nu)) % 2 == 0 and is_admissible_o(nu, m)]
     entries = [MultiplicityEntry((IrrepLabel("O", n, mu), IrrepLabel("O", m, nu)), v, stable)
-               for mu, nu in keys for v in [branch.o_restrict_kernel(lam, mu, nu)] if v]
+               for mu, nu in _restrict_targets(lam, n, m)
+               for v in [branch.o_restrict_kernel(lam, mu, nu)] if v]
     _emit_entries(cfg, entries)
     return 0
 
@@ -194,105 +191,95 @@ def _cmd_restrict(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # verification suites: formula vs. brute-force oracle, entry by entry
 
-def _emit_verify(cfg: RunConfig, name: str, params: dict, rows) -> int:
-    rows = sorted(rows, key=lambda row: labels_sort_key(row[0]))
-    report = jsonio.verify_json(name, params, rows)
-    _emit(cfg, report, jsonio.verify_csv(rows))
-    ok = report["ok"]
-    total = len(rows)
-    failed = sum(1 for e in report["entries"] if not e["pass"])
+@dataclass(frozen=True)
+class Suite:
+    """One formula-vs-oracle suite.
+
+    `flags` are (name, default or None if required, help) in parser order.
+    `families` are (family, rank flag) in label order, which is also the
+    order of the report's params p.  `grid(deg, **p)` is a set of keys, one
+    weight per family; `formula(*key, policy, **p)` evaluates a key, and
+    `model(**p)` is the oracle's (shape, mode).
+    """
+    help: str
+    flags: tuple
+    families: tuple
+    grid: Callable
+    formula: Callable
+    model: Callable
+
+
+_N, _M, _L = ("n", None, None), ("m", None, None), ("l", 1, None)
+
+SUITES = {
+    "seesaw-a": Suite(
+        "GL to O branching vs. joint highest weight vectors",
+        (_N, _M), (("O", "n"), ("GL", "m")),
+        lambda deg, n, m: {(mu, lam)
+                           for lam in enumerate_partitions(deg, max_length=min(n, m))
+                           for mu in enumerate_partitions(sum(lam), max_length=min(n, m))
+                           if is_admissible_o(mu, n)},
+        lambda mu, lam, policy, n, m: branch.gl_to_o(lam, mu, n, policy),
+        lambda n, m: (MatrixSpaceShape("A", n, m), FULL)),
+    "seesaw-c": Suite(
+        "LR coefficients vs. stacked two-block model",
+        (_N, _M, _L), (("GL", "n"), ("GL", "m"), ("GL", "l")),
+        lambda deg, n, m, l: {(lam, mu, nu)
+                              for lam in enumerate_partitions(deg, max_length=min(n, m + l))
+                              for mu in enumerate_partitions(sum(lam), max_length=min(n, m))
+                              for nu in partitions_of(sum(lam) - sum(mu), max_length=min(n, l))},
+        lambda lam, mu, nu, policy, **_: lr.lr_coefficient(lam, mu, nu),
+        lambda n, m, l: (MatrixSpaceShape("C", n, m, l, split_columns=True), FULL)),
+    "tensor-o": Suite(
+        "stable O tensor product vs. harmonics of the split model",
+        (_N, _M, _L), (("O", "n"), ("GL", "m"), ("GL", "l")),
+        lambda deg, n, m, l: {(lam, mu, nu)
+                              for mu in enumerate_partitions(deg, max_length=m)
+                              for nu in enumerate_partitions(deg - sum(mu), max_length=l)
+                              for lam in _tensor_targets(mu, nu,
+                                                         lambda t: is_admissible_o(t, n))},
+        lambda lam, mu, nu, policy, n, **_: branch.o_tensor_stable(mu, nu, lam, n, policy),
+        lambda n, m, l: (MatrixSpaceShape("A", n, m, l, split_columns=True), MOD_IDEAL)),
+    "restrict-o": Suite(
+        "stable O restriction vs. the product-group model",
+        (("n", None, "first orthogonal block size"),
+         ("m", None, "column count of the matrix space"), ("l", 1, "second orthogonal block size")),
+        (("O", "n"), ("O", "l"), ("GL", "m")),
+        lambda deg, n, l, m: {(mu, nu, lam)
+                              for lam in enumerate_partitions(deg, max_length=min(n + l, m))
+                              for mu, nu in _restrict_targets(lam, n, l)},
+        lambda mu, nu, lam, policy, n, l, m: branch.o_restrict_stable(lam, mu, nu, n, l, policy),
+        lambda n, l, m: (MatrixSpaceShape("A", n + l, m), ProductO(n, l))),
+}
+
+
+def _verdict(name: str, total: int, failed: int) -> int:
     print(f"verify {name}: {total} entries, "
-          + ("all PASS" if ok else f"{failed} FAIL"), file=sys.stderr)
-    return 0 if ok else 1
+          + (f"{failed} FAIL" if failed else "all PASS"), file=sys.stderr)
+    return 1 if failed else 0
 
 
-def _oracle_weights(entries) -> dict:
-    return {tuple(lab.weight for lab in e.labels): e.mult for e in entries}
-
-
-def _verify_seesaw_a(args, cfg: RunConfig) -> int:
-    _require_positive(n=args.n, m=args.m)
-    n, m, deg = args.n, args.m, cfg.max_degree
-    params = {"n": n, "policy": cfg.stable_policy}
-    lmax = min(n, m)
-    grid = {(mu, lam)
-            for lam in enumerate_partitions(deg, max_length=lmax)
-            for mu in enumerate_partitions(sum(lam), max_length=lmax)
-            if is_admissible_o(mu, n)}
-    values = _compute_formula("gl-o", params, sorted(grid))
-    oracle = _oracle_weights(hwv_multiplicities(MatrixSpaceShape("A", n, m), deg, FULL))
-    values.update(_compute_formula("gl-o", params, sorted(set(oracle) - grid)))
-    rows = [((IrrepLabel("O", n, mu), IrrepLabel("GL", m, lam)),
-             values[(mu, lam)], oracle.get((mu, lam), 0))
-            for mu, lam in sorted(grid | set(oracle))]
-    return _emit_verify(cfg, "seesaw-a", {"n": n, "m": m, "max_degree": deg}, rows)
-
-
-def _verify_seesaw_c(args, cfg: RunConfig) -> int:
-    _require_positive(n=args.n, m=args.m, l=args.l)
-    n, m, l, deg = args.n, args.m, args.l, cfg.max_degree
-    grid = {(lam, mu, nu)
-            for lam in enumerate_partitions(deg, max_length=min(n, m + l))
-            for mu in enumerate_partitions(sum(lam), max_length=min(n, m))
-            for nu in partitions_of(sum(lam) - sum(mu), max_length=min(n, l))}
-    values = _compute_formula("lr", {}, sorted(grid))
-    shape = MatrixSpaceShape("C", n, m, l, split_columns=True)
-    oracle = _oracle_weights(hwv_multiplicities(shape, deg, FULL))
-    values.update(_compute_formula("lr", {}, sorted(set(oracle) - grid)))
-    rows = [((IrrepLabel("GL", n, lam), IrrepLabel("GL", m, mu), IrrepLabel("GL", l, nu)),
-             values[(lam, mu, nu)], oracle.get((lam, mu, nu), 0))
-            for lam, mu, nu in sorted(grid | set(oracle))]
-    return _emit_verify(cfg, "seesaw-c", {"n": n, "m": m, "l": l, "max_degree": deg}, rows)
-
-
-def _verify_tensor_o(args, cfg: RunConfig) -> int:
-    _require_positive(n=args.n, m=args.m, l=args.l)
-    n, m, l, deg = args.n, args.m, args.l, cfg.max_degree
-    params = {"n": n, "policy": cfg.stable_policy}
-    grid = set()
-    for mu in enumerate_partitions(deg, max_length=m):
-        for nu in enumerate_partitions(deg - sum(mu), max_length=l):
-            total = sum(mu) + sum(nu)
-            for lam in enumerate_partitions(total, max_length=len(mu) + len(nu)):
-                if (total - sum(lam)) % 2 == 0 and is_admissible_o(lam, n):
-                    grid.add((lam, mu, nu))
-
-    def formula(keys):
-        return _compute_formula("o-tensor", params,
-                                [(mu, nu, lam) for lam, mu, nu in sorted(keys)])
-
-    values = formula(grid)
-    shape = MatrixSpaceShape("A", n, m, l, split_columns=True)
-    oracle = _oracle_weights(hwv_multiplicities(shape, deg, MOD_IDEAL))
-    values.update(formula(set(oracle) - grid))
-    rows = [((IrrepLabel("O", n, lam), IrrepLabel("GL", m, mu), IrrepLabel("GL", l, nu)),
-             values[(mu, nu, lam)], oracle.get((lam, mu, nu), 0))
-            for lam, mu, nu in sorted(grid | set(oracle))]
-    return _emit_verify(cfg, "tensor-o", {"n": n, "m": m, "l": l, "max_degree": deg}, rows)
-
-
-def _verify_restrict_o(args, cfg: RunConfig) -> int:
-    _require_positive(n=args.n, m=args.m, l=args.l)
-    n1, n2, m, deg = args.n, args.l, args.m, cfg.max_degree
-    params = {"n": n1, "m": n2, "policy": cfg.stable_policy}
-    grid = set()
-    for lam in enumerate_partitions(deg, max_length=min(n1 + n2, m)):
-        for mu in enumerate_partitions(sum(lam), max_length=len(lam)):
-            if not is_admissible_o(mu, n1):
-                continue
-            rest = sum(lam) - sum(mu)
-            for nu in enumerate_partitions(rest, max_length=len(lam)):
-                if (rest - sum(nu)) % 2 == 0 and is_admissible_o(nu, n2):
-                    grid.add((mu, nu, lam))
-    values = _compute_formula("o-restrict", params, sorted(grid))
-    shape = MatrixSpaceShape("A", n1 + n2, m)
-    oracle = _oracle_weights(hwv_multiplicities(shape, deg, ProductO(n1, n2)))
-    values.update(_compute_formula("o-restrict", params, sorted(set(oracle) - grid)))
-    rows = [((IrrepLabel("O", n1, mu), IrrepLabel("O", n2, nu), IrrepLabel("GL", m, lam)),
-             values[(mu, nu, lam)], oracle.get((mu, nu, lam), 0))
-            for mu, nu, lam in sorted(grid | set(oracle))]
-    return _emit_verify(cfg, "restrict-o",
-                        {"n": n1, "l": n2, "m": m, "max_degree": deg}, rows)
+def _cmd_verify(args, cfg: RunConfig) -> int:
+    """The formula over the sorted grid first (so `enforce` refuses before the
+    oracle runs), then the oracle, then the formula on oracle-only keys."""
+    suite = SUITES[args.suite]
+    _require_positive(**{name: getattr(args, name) for name, _, _ in suite.flags})
+    p = {flag: getattr(args, flag) for _, flag in suite.families}
+    policy, deg = _POLICIES[cfg.stable_policy], cfg.max_degree
+    grid = suite.grid(deg, **p)
+    values = {key: suite.formula(*key, policy, **p) for key in sorted(grid)}
+    shape, mode = suite.model(**p)
+    oracle = {tuple(lab.weight for lab in e.labels): e.mult
+              for e in hwv_multiplicities(shape, deg, mode)}
+    values.update((key, suite.formula(*key, policy, **p)) for key in sorted(oracle.keys() - grid))
+    rows = sorted(((tuple(IrrepLabel(fam, p[flag], w)
+                          for (fam, flag), w in zip(suite.families, key)),
+                    value, oracle.get(key, 0))
+                   for key, value in values.items()),
+                  key=lambda row: labels_sort_key(row[0]))
+    report = jsonio.verify_json(args.suite, {**p, "max_degree": deg}, rows)
+    _emit(cfg, report, jsonio.verify_csv(rows))
+    return _verdict(args.suite, len(rows), sum(1 for e in report["entries"] if not e["pass"]))
 
 
 def _cmd_verify_brackets(args, cfg: RunConfig) -> int:
@@ -300,10 +287,7 @@ def _cmd_verify_brackets(args, cfg: RunConfig) -> int:
     shape = MatrixSpaceShape(args.case.upper(), args.n, args.m, args.l or 0)
     report = verify_brackets(shape)
     _emit(cfg, jsonio.bracket_report_json(report), jsonio.bracket_report_csv(report))
-    failed = len(report.failures)
-    print(f"verify brackets: {len(report.entries)} entries, "
-          + ("all PASS" if report.ok else f"{failed} FAIL"), file=sys.stderr)
-    return 0 if report.ok else 1
+    return _verdict("brackets", len(report.entries), len(report.failures))
 
 
 def _cmd_hilbert(args, cfg: RunConfig) -> int:
@@ -374,29 +358,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="formula vs. brute-force oracle suites")
     v_sub = p.add_subparsers(dest="suite", required=True)
-    q = v_sub.add_parser("seesaw-a", parents=[common],
-                         help="GL to O branching vs. joint highest weight vectors")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.set_defaults(handler=_verify_seesaw_a)
-    q = v_sub.add_parser("seesaw-c", parents=[common],
-                         help="LR coefficients vs. stacked two-block model")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--l", type=int, default=1)
-    q.set_defaults(handler=_verify_seesaw_c)
-    q = v_sub.add_parser("tensor-o", parents=[common],
-                         help="stable O tensor product vs. harmonics of the split model")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--l", type=int, default=1)
-    q.set_defaults(handler=_verify_tensor_o)
-    q = v_sub.add_parser("restrict-o", parents=[common],
-                         help="stable O restriction vs. the product-group model")
-    q.add_argument("--n", type=int, required=True, help="first orthogonal block size")
-    q.add_argument("--m", type=int, required=True, help="column count of the matrix space")
-    q.add_argument("--l", type=int, default=1, help="second orthogonal block size")
-    q.set_defaults(handler=_verify_restrict_o)
+    for name, suite in SUITES.items():
+        q = v_sub.add_parser(name, parents=[common], help=suite.help)
+        for flag, default, text in suite.flags:
+            q.add_argument(f"--{flag}", type=int, required=default is None, default=default,
+                           help=text)
+        q.set_defaults(handler=_cmd_verify)
     q = v_sub.add_parser("brackets", parents=[common],
                          help="commutation relations of the model operators")
     q.add_argument("--case", choices=("a", "b", "c"), required=True)
@@ -427,6 +394,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, StableRangeError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -30,8 +30,8 @@ from ..reports import MultiplicityEntry
 from .configs import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig,
                       TorusFactor, build_config, build_product_config)
 from .linalg import rank, nullspace, solve_columns
-from .poly import (Monomial, Operator, Poly, apply_to_monomial, commutator_apply,
-                   grevlex_mono_key, monomials_of_degree)
+from .poly import (Monomial, Operator, Poly, apply_operator, apply_to_monomial,
+                   commutator_apply, grevlex_mono_key, monomials_of_degree)
 
 DEFAULT_BUDGET = 20000
 
@@ -521,18 +521,7 @@ def minor_hwv(n: int, m: int, columns) -> MinorCertificate:
     poly = {k: v for k, v in poly.items() if v}
 
     def annihilates(ops):
-        for op in ops:
-            acc: Poly = {}
-            for mono, c in poly.items():
-                for tm, tc in apply_to_monomial(op, mono).items():
-                    val = acc.get(tm, 0) + c * tc
-                    if val:
-                        acc[tm] = val
-                    else:
-                        acc.pop(tm, None)
-            if acc:
-                return False
-        return True
+        return not any(apply_operator(op, poly) for op in ops)
 
     weights = {config.monomial_weight(mono) for mono in poly}
     if len(weights) != 1:

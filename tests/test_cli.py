@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+import pathlib
 import warnings
 
 import pytest
@@ -275,6 +277,101 @@ def test_verify_refuses_before_running_the_oracle(capsys, monkeypatch, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: outside the stable range")
+
+
+# Recorded before the suites became rows of `cli.SUITES`: per shape, the
+# sha256 of stdout in each format (the same under both policies when the
+# request runs), and per policy the exit code and stderr.  seesaw-c has no
+# stable range; its second shape has n < m + l.
+PINNED_VERIFY = [
+    (("seesaw-a", "--n", "5", "--m", "2", "--max-degree", "3"),
+     {"json": "f2b6e33a1afed19c631dfa3398a8b9424a3a7603cfe0ec700850ed67055985c4",
+      "csv": "56e17e79e894867297bde76bfb9c87d4296f43027367015cbc7634175e3e35df"},
+     {"enforce": (0, "verify seesaw-a: 23 entries, all PASS\n"),
+      "warn": (0, "verify seesaw-a: 23 entries, all PASS\n")}),
+    (("seesaw-a", "--n", "3", "--m", "2", "--max-degree", "4"),
+     {"json": "afbe5fe6f94c4172dd448b2df3ed7f089ffe16adc8d3024ed941e4f90d147c5a",
+      "csv": "5eab9865b98d9df8fb7e51f5acfa9adc324e04e9e96c8227f5afbebbb4884ce9"},
+     {"enforce": (2, "error: outside the stable range: requires n > 2*len(lam) = 4\n"),
+      "warn": (1, "verify seesaw-a: 47 entries, 8 FAIL\n")}),
+    (("seesaw-c", "--n", "3", "--m", "2", "--l", "1", "--max-degree", "3"),
+     {"json": "29f3e87724b06c4752d27b6a74fdaa1ba06c5c0c2ae60ab74c1897efe5e52557",
+      "csv": "abfc8b921dfdfb9b907b9dc8d24ce7f1eff0e9db8f3db0b3a113cf036d133f2b"},
+     {"enforce": (0, "verify seesaw-c: 29 entries, all PASS\n"),
+      "warn": (0, "verify seesaw-c: 29 entries, all PASS\n")}),
+    (("seesaw-c", "--n", "2", "--m", "2", "--l", "1", "--max-degree", "4"),
+     {"json": "846512f22f5ed24eebe6c88fd73ca941640526a6a847d8bce99e10189672ff91",
+      "csv": "bad85491aa260502c22a5ffa3a9e97607e9991fbea3cf68962d0022b5458927f"},
+     {"enforce": (0, "verify seesaw-c: 50 entries, all PASS\n"),
+      "warn": (0, "verify seesaw-c: 50 entries, all PASS\n")}),
+    (("tensor-o", "--n", "5", "--m", "1", "--l", "1", "--max-degree", "3"),
+     {"json": "1484849e8b85c0f7f7036ac25ed0338bb5c2cc228aad6c656786009f379af9b3",
+      "csv": "995fe1c881d2fa8ddb0a769caa1a0080c624507fdd3bed406752a031b504992f"},
+     {"enforce": (0, "verify tensor-o: 20 entries, all PASS\n"),
+      "warn": (0, "verify tensor-o: 20 entries, all PASS\n")}),
+    (("tensor-o", "--n", "3", "--m", "1", "--l", "1", "--max-degree", "4"),
+     {"json": "b37584bf7ed09bc8d9af232525f90e1866f77206cef0a5c3f2d31d5537b54683",
+      "csv": "1590821b7e09b86a8da74cda79fbe024a99ccf3f74e567dd46648af403e91790"},
+     {"enforce": (2, "error: outside the stable range: requires n > 2*(len(mu)+len(nu)) = 4\n"),
+      "warn": (1, "verify tensor-o: 48 entries, 14 FAIL\n")}),
+    (("restrict-o", "--n", "3", "--l", "3", "--m", "1", "--max-degree", "3"),
+     {"json": "d6cfc070404d5b8bf0923f88f01c6eea048056ba159b22dfb570314478f59fc3",
+      "csv": "6ddf2f0e809dcdfe4e5d1e00fe79bc0c2d7ef1acc42323e92c78b0fedee4b2a4"},
+     {"enforce": (0, "verify restrict-o: 13 entries, all PASS\n"),
+      "warn": (0, "verify restrict-o: 13 entries, all PASS\n")}),
+    (("restrict-o", "--n", "3", "--l", "5", "--m", "2", "--max-degree", "3"),
+     {"json": "378155d58634d513d9b7ba9a5e9666d45a460ec77e2bdf8c4a281a15d57b1545",
+      "csv": "c89b9bc3fcf23deb811a61347d1d59b861fe2dbaebf065ed6b5bfdba66b1f56c"},
+     {"enforce": (2, "error: outside the stable range: requires min(n, m) > 2*len(lam) = 4\n"),
+      "warn": (1, "verify restrict-o: 32 entries, 6 FAIL\n")}),
+]
+
+
+@pytest.mark.parametrize("argv,digests,outcomes", PINNED_VERIFY)
+def test_verify_output_is_pinned(capsys, argv, digests, outcomes):
+    for fmt, digest in digests.items():
+        for policy, (code, summary) in outcomes.items():
+            rc, out, err = run(capsys, "verify", *argv, "--output-format", fmt,
+                               "--stable-policy", policy, ignore_warnings=True)
+            assert (rc, err) == (code, summary)
+            if rc == 2:
+                assert out == ""
+            else:
+                assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("suite,digest", [
+    (None, "1ba6a4d58db03a02d8254bf454405b66c0b686c9766ef84d68ffc4294ac253f3"),
+    ("seesaw-a", "664b0f019ba0a22ff1f886fce6ffb566e92e1ef3f985e765db367f6277960326"),
+    ("seesaw-c", "0021f210bd8afbff3e4c4c68d038278abb8db36553611d5830467185a254e7d1"),
+    ("tensor-o", "cdd426a8e9f2e56d0d44414cbd8c969e8624a71d662c1dd05dacd7f5dff22d2c"),
+    ("restrict-o", "83c4d7df6593854bc834a4355301391421bbc262d510c8eb750c5d23acd10990"),
+])
+def test_verify_help_is_pinned(capsys, monkeypatch, suite, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"] + ([suite] if suite else []) + ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_internal_error_exits_3_in_one_line(capsys):
+    # even n outside the stable range: the oracle meets an SO_n weight that is
+    # not an O_n label (an open defect), which must not end in a traceback
+    rc, out, err = run(capsys, "verify", "seesaw-a", "--n", "4", "--m", "2",
+                       "--max-degree", "3", "--stable-policy", "warn", ignore_warnings=True)
+    assert (rc, out) == (3, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_verify_all_passes_and_covers_every_suite(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
+    spec = importlib.util.spec_from_file_location("verify_all", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert set(cli.SUITES) <= {argv[1] for argv in script.SUITES if argv[0] == "verify"}
+    assert script.main(["--quiet"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_brackets_case_a(capsys):
