@@ -1,0 +1,48 @@
+#!/usr/bin/env python3
+"""Time the multiplicity oracle in process at three certification sizes.
+
+    PYTHONPATH=src python3 scripts/oracle_ladder.py [REPEAT]
+
+Each case calls `hwv_multiplicities` REPEAT times (default 5) and prints
+one line: the case, the median wall seconds (`time.perf_counter`) and the
+sha256 of the result as the CLI would emit it (JSON entries in label
+order), so two source trees can be compared on time and on output.
+Standard library only.
+"""
+
+import hashlib
+import statistics
+import sys
+import time
+
+from branchbox import jsonio
+from branchbox.dualpair import FULL, MatrixSpaceShape, ProductO, hwv_multiplicities
+from branchbox.reports import sorted_entries
+
+CASES = [
+    ("A(5,2) FULL deg 7", MatrixSpaceShape("A", 5, 2), 7, FULL),
+    ("A(9,2) FULL deg 5", MatrixSpaceShape("A", 9, 2), 5, FULL),
+    ("A(6,2) ProductO(3,3) deg 6", MatrixSpaceShape("A", 6, 2), 6, ProductO(3, 3)),
+]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > 1 or (argv and not (argv[0].isdigit() and int(argv[0]) > 0)):
+        print("usage: oracle_ladder.py [REPEAT]  (a positive repeat count)", file=sys.stderr)
+        return 2
+    repeat = int(argv[0]) if argv else 5
+    for name, shape, degree, mode in CASES:
+        times = []
+        for _ in range(repeat):
+            start = time.perf_counter()
+            entries = hwv_multiplicities(shape, degree, mode)
+            times.append(time.perf_counter() - start)
+        text = jsonio.dumps([jsonio.entry_json(e) for e in sorted_entries(entries)])
+        sha = hashlib.sha256(text.encode()).hexdigest()
+        print(f"{name}\t{statistics.median(times):.3f}\t{sha}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

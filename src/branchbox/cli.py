@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from . import branch, jsonio, lr
@@ -302,8 +302,9 @@ def _cmd_hilbert(args, cfg: RunConfig) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output-format", choices=("json", "csv"), default="json")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output-format", choices=("json", "csv"), default="json")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--stable-policy", choices=("enforce", "warn"), default="enforce")
     common.add_argument("--max-degree", type=int, default=6,
                         help="degree bound for oracle computations (default 6)")
@@ -364,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
             q.add_argument(f"--{flag}", type=int, required=default is None, default=default,
                            help=text)
         q.set_defaults(handler=_cmd_verify)
-    q = v_sub.add_parser("brackets", parents=[common],
+    q = v_sub.add_parser("brackets", parents=[output],
                          help="commutation relations of the model operators")
     q.add_argument("--case", choices=("a", "b", "c"), required=True)
     q.add_argument("--n", type=int, required=True)
@@ -382,9 +383,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> RunConfig:
-    if args.max_degree < 0:
+    """The run options the subcommand offers; `verify brackets` offers only --output-format."""
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                       if hasattr(args, f.name)})
+    if cfg.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
-    return RunConfig(args.output_format, args.stable_policy, args.max_degree)
+    return cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -2,7 +2,13 @@
 
 Everything reduces to exact nullspace or rank computations on weight-space
 blocks: all operators in play are weight-homogeneous for the product torus,
-so each block can be handled on its own.  Raising-operator kernels are only
+so each block can be handled on its own.  Highest weight vectors are the
+joint kernel of n+, the Lie algebra of the maximal unipotent subgroup.  n+
+is generated by its simple root vectors, and an operator that kills v
+kills every bracket of operators that kill v, so the multiplicity counts
+cut by the simple-root raisings alone (`SpaceConfig.simple_raisings`); the
+bracket check and the minor certificates keep every raising, because they
+certify the operators themselves.  Raising-operator kernels are only
 computed at dominant weights, and only those blocks are built; a kernel
 vector generates a highest weight module, so nothing is lost, and a nonzero
 kernel at a weight that is not a partition on an orthogonal factor is
@@ -10,11 +16,12 @@ reported as an internal error rather than silently dropped.  Monomials are
 grouped by a packed integer code of their weight (`_weight_codes`), a second
 packed code tests dominance before any weight is decoded
 (`_dominance_codes`), and every row handed to the multiplicity eliminations
-is made of `int`s.  One builder, `_stacked_rows`, turns per-operator images
-of a block's columns into annihilator rows: for the kernel dimensions, for
-the raisings on the harmonic domain in `hwv_multiplicities`, and for the
-ideal's rank in `harmonic_report`.  The bracket check applies each operator
-to each monomial once and builds every commutator from those images.
+is made of `int`s; `linalg.echelon` eliminates them sparsely.  One builder,
+`_stacked_rows`, turns per-operator images of a block's columns into
+annihilator rows: for the kernel dimensions, for the raisings on the
+harmonic domain in `hwv_multiplicities`, and for the ideal's rank in
+`harmonic_report`.  The bracket check applies each operator to each
+monomial once and builds every commutator from those images.
 """
 
 from __future__ import annotations
@@ -259,7 +266,7 @@ def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
         raise UsageError(f"unknown mode {mode!r}")
 
     table = build_buckets(config, max_degree, budget, dominant_only=True)
-    raisers = config.raisings
+    raisers = config.simple_raisings
     entries = []
     for d in range(max_degree + 1):
         for key in table.by_degree[d]:
@@ -281,22 +288,6 @@ def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
                     f"nonzero raising kernel at non-partition weight {key}")
             entries.append(MultiplicityEntry(labels, mult, True))
     return entries
-
-
-def _op_weight_shift(config: SpaceConfig, op: Operator) -> tuple[tuple[int, ...], ...]:
-    term = op.terms[0]
-    out = []
-    for weights in config.var_weights:
-        coords = len(weights[0]) if weights else 0
-        acc = [0] * coords
-        for v, e in term.xs:
-            for i in range(coords):
-                acc[i] += e * weights[v][i]
-        for v, e in term.ds:
-            for i in range(coords):
-                acc[i] -= e * weights[v][i]
-        out.append(tuple(acc))
-    return tuple(out)
 
 
 def _add_keys(a: tuple, b: tuple) -> tuple:
@@ -333,7 +324,7 @@ def harmonic_report(shape: MatrixSpaceShape, max_degree: int,
         full[d] += len(basis)
         harmonic[d] += _kernel_dim(config.deltas, basis)
 
-    shifts = {op.name: _op_weight_shift(config, op) for op in config.r2s}
+    shifts = {op.name: config.op_weight_shift(op) for op in config.r2s}
     groups: dict[tuple, list[Poly]] = {}
     for key, basis in table.buckets.items():
         if table.degree[key] + 2 > max_degree:
@@ -540,10 +531,10 @@ def harmonic_isotypic_dims(shape: MatrixSpaceShape, max_degree: int,
     """Dimension of the harmonic isotypic component per GL-side highest weight.
 
     Groups monomials by the GL-side weight alone (all group-side weights
-    mixed), then cuts by the Delta family and the GL-side raisings.  In the
-    stable range the kernel at weight lambda is a single copy of the
-    orthogonal or symplectic irreducible labelled lambda, so its dimension
-    cross-checks the Weyl dimension formulas.
+    mixed), then cuts by the Delta family and the GL-side simple raisings.
+    In the stable range the kernel at weight lambda is a single copy of
+    the orthogonal or symplectic irreducible labelled lambda, so its
+    dimension cross-checks the Weyl dimension formulas.
     """
     if shape.split_columns or shape.case == "C":
         raise UsageError("isotypic dimensions apply to the two-factor cases A and B")
@@ -557,7 +548,8 @@ def harmonic_isotypic_dims(shape: MatrixSpaceShape, max_degree: int,
             raise BudgetError(
                 f"isotypic block of dimension {len(basis)} exceeds the budget {budget}")
     out: dict[tuple[int, ...], int] = {}
-    cutters = config.deltas + config.gl_raisings
+    cutters = config.deltas + tuple(op for op in config.simple_raisings
+                                    if op in config.gl_raisings)
     for gl_weight in sorted(groups):
         w = gl_weight
         if any(w[i] < w[i + 1] for i in range(len(w) - 1)):

@@ -15,6 +15,7 @@ row block.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,9 +97,39 @@ class SpaceConfig:
             out.append(tuple(acc))
         return tuple(out)
 
+    def op_weight_shift(self, op: Operator) -> tuple[tuple[int, ...], ...]:
+        """The torus weight a weight-homogeneous operator adds, read off its first term."""
+        term = op.terms[0]
+        out = []
+        for weights in self.var_weights:
+            coords = len(weights[0]) if weights else 0
+            acc = [0] * coords
+            for v, e in term.xs:
+                for i in range(coords):
+                    acc[i] += e * weights[v][i]
+            for v, e in term.ds:
+                for i in range(coords):
+                    acc[i] -= e * weights[v][i]
+            out.append(tuple(acc))
+        return tuple(out)
+
     @property
     def raisings(self) -> tuple[Operator, ...]:
         return self.k_raisings + self.gl_raisings
+
+    @property
+    def simple_raisings(self) -> tuple[Operator, ...]:
+        """The raisings of simple roots: those whose weight shift is no sum of two raising shifts.
+
+        n+ is generated as a Lie algebra by its simple root vectors, and an
+        operator that kills v kills every bracket of operators that kill v,
+        so these raisings have the joint kernel of all of them.  The rule
+        reads only the weight shifts, so it holds for every builder.
+        """
+        shifts = [self.op_weight_shift(op) for op in self.raisings]
+        sums = {tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
+                for a, b in itertools.combinations(shifts, 2)}
+        return tuple(op for op, s in zip(self.raisings, shifts) if s not in sums)
 
 
 def _o_row_weight(s: int, n: int) -> tuple[int, ...]:

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Entries are `int`, or `Fraction` where a caller has rational data.
-There is one elimination routine, `echelon`: fraction-free (Bareiss) on
-integer rows; rational input rows are cleared of denominators first, which
-changes neither row space nor kernel, and all-`int` rows pass through
-unscaled.  `rank`, `nullspace` and `solve_columns` all run on it.  Kernels
+There is one elimination routine, `echelon`: sparse and fraction-free.  It
+reads each row into a {column: int} dict of its nonzeros (clearing
+rational rows of denominators, which changes neither row space nor
+kernel), and a pivot step updates only the rows with a nonzero in the
+pivot column, each divided by its content afterwards, so entries stay
+small.  `rank`, `nullspace` and `solve_columns` all run on it.  Kernels
 come back as primitive integer vectors from a fraction-free
 back-substitution, and `solve_columns` reads its solution off the kernel
 vector of [A | -b] at the rhs column.
@@ -19,52 +21,76 @@ from typing import Sequence
 Row = Sequence[int | Fraction]
 
 
-def _integer_rows(rows: Sequence[Row]) -> list[list[int]]:
+def _sparse_rows(rows: Sequence[Row]) -> list[dict[int, int]]:
+    """Each nonzero row as {column: int}, its Fraction denominators cleared.
+
+    Scaling a row by the lcm of its denominators changes neither row space
+    nor kernel; all-`int` rows pass through unscaled.
+    """
     out = []
     for row in rows:
-        if all(type(a) is int for a in row):
-            out.append(list(row))
+        nz = {j: a for j, a in enumerate(row) if a}
+        if not nz:
             continue
-        scale = 1
-        for a in row:
-            if isinstance(a, Fraction) and a.denominator != 1:
-                scale = scale * a.denominator // gcd(scale, a.denominator)
-        out.append([int(a * scale) for a in row])
+        if any(type(a) is not int for a in nz.values()):
+            scale = 1
+            for a in nz.values():
+                if isinstance(a, Fraction) and a.denominator != 1:
+                    scale = scale * a.denominator // gcd(scale, a.denominator)
+            nz = {j: int(a * scale) for j, a in nz.items()}
+        out.append(nz)
     return out
 
 
 def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Fraction-free row echelon form; returns (matrix, pivot (row, col) list).
+    """Sparse fraction-free row echelon form; returns (pivot rows, pivot (row, col) list).
 
-    Every row below the pivot is updated with the two-term Bareiss formula,
-    including rows with a zero in the pivot column: the exact division by the
-    previous pivot is only guaranteed under the uniform update.
+    Columns are taken left to right.  A live row whose first nonzero is in
+    column c waits in bucket c; the sparsest of them becomes the pivot row
+    `top`, and each other row there becomes p*row - f*top (p = top[c],
+    f = row[c]) divided by its content, then waits in the bucket of its new
+    first nonzero.  Rows with a zero in the pivot column are never touched.
+    Pivot columns depend only on which columns depend on earlier ones, so
+    the kernel read off by `_back_substitute` does not depend on the choice
+    of pivot row.  The pivot rows come back dense, in pivot column order.
     """
-    m = _integer_rows(rows)
-    if not m:
+    if not rows:
         return [], []
-    nrows, ncols = len(m), len(m[0])
+    ncols = len(rows[0])
+    buckets: list[list[dict[int, int]]] = [[] for _ in range(ncols)]
+    for row in _sparse_rows(rows):
+        buckets[min(row)].append(row)
+    m: list[list[int]] = []
     pivots: list[tuple[int, int]] = []
-    pr = 0
-    prev = 1
-    for c in range(ncols):
-        if pr >= nrows:
-            break
-        found = next((r for r in range(pr, nrows) if m[r][c]), None)
-        if found is None:
+    for c, waiting in enumerate(buckets):
+        if not waiting:
             continue
-        m[pr], m[found] = m[found], m[pr]
-        p = m[pr][c]
-        top = m[pr]
-        for r in range(pr + 1, nrows):
-            row = m[r]
+        top = min(waiting, key=len)
+        p = top[c]
+        for row in waiting:
+            if row is top:
+                continue
             f = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (p * row[j] - f * top[j]) // prev
-            row[c] = 0
-        pivots.append((pr, c))
-        prev = p
-        pr += 1
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = {j: a * v for j, v in row.items() if j != c}
+            for j, v in top.items():
+                if j != c:
+                    x = new.get(j, 0) - b * v
+                    if x:
+                        new[j] = x
+                    else:
+                        del new[j]
+            if new:
+                content = gcd(*new.values())
+                if content != 1:
+                    new = {j: v // content for j, v in new.items()}
+                buckets[min(new)].append(new)
+        dense = [0] * ncols
+        for j, v in top.items():
+            dense[j] = v
+        pivots.append((len(m), c))
+        m.append(dense)
     return m, pivots
 
 

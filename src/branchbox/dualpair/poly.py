@@ -61,38 +61,34 @@ def _integral(c: int | Fraction) -> int | Fraction:
     return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
-def apply_term(term: Term, mono: Monomial) -> tuple[Monomial, int] | None:
-    """term applied to a monomial: (result monomial, integer falling factorial), or None."""
-    ff = 1
-    for v, order in term.ds:
-        e = mono[v]
-        if e < order:
-            return None
-        for k in range(order):
-            ff *= e - k
-    out = list(mono)
-    for v, order in term.ds:
-        out[v] -= order
-    for v, e in term.xs:
-        out[v] += e
-    return tuple(out), ff
-
-
 def apply_to_monomial(op: Operator, mono: Monomial) -> Poly:
-    """op applied to one monomial: the one routine that applies operator terms."""
+    """op applied to one monomial: the one routine that applies operator terms.
+
+    A term c * x^a * d^b gives c times the integer falling factorials of the
+    differentiated exponents, or nothing once one exponent is below its
+    order; terms are taken in order, so the image's keys keep that order.
+    """
     out: Poly = {}
-    for term in op.terms:
-        hit = apply_term(term, mono)
-        if hit is None:
-            continue
-        target, ff = hit
-        if not ff:
-            continue
-        val = out.get(target, 0) + term.coeff * ff
-        if val:
-            out[target] = val
+    for coeff, xs, ds in op.terms:
+        ff = 1
+        for v, order in ds:
+            e = mono[v]
+            if e < order:
+                break
+            for k in range(order):
+                ff *= e - k
         else:
-            out.pop(target, None)
+            target = list(mono)
+            for v, order in ds:
+                target[v] -= order
+            for v, e in xs:
+                target[v] += e
+            key = tuple(target)
+            val = out.get(key, 0) + coeff * ff
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
@@ -179,3 +180,39 @@ def solve_columns_gauss_jordan(columns: list[list], rhs: list) -> list[Fraction]
     for r, c in pivots:
         sol[c] = aug[r][ncand]
     return sol
+
+
+def nullspace_gauss_jordan(rows: list[list], ncols: int) -> list[tuple[int, ...]]:
+    """Kernel basis by Gauss-Jordan in Fractions, one vector per free column.
+
+    Pivots are taken left to right.  The vector of a free column is 1 there,
+    0 at the other free columns and minus the reduced rows' entries at the
+    pivot columns, then scaled to a primitive integer vector, which keeps
+    it positive at its free column.
+    """
+    m = [[Fraction(a) for a in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        pr = len(pivots)
+        found = next((r for r in range(pr, len(m)) if m[r][c]), None)
+        if found is None:
+            continue
+        m[pr], m[found] = m[found], m[pr]
+        inv = 1 / m[pr][c]
+        m[pr] = [a * inv for a in m[pr]]
+        for r in range(len(m)):
+            if r != pr and m[r][c]:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][free]
+        scale = lcm(*(a.denominator for a in v))
+        ints = [int(a * scale) for a in v]
+        g = gcd(*ints)
+        basis.append(tuple(a // g for a in ints))
+    return basis

@@ -383,6 +383,17 @@ def test_verify_brackets_case_a(capsys):
     assert "all PASS" in err
 
 
+@pytest.mark.parametrize("option", [["--max-degree", "3"], ["--stable-policy", "warn"]])
+def test_verify_brackets_refuses_options_it_would_ignore(capsys, option):
+    # the bracket check fixes its own test degree and has no stable range
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "brackets", "--case", "a", "--n", "4", "--m", "2", *option])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
 def test_hilbert_ok(capsys):
     rc, out, _ = run(capsys, "hilbert", "--n", "5", "--m", "1", "--max-degree", "4")
     assert rc == 0

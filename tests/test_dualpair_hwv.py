@@ -9,6 +9,7 @@ from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                                 SpaceConfig, build_buckets, build_config,
                                 build_product_config, harmonic_isotypic_dims,
                                 harmonic_report, hwv_multiplicities)
+from branchbox.dualpair.analysis import _labels_for
 from branchbox.dualpair.configs import TorusFactor
 from branchbox.dualpair.linalg import rank
 from branchbox.dualpair.poly import apply_to_monomial, grevlex_mono_key
@@ -110,6 +111,68 @@ def test_harmonic_multiplicity_is_the_joint_kernel(name, shape, mode):
         if dim:
             expected[tuple(as_partition(w) for w in key)] = dim
     assert weights_table(hwv_multiplicities(shape, 4, mode)) == expected
+
+
+ALL_RAISINGS_CASES = [
+    ("A(5,2)", MatrixSpaceShape("A", 5, 2), FULL),
+    ("A(6,2)", MatrixSpaceShape("A", 6, 2), FULL),
+    ("A(5,1+1 split)", MatrixSpaceShape("A", 5, 1, 1, split_columns=True), FULL),
+    ("B(2,2)", MatrixSpaceShape("B", 2, 2), FULL),
+    ("B(3,1)", MatrixSpaceShape("B", 3, 1), FULL),
+    ("C(3,2,1)", MatrixSpaceShape("C", 3, 2, 1), FULL),
+    ("C(3,2,1 stacked)", MatrixSpaceShape("C", 3, 2, 1, split_columns=True), FULL),
+    ("ProductO(5,3)", MatrixSpaceShape("A", 8, 1), ProductO(5, 3)),
+]
+
+
+@pytest.mark.parametrize("name,shape,mode", ALL_RAISINGS_CASES,
+                         ids=[c[0] for c in ALL_RAISINGS_CASES])
+def test_simple_raisings_count_what_all_raisings_count(name, shape, mode):
+    # the oracle cuts by the simple-root raisings only; the joint kernel of
+    # every raising (and, on harmonics, every Delta) must be the same
+    if isinstance(mode, ProductO):
+        config = build_product_config(mode, shape.m)
+        ops = config.deltas + config.raisings
+    else:
+        config = build_config(shape)
+        ops = config.raisings
+    assert len(config.simple_raisings) < len(config.raisings)
+    table = build_buckets(config, 4, dominant_only=True)
+    expected = {}
+    for key, basis in table.buckets.items():
+        dim = _joint_kernel_dim(ops, basis)
+        if dim:
+            expected[_labels_for(config, key)] = dim
+    assert expected
+    assert {e.labels: e.mult for e in hwv_multiplicities(shape, 4, mode)} == expected
+
+
+SIMPLE_RAISING_CONFIGS = (
+    [build_config(MatrixSpaceShape("A", n, m)) for n in range(1, 10) for m in (1, 3)]
+    + [build_config(MatrixSpaceShape("A", n, 2), printed_euler_variant=True) for n in (3, 4)]
+    + [build_config(MatrixSpaceShape("A", n, 2, 3, split_columns=True)) for n in (2, 5, 6)]
+    + [build_config(MatrixSpaceShape("B", n, m)) for n in (1, 2, 3, 4) for m in (1, 3)]
+    + [build_config(MatrixSpaceShape("C", n, 2, l)) for n in (1, 3, 4) for l in (0, 2)]
+    + [build_config(MatrixSpaceShape("C", n, 2, 3, split_columns=True)) for n in (1, 4)]
+    + [build_product_config(ProductO(n1, n2), 2) for n1, n2 in ((1, 2), (3, 3), (4, 5), (6, 2))]
+)
+
+
+@pytest.mark.parametrize("config", SIMPLE_RAISING_CONFIGS, ids=lambda c: c.descriptor)
+def test_simple_raisings_number_the_rank_of_each_factor(config):
+    expected = []
+    for factor in config.factors:
+        if factor.family == "O":
+            expected.append(factor.rank // 2 if factor.rank >= 3 else 0)
+        elif factor.family == "Sp":
+            expected.append(factor.rank // 2)
+        else:
+            expected.append(factor.rank - 1)
+    found = [0] * len(config.factors)
+    for op in config.simple_raisings:
+        [factor] = [i for i, w in enumerate(config.op_weight_shift(op)) if any(w)]
+        found[factor] += 1
+    assert found == expected
 
 
 def test_product_o_requires_matching_block_sizes():

@@ -16,7 +16,7 @@ from branchbox.dualpair.poly import (apply_operator, apply_to_monomial,
                                      poly_degree)
 from branchbox.errors import UsageError
 
-from .oracles import solve_columns_gauss_jordan
+from .oracles import nullspace_gauss_jordan, solve_columns_gauss_jordan
 
 
 def F(x):
@@ -130,6 +130,45 @@ def test_nullspace_returns_primitive_integer_kernel_vectors(seed):
         assert v[free] > 0
         assert all(v[c] == 0 for c in free_cols if c != free)
         assert _apply_rows(rows, v) == [0] * nrows
+
+
+def _annihilator_like_rows(rng, nrows, ncols):
+    """Tall sparse integer rows with zero rows, duplicate rows, zero and dependent columns."""
+    rows = [[rng.choice((1, -1, 2, -2, 3, -5, 7)) if rng.random() < 0.1 else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randrange(3)):
+        rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+    for _ in range(rng.randrange(4)):
+        src = rng.choice(rows)
+        rows.insert(rng.randrange(len(rows) + 1), [rng.choice((1, -2)) * a for a in src])
+    for k in rng.sample(range(ncols), rng.randrange(ncols // 3 + 1)):
+        if rng.random() < 0.3:  # an all-zero column
+            terms = []
+        else:  # a column that depends on two others
+            terms = [(rng.randrange(ncols), rng.choice((1, -2, 3))) for _ in range(2)]
+        for row in rows:
+            row[k] = sum(c * row[i] for i, c in terms if i != k)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_elimination_matches_gauss_jordan(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randrange(1, 81), rng.randrange(1, 13)
+    rows = _annihilator_like_rows(rng, nrows, ncols)
+    if seed % 4 == 3:  # rational rows: the same kernel, cleared of denominators
+        rows = [[Fraction(a, rng.choice((1, 2, 3, 6))) for a in row] for row in rows]
+    expected = nullspace_gauss_jordan(rows, ncols)
+    assert nullspace(rows, ncols) == expected
+    assert rank(rows) == ncols - len(expected)
+
+
+def test_sparse_elimination_edge_shapes():
+    for rows, ncols in [([[0, 0, 0]], 3), ([[0, 2, 0], [0, 2, 0], [0, -4, 0]], 3),
+                        ([[1, 0, 0, 0]] * 5, 4), ([[0, 3, 0, 6], [0, 0, 0, 0], [0, 1, 0, 2]], 4),
+                        ([[Fraction(1, 2), Fraction(-1, 3), 0], [3, -2, 0]], 3)]:
+        assert nullspace(rows, ncols) == nullspace_gauss_jordan(rows, ncols)
+        assert rank(rows) == ncols - len(nullspace_gauss_jordan(rows, ncols))
 
 
 def test_solve_columns_returns_fractions_on_int_input():
