@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the multiplicity oracle in process at three certification sizes.
+"""Time the multiplicity oracle in process at four certification sizes, every mode included.
 
     PYTHONPATH=src python3 scripts/oracle_ladder.py [REPEAT]
 
@@ -16,13 +16,15 @@ import sys
 import time
 
 from branchbox import jsonio
-from branchbox.dualpair import FULL, MatrixSpaceShape, ProductO, hwv_multiplicities
+from branchbox.dualpair import FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, hwv_multiplicities
 from branchbox.reports import sorted_entries
 
 CASES = [
     ("A(5,2) FULL deg 7", MatrixSpaceShape("A", 5, 2), 7, FULL),
     ("A(9,2) FULL deg 5", MatrixSpaceShape("A", 9, 2), 5, FULL),
     ("A(6,2) ProductO(3,3) deg 6", MatrixSpaceShape("A", 6, 2), 6, ProductO(3, 3)),
+    ("A(7,2+1 split) MOD_IDEAL deg 5", MatrixSpaceShape("A", 7, 2, 1, split_columns=True), 5,
+     MOD_IDEAL),
 ]
 
 

@@ -1,27 +1,29 @@
 """Brute-force multiplicity tables, harmonic dimension counts, and bracket checks.
 
-Everything reduces to exact nullspace or rank computations on weight-space
-blocks: all operators in play are weight-homogeneous for the product torus,
-so each block can be handled on its own.  Highest weight vectors are the
-joint kernel of n+, the Lie algebra of the maximal unipotent subgroup.  n+
-is generated by its simple root vectors, and an operator that kills v
-kills every bracket of operators that kill v, so the multiplicity counts
-cut by the simple-root raisings alone (`SpaceConfig.simple_raisings`); the
-bracket check and the minor certificates keep every raising, because they
-certify the operators themselves.  Raising-operator kernels are only
-computed at dominant weights, and only those blocks are built; a kernel
-vector generates a highest weight module, so nothing is lost, and a nonzero
-kernel at a weight that is not a partition on an orthogonal factor is
-reported as an internal error rather than silently dropped.  Monomials are
-grouped by a packed integer code of their weight (`_weight_codes`), a second
-packed code tests dominance before any weight is decoded
-(`_dominance_codes`), and every row handed to the multiplicity eliminations
-is made of `int`s; `linalg.echelon` eliminates them sparsely.  One builder,
-`_stacked_rows`, turns per-operator images of a block's columns into
-annihilator rows: for the kernel dimensions, for the raisings on the
-harmonic domain in `hwv_multiplicities`, and for the ideal's rank in
-`harmonic_report`.  The bracket check applies each operator to each
-monomial once and builds every commutator from those images.
+Everything reduces to exact rank computations, or exact solves for the
+bracket check, on weight-space blocks: all operators in play are
+weight-homogeneous for the product torus, so each block can be handled on
+its own.  Highest weight vectors are the joint kernel of n+, the Lie algebra
+of the maximal unipotent subgroup.  n+ is generated by its simple root
+vectors, and an operator that kills v kills every bracket of operators that
+kill v, so the multiplicity counts cut by the simple-root raisings alone
+(`SpaceConfig.simple_raisings`); the bracket check and the minor
+certificates keep every raising, because they certify the operators
+themselves.  Each block's multiplicity is one joint kernel: of the simple
+raisings on all polynomials (FULL), and of the Delta family together with
+them on the harmonics, the Deltas' common kernel (MOD_IDEAL, ProductO).
+Raising-operator kernels are only computed at dominant weights, and only
+those blocks are built; a kernel vector generates a highest weight module,
+so nothing is lost, and a nonzero kernel at a weight that is not a partition
+on an orthogonal factor is reported as an internal error rather than
+silently dropped.  Monomials are grouped by a packed integer code of their
+weight (`_weight_codes`), a second packed code tests dominance before any
+weight is decoded (`_dominance_codes`), and every row handed to the
+multiplicity eliminations is made of `int`s; `linalg.echelon` eliminates
+them sparsely.  One builder, `_stacked_rows`, turns per-operator images of a
+block's columns into annihilator rows: for the kernel dimensions and for the
+ideal's rank in `harmonic_report`.  The bracket check applies each operator
+to each monomial once and builds every commutator from those images.
 """
 
 from __future__ import annotations
@@ -36,11 +38,20 @@ from ..partitions import IrrepLabel, as_partition, weight_to_signature
 from ..reports import MultiplicityEntry
 from .configs import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig,
                       TorusFactor, build_config, build_product_config)
-from .linalg import rank, nullspace, solve_columns
+from .linalg import rank, solve_columns
+# Nothing here calls nullspace: the benchmark's tracer (perfbench/tracer.py) wraps
+# the binding `branchbox.dualpair.analysis.nullspace`, and its tests need the name
+# to exist.
+from .linalg import nullspace  # noqa: F401
 from .poly import (Monomial, Operator, Poly, apply_operator, apply_to_monomial,
                    commutator_apply, grevlex_mono_key, monomials_of_degree)
 
 DEFAULT_BUDGET = 20000
+# The most monomials build_buckets enumerates.  It holds every one of them
+# before any block meets the budget, so a large max_degree would exhaust
+# memory first.  A(5,2) at degree 12 is 646,646 monomials: 0.54 s and a
+# 115 MB peak on a 2-vCPU x86_64 VM.
+MAX_MONOMIALS = 1_000_000
 
 
 @dataclass
@@ -142,12 +153,17 @@ def build_buckets(config: SpaceConfig, max_degree: int,
     """Monomials of degree <= max_degree grouped by torus weight, grevlex inside a block.
 
     A weight must fix the degree: a config whose weights put monomials of two
-    degrees in one block is a UsageError.
+    degrees in one block is a UsageError.  More than MAX_MONOMIALS monomials
+    in all is a BudgetError, raised before any is enumerated.
 
     With `dominant_only`, only dominant weights get a block, tested on the
     packed code (`_dominance_codes`) before the weight is decoded; the budget
     still covers every block.
     """
+    count = comb(config.var_count + max_degree, max_degree)
+    if count > MAX_MONOMIALS:
+        raise BudgetError(f"{count} monomials of degree <= {max_degree} in "
+                          f"{config.var_count} variables exceed {MAX_MONOMIALS}")
     codes, decode = _weight_codes(config, max_degree)
     groups: dict[int, list[tuple[int, ...]]] = {}  # code -> variable multisets
     for d in range(max_degree + 1):
@@ -188,16 +204,6 @@ def build_buckets(config: SpaceConfig, max_degree: int,
 def _images(ops, basis: list[Monomial]) -> list[list[Poly]]:
     """Each operator's image of each basis monomial."""
     return [[apply_to_monomial(op, mono) for mono in basis] for op in ops]
-
-
-def _combine(vec: tuple[int, ...], cols: list[Poly]) -> Poly:
-    """The image of sum(vec[j] * basis[j]), given the images cols[j] of the basis."""
-    out: Poly = {}
-    for c, col in zip(vec, cols):
-        if c:
-            for tm, tc in col.items():
-                out[tm] = out.get(tm, 0) + c * tc
-    return out
 
 
 def _stacked_rows(images: list[list[Poly]]) -> list[list[int]]:
@@ -255,31 +261,17 @@ def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
         if mode.n1 + mode.n2 != shape.n:
             raise UsageError(f"ProductO blocks must fill the rows: {mode.n1}+{mode.n2} != {shape.n}")
         config = build_product_config(mode, shape.m)
-        use_harmonics = True
-    elif mode == FULL:
+    elif mode in (FULL, MOD_IDEAL):
         config = build_config(shape)
-        use_harmonics = False
-    elif mode == MOD_IDEAL:
-        config = build_config(shape)
-        use_harmonics = True
     else:
         raise UsageError(f"unknown mode {mode!r}")
+    cutters = config.simple_raisings if mode == FULL else config.deltas + config.simple_raisings
 
     table = build_buckets(config, max_degree, budget, dominant_only=True)
-    raisers = config.simple_raisings
     entries = []
     for d in range(max_degree + 1):
         for key in table.by_degree[d]:
-            basis = table.buckets[key]
-            if use_harmonics and config.deltas:
-                domain = nullspace(_stacked_rows(_images(config.deltas, basis)), len(basis))
-                if not domain:
-                    continue
-                images = [[_combine(vec, cols) for vec in domain]
-                          for cols in _images(raisers, basis)]
-                mult = len(domain) - rank(_stacked_rows(images))
-            else:
-                mult = _kernel_dim(raisers, basis)
+            mult = _kernel_dim(cutters, table.buckets[key])
             if not mult:
                 continue
             labels = _labels_for(config, key)

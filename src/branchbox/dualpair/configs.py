@@ -8,14 +8,17 @@ P(M_{n,m}) tensor P(M_{l,n}), the y block carrying the dual action.
 split_columns variants put two column blocks (sizes m and l) on one grid:
 for Case A this models a tensor product of two G'-factors against one O_n,
 for Case C it models P(M_{n,m} + M_{n,l}) with all variables polynomial.
-build_product_config realizes O_{n1} x O_{n2} inside O_{n1+n2} by switching
-to the block sum of two antidiagonal forms, so each factor acts on its own
-row block.
+Case A and build_product_config share one builder, `_o_gl`: an O factor
+per row block and a GL factor per column block, on the block sum of
+antidiagonal forms.  Case A has one row block; ProductO(n1, n2) has row
+blocks n1 and n2, which realizes O_{n1} x O_{n2} inside O_{n1+n2} with
+each factor acting on its own rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,57 +193,54 @@ def _o_raisings(tag: str, n: int, row_offset: int, cols: list[int], idx) -> list
     return ops
 
 
-def _case_a_like(descriptor: str, n: int, blocks: list[int]) -> SpaceConfig:
-    """O_n against one or two GL column blocks on an n x sum(blocks) grid."""
-    total_cols = sum(blocks)
+def _o_gl(descriptor: str, row_blocks: list[int], col_blocks: list[int]) -> SpaceConfig:
+    """O per row block x GL per column block on M_{sum(row_blocks), sum(col_blocks)}.
+
+    The form is the block sum of antidiagonal forms, one per row block, so
+    each orthogonal factor acts on its own rows with an upper triangular
+    Borel.  The Laplacians and multiplication invariants pair each row with
+    its mate under that form and two columns of one column block.
+    """
+    n, total_cols = sum(row_blocks), sum(col_blocks)
 
     def idx(s, j):
         return (s - 1) * total_cols + (j - 1)
 
-    var_count = n * total_cols
-    var_names = tuple(f"x[{s},{j}]" for s in range(1, n + 1) for j in range(1, total_cols + 1))
     rows = list(range(1, n + 1))
+    all_cols = list(range(1, total_cols + 1))
+    var_names = tuple(f"x[{s},{j}]" for s in rows for j in all_cols)
 
-    factors = [TorusFactor("O", n, n // 2)]
-    o_weights = tuple(_o_row_weight(s, n) for s in rows for _ in range(total_cols))
-    var_weights = [o_weights]
-    col_blocks = []
-    start = 1
-    for size in blocks:
-        cols = list(range(start, start + size))
-        col_blocks.append(cols)
-        start += size
-        factors.append(TorusFactor("GL", size, size))
+    factors, var_weights, k_raise, mate = [], [], [], {}
+    offset = 0
+    for tag, size in zip([""] if len(row_blocks) == 1 else ["t", "b"], row_blocks):
+        factors.append(TorusFactor("O", size, size // 2))
         var_weights.append(tuple(
-            _unit(size, cols.index(j) + 1) if j in cols else _zero(size)
-            for s in rows for j in range(1, total_cols + 1)))
+            _o_row_weight(s - offset, size) if offset < s <= offset + size else _zero(size // 2)
+            for s in rows for _ in all_cols))
+        mate.update((s, 2 * offset + size + 1 - s) for s in range(offset + 1, offset + size + 1))
+        k_raise += _o_raisings(tag, size, offset, all_cols, idx)
+        offset += size
 
     deltas, r2s, eulers, gl_raise = [], [], [], []
-    block_tags = [""] if len(blocks) == 1 else ["a", "b"]
-    for tag, cols in zip(block_tags, col_blocks):
-        size = len(cols)
-        for ci in range(1, size + 1):
-            for cj in range(ci, size + 1):
-                i, j = cols[ci - 1], cols[cj - 1]
-                dterms, rterms = [], []
-                for s in rows:
-                    dmap: dict[int, int] = {}
-                    dmap[idx(s, i)] = dmap.get(idx(s, i), 0) + 1
-                    dmap[idx(n + 1 - s, j)] = dmap.get(idx(n + 1 - s, j), 0) + 1
-                    dterms.append((1, {}, dmap))
-                    xmap: dict[int, int] = {}
-                    xmap[idx(s, i)] = xmap.get(idx(s, i), 0) + 1
-                    xmap[idx(n + 1 - s, j)] = xmap.get(idx(n + 1 - s, j), 0) + 1
-                    rterms.append((1, xmap, {}))
-                deltas.append(make_operator(f"D{tag}[{ci},{cj}]", "delta", dterms))
-                r2s.append(make_operator(f"r2{tag}[{ci},{cj}]", "r2", rterms))
-        eulers.extend(_gl_eulers(tag, cols, idx, rows, Fraction(n, 2)))
-        gl_raise.extend(_gl_raisings(tag, cols, idx, rows))
+    start = 1
+    for tag, size in zip([""] if len(col_blocks) == 1 else ["a", "b"], col_blocks):
+        cols = list(range(start, start + size))
+        start += size
+        factors.append(TorusFactor("GL", size, size))
+        var_weights.append(tuple(_unit(size, j - cols[0] + 1) if j in cols else _zero(size)
+                                 for s in rows for j in all_cols))
+        for ci, i in enumerate(cols, start=1):
+            for cj, j in enumerate(cols[ci - 1:], start=ci):
+                pairs = [Counter((idx(s, i), idx(mate[s], j))) for s in rows]
+                deltas.append(make_operator(f"D{tag}[{ci},{cj}]", "delta",
+                                            [(1, {}, pair) for pair in pairs]))
+                r2s.append(make_operator(f"r2{tag}[{ci},{cj}]", "r2",
+                                         [(1, pair, {}) for pair in pairs]))
+        eulers += _gl_eulers(tag, cols, idx, rows, Fraction(n, 2))
+        gl_raise += _gl_raisings(tag, cols, idx, rows)
 
-    k_raise = _o_raisings("", n, 0, list(range(1, total_cols + 1)), idx)
-    return SpaceConfig(descriptor, var_count, var_names, tuple(factors),
-                       tuple(tuple(w) for w in var_weights),
-                       tuple(deltas), tuple(r2s), tuple(eulers),
+    return SpaceConfig(descriptor, n * total_cols, var_names, tuple(factors),
+                       tuple(var_weights), tuple(deltas), tuple(r2s), tuple(eulers),
                        tuple(k_raise), tuple(gl_raise))
 
 
@@ -416,7 +416,7 @@ def build_config(shape: MatrixSpaceShape, printed_euler_variant: bool = False) -
     if shape.case == "A":
         blocks = [shape.m, shape.l] if shape.split_columns else [shape.m]
         tag = f"A(n={shape.n},m={shape.m}" + (f"+{shape.l} split)" if shape.split_columns else ")")
-        config = _case_a_like(tag, shape.n, blocks)
+        config = _o_gl(tag, [shape.n], blocks)
         if printed_euler_variant:
             if shape.split_columns:
                 raise UsageError("the row-reversed Euler variant applies to one column block")
@@ -436,48 +436,5 @@ def build_product_config(product: ProductO, m: int) -> SpaceConfig:
     form: they belong to the big group O_{n1+n2}, not to the factors, so the
     harmonic quotient models restriction from the big group.
     """
-    n1, n2, n = product.n1, product.n2, product.n1 + product.n2
-
-    def idx(s, j):
-        return (s - 1) * m + (j - 1)
-
-    def mate(s):
-        return n1 + 1 - s if s <= n1 else 2 * n1 + n2 + 1 - s
-
-    rows = list(range(1, n + 1))
-    var_count = n * m
-    var_names = tuple(f"x[{s},{j}]" for s in rows for j in range(1, m + 1))
-    w1, w2 = [], []
-    for s in rows:
-        top = _o_row_weight(s, n1) if s <= n1 else _zero(n1 // 2)
-        bot = _o_row_weight(s - n1, n2) if s > n1 else _zero(n2 // 2)
-        w1.extend([top] * m)
-        w2.extend([bot] * m)
-    gm = tuple(_unit(m, j) for s in rows for j in range(1, m + 1))
-    factors = (TorusFactor("O", n1, n1 // 2), TorusFactor("O", n2, n2 // 2),
-               TorusFactor("GL", m, m))
-
-    deltas, r2s = [], []
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            dterms, rterms = [], []
-            for s in rows:
-                dmap: dict[int, int] = {}
-                dmap[idx(s, i)] = dmap.get(idx(s, i), 0) + 1
-                dmap[idx(mate(s), j)] = dmap.get(idx(mate(s), j), 0) + 1
-                dterms.append((1, {}, dmap))
-                xmap: dict[int, int] = {}
-                xmap[idx(s, i)] = xmap.get(idx(s, i), 0) + 1
-                xmap[idx(mate(s), j)] = xmap.get(idx(mate(s), j), 0) + 1
-                rterms.append((1, xmap, {}))
-            deltas.append(make_operator(f"D[{i},{j}]", "delta", dterms))
-            r2s.append(make_operator(f"r2[{i},{j}]", "r2", rterms))
-
-    eulers = _gl_eulers("", list(range(1, m + 1)), idx, rows, Fraction(n, 2))
-    gl_raise = _gl_raisings("", list(range(1, m + 1)), idx, rows)
-    k_raise = _o_raisings("t", n1, 0, list(range(1, m + 1)), idx)
-    k_raise += _o_raisings("b", n2, n1, list(range(1, m + 1)), idx)
-
-    return SpaceConfig(f"O({n1})xO({n2}) on M({n},{m})", var_count, var_names, factors,
-                       (tuple(w1), tuple(w2), gm), tuple(deltas), tuple(r2s),
-                       tuple(eulers), tuple(k_raise), tuple(gl_raise))
+    n1, n2 = product.n1, product.n2
+    return _o_gl(f"O({n1})xO({n2}) on M({n1 + n2},{m})", [n1, n2], [m])

@@ -355,6 +355,15 @@ def test_verify_help_is_pinned(capsys, monkeypatch, suite, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_oversized_max_degree_exits_2_before_enumerating(capsys):
+    # C(10 + 30, 30) = 847,660,528 monomials: refused on the count alone,
+    # where enumerating them would exhaust memory before any block budget
+    rc, out, err = run(capsys, "verify", "seesaw-a", "--n", "5", "--m", "2",
+                       "--max-degree", "30")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_internal_error_exits_3_in_one_line(capsys):
     # even n outside the stable range: the oracle meets an SO_n weight that is
     # not an O_n label (an open defect), which must not end in a traceback

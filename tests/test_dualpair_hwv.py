@@ -1,9 +1,10 @@
+import hashlib
 import warnings
 from math import comb
 
 import pytest
 
-from branchbox import branch
+from branchbox import branch, jsonio
 from branchbox.dims import dim_o, dim_sp
 from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                                 SpaceConfig, build_buckets, build_config,
@@ -16,6 +17,7 @@ from branchbox.dualpair.poly import apply_to_monomial, grevlex_mono_key
 from branchbox.errors import BudgetError, UsageError
 from branchbox.lr import lr_coefficient
 from branchbox.partitions import Signature, as_partition, enumerate_partitions
+from branchbox.reports import sorted_entries
 
 from .oracles import dominant_weight
 
@@ -98,8 +100,8 @@ HARMONIC_CASES = [
 
 @pytest.mark.parametrize("name,shape,mode", HARMONIC_CASES, ids=[c[0] for c in HARMONIC_CASES])
 def test_harmonic_multiplicity_is_the_joint_kernel(name, shape, mode):
-    # the raisings' kernel on the Delta family's kernel is the joint kernel
-    # of both families on the whole weight block
+    # the oracle's count by the Deltas and the simple raisings is the joint
+    # kernel of the Deltas and every raising on the whole weight block
     if isinstance(mode, ProductO):
         config = build_product_config(mode, shape.m)
     else:
@@ -111,6 +113,66 @@ def test_harmonic_multiplicity_is_the_joint_kernel(name, shape, mode):
         if dim:
             expected[tuple(as_partition(w) for w in key)] = dim
     assert weights_table(hwv_multiplicities(shape, 4, mode)) == expected
+
+
+# sha256 of the entries as the CLI emits them (JSON, label order), recorded
+# while the harmonic modes cut the raisings' kernel out of the Deltas'
+# nullspace; mode None is MOD_IDEAL, a pair is ProductO.  Shapes whose even-n
+# factor raises InternalInvariantError on an SO_n-only weight (ROADMAP item 1)
+# stay out.
+HARMONIC_DIGESTS = [
+    (("A", 1, 2, 0), None, 5, "bea44c5657101b12becff9f86c4fadc1d8a8867d76c7323acf82688e692480f0"),
+    (("A", 3, 1, 0), None, 5, "83942a5998328ba53175929590057c26bb69db20a322efdbcdcacb824bf1a3ed"),
+    (("A", 3, 2, 0), None, 4, "4a9c965f3a3b71dd581f0e7a09af5510750d159f384ccccd43b0a7d0380fd834"),
+    (("A", 3, 3, 0), None, 5, "de194b119bbcd29de442b56cc428528ff9d3b0a0d9a50b016218c786260a562f"),
+    (("A", 5, 1, 0), None, 3, "586569487b87763fd020e5168032ae67d62150ee50272baf75c8a514769a344d"),
+    (("A", 5, 2, 0), None, 5, "d5d2be516a98a276391a81e1e1be6c5cfa4e7bf868812a9963f645a7e1d69c9a"),
+    (("A", 5, 3, 0), None, 4, "c0f90117dcc10bf4649be28b2917b4fc0007f4023fe83f429d55819660192e80"),
+    (("A", 7, 1, 0), None, 5, "552c2bc79bd5ad519430e4796cc0d937bb2a07d1fe9d4f4facf6ab19a1c477b1"),
+    (("A", 7, 2, 0), None, 4, "c4f640fb24b24bf32f2502a56503ac60552fb071da475b21ad6d36b81a65eff5"),
+    (("A", 7, 3, 0), None, 3, "3ae3296878c9b4b4c5c9e319c0c2cd2a49b476d2a7eb49ac2f5cd6db1a34a15c"),
+    (("A", 1, 1, 1), None, 5, "6f2af7d1e771df70ce89ce73302b1ba4f0adad5b6578a52dd2240937ecd8785f"),
+    (("A", 3, 1, 1), None, 5, "f9ee54d73d50cf261604493f12cb6513560f8d4b72e34e2fbc4f0bba7d8f848d"),
+    (("A", 3, 2, 1), None, 4, "074fa722f2ea39f2a6396a8dfbee45a2939f40ece484d060838c9aa03bacdb4e"),
+    (("A", 3, 1, 2), None, 5, "f6f42343239eecdf20f5ee684e52301ea7369298271ecefff1c4a1a8eeffc4ec"),
+    (("A", 5, 1, 1), None, 5, "01c726d8102b074966798e4e197b460a2bc208c3cccc401acb811c8c4395c2ec"),
+    (("A", 5, 2, 1), None, 3, "a53db30a987129b31aa88377e4e04955371d6db4130ea84f66429a16f98e192f"),
+    (("A", 5, 1, 2), None, 4, "69bb1c015220e2cf19c9c8de2965d4aa4a2d6350faddc0779b250f774eb2a205"),
+    (("A", 7, 1, 1), None, 4, "b10a040edaf694d3d9b6b80accde6b4da1bf6f862c41912ca20c1b344a84134c"),
+    (("A", 7, 1, 2), None, 3, "0330327601a2e6be14902ccd6c1aaed5940d74872385fd4ce4c9dacd16189872"),
+    (("A", 2, 1, 0), (1, 1), 5, "580d547a975cfb072b3f88617392a3a8cb1c6de2c911533191eeb51d1d1d90ac"),
+    (("A", 2, 2, 0), (1, 1), 5, "90fabeb479ab4dc98da2c0dadd5ead44353cde96e2fba024435c56e85de734f4"),
+    (("A", 3, 1, 0), (1, 2), 4, "fcb9a1ca0b6be5085c5cc639668fa684f6b3d9c3b05e7cc8383aad0b72e1cfe5"),
+    (("A", 3, 2, 0), (1, 2), 5, "e9f5d44d20b6fbd82a9b1e245437f5efd3aa841b925d87bd5139c07a8debe61a"),
+    (("A", 3, 2, 0), (2, 1), 3, "865a86fc4caf69a4a3af621441adb4c3ecc1cc01914cec9d7a69c8f033c3917e"),
+    (("A", 4, 2, 0), (1, 3), 5, "54e70abdcd9b215102d4e89a94b91d6370148c2ddb54cec448e3039db2fda445"),
+    (("A", 4, 2, 0), (3, 1), 4, "e5269e90738cc724d8595ff5d163e054c941291794923aeeb505eb7ff36b645f"),
+    (("A", 4, 1, 0), (2, 2), 5, "ea12f0e2e1fce783fcd3aba2c26faf5611f38e7d20d3d86c533d8c77c62403ca"),
+    (("A", 4, 2, 0), (2, 2), 5, "7d74f7f4cb0823b3c5d77bcbb06deddab1f32fe5e7321d799d2bd65b61c07145"),
+    (("A", 5, 2, 0), (2, 3), 4, "1479d389c92dde971443cbcd1bb4721631b7ddda0df5a37c39e321eb18026db8"),
+    (("A", 5, 2, 0), (3, 2), 5, "ce12f56357daee4a220bbf630881c12b101ab6ede7d55ee19bd0fcebebdf7856"),
+    (("A", 6, 1, 0), (3, 3), 5, "1dc6357fc1970c2fc03703df9c7d762a0370c956f9214c16ac2d4223cded2b4a"),
+    (("A", 6, 2, 0), (3, 3), 5, "e5b2148f0028f0047f6217c4bc419c3dabc85784891cd38629526b94002153ea"),
+    (("A", 5, 1, 0), (1, 4), 3, "18884d7fd370709edf3f03b3d01c9be5f47a08617219685e1172b9069c7f5db7"),
+    (("A", 5, 1, 0), (4, 1), 5, "bf14e5fbdd2e0ebe4f461204f3084abd336c79d9394e8d5ba8e0502bee4d0e9d"),
+    (("A", 6, 1, 0), (2, 4), 4, "54d5bb22bde65eca0474b16578cffb6ff1febd29849e4b896aafd2ee0456ca42"),
+    (("A", 6, 1, 0), (4, 2), 5, "7e8888e79b4db4e1895df5011b8c5ee7d0fbf3bfa8452ea15ff1082d7814db4a"),
+    (("A", 7, 1, 0), (3, 4), 5, "30edd26bc45531d19a6b81326d17ed82fc2bbf82ead9e09af074a97948ddf7b6"),
+    (("A", 7, 1, 0), (4, 3), 3, "83d5c9467266b073e3651388f38ca1381b36c95929374baaf491bc401339c349"),
+    (("A", 8, 1, 0), (4, 4), 5, "bdb503c3fd895b6b063378df685d57dba9ffc81b826753a43d5932635e2434c2"),
+]
+
+
+@pytest.mark.parametrize("shape,blocks,degree,digest", HARMONIC_DIGESTS,
+                         ids=[f"{s[1:]}{'-' + str(b) if b else ''}-deg{d}"
+                              for s, b, d, _ in HARMONIC_DIGESTS])
+def test_harmonic_multiplicities_are_pinned(shape, blocks, degree, digest):
+    case, n, m, l = shape
+    mode = ProductO(*blocks) if blocks else MOD_IDEAL
+    entries = hwv_multiplicities(MatrixSpaceShape(case, n, m, l, split_columns=bool(l)),
+                                 degree, mode)
+    text = jsonio.dumps([jsonio.entry_json(e) for e in sorted_entries(entries)])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 ALL_RAISINGS_CASES = [

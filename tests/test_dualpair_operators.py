@@ -321,6 +321,47 @@ def test_product_config_shares_form():
 # ---------------------------------------------------------------------------
 # bracket closure
 
+# sha256 of repr() of every config in a grid (every SpaceConfig field, the
+# operators' terms included), recorded while ProductO had a builder of its
+# own: case A plain and printed-Euler over n 1..8, split over n 1..8 with
+# column blocks (m, l), ProductO over n1, n2 in 1..6
+CONFIG_DIGESTS = [
+    ("A", 1, "9a646ca3fe5dbe68163378b2fd9aaa28d67b52400c8c10ad8ee331353a81aa2d"),
+    ("A", 2, "aee1ab7c3a1333307fca0f220e467365ee00dd8eef3ebd0182373af0e40355a4"),
+    ("A", 3, "f78603295aa733141cbfed2760bb943c55830e9ce284f78aeb6f4d368da14a31"),
+    ("A printed", 1, "26d2b84e533bb1298f9c98c89f082e66d2ec2fe0e562560fb6a10b8a661bfa4f"),
+    ("A printed", 2, "9602aceec3246fa95b7ed0257a64b6b57120c8ecde27b8ab3744d8b694df3f0e"),
+    ("A printed", 3, "77bb719832c2a6970dc14ad016b0952d7d6f0c4dda122e1faf64163633ac2caa"),
+    ("A split", (1, 1), "d2df473efdd433546ae23038b4016cc2a484292fab8bebb6ae2dfa592badf863"),
+    ("A split", (1, 2), "fa76114068405e186d9326e0f1fe2919fc894f499797526fec290c3a23aefde6"),
+    ("A split", (2, 1), "2d253879c268214bba318580f4947057eef54ce8b207f361b02425b12b7c1c9e"),
+    ("A split", (2, 2), "ba0ed758d900e1cbcdb3c01db0dfd08b9968749e6dff4fab95413a2331ca667e"),
+    ("A split", (3, 1), "27ad12d5ba0603d780d465df525f6372a25e082ea243a89d984608e637aab192"),
+    ("A split", (3, 2), "4dbab8be29914cdd444c735c89a6334a59cbc77b2c594a1d12ded8142f783c91"),
+    ("ProductO", 1, "6d9947f031f0a164263d667321d845511c28cf25200f648fd8b148667fd3c876"),
+    ("ProductO", 2, "db850344d85c44ca2d270bc501344826e20e3cf6579f8346b08d02ed40753836"),
+    ("ProductO", 3, "b2bc2f760bd3fab2884bcc5cc201dc733243d1b638fb71c44b45299a50ae2ffc"),
+]
+
+
+def _config_grid(kind, cols):
+    if kind == "ProductO":
+        return [build_product_config(ProductO(n1, n2), cols)
+                for n1 in range(1, 7) for n2 in range(1, 7)]
+    if kind == "A split":
+        return [build_config(MatrixSpaceShape("A", n, *cols, split_columns=True))
+                for n in range(1, 9)]
+    return [build_config(MatrixSpaceShape("A", n, cols), printed_euler_variant=kind != "A")
+            for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("kind,cols,digest", CONFIG_DIGESTS,
+                         ids=[f"{k}-{c}" for k, c, _ in CONFIG_DIGESTS])
+def test_orthogonal_configs_are_pinned(kind, cols, digest):
+    text = "".join(repr(config) for config in _config_grid(kind, cols))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_brackets_pass_on_acceptance_shapes():
     for shape in (MatrixSpaceShape("A", 2, 1), MatrixSpaceShape("B", 2, 2),
                   MatrixSpaceShape("C", 2, 1, 1)):
