@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Time the multiplicity oracle in process at four certification sizes, every mode included.
+"""Time the multiplicity oracle in process at four certification sizes, every mode included,
+and two `restrict o` tables larger than the benchmark's.
 
     PYTHONPATH=src python3 scripts/oracle_ladder.py [REPEAT]
 
-Each case calls `hwv_multiplicities` REPEAT times (default 5) and prints
-one line: the case, the median wall seconds (`time.perf_counter`) and the
-sha256 of the result as the CLI would emit it (JSON entries in label
-order), so two source trees can be compared on time and on output.
-Standard library only.
+Each oracle case calls `hwv_multiplicities` REPEAT times (default 5), each
+table case runs its CLI request in process REPEAT times from an empty LR
+memo, as a fresh CLI process would.  Each case prints one line: the case,
+the median wall seconds (`time.perf_counter`) and a sha256: of the result
+as the CLI would emit it (JSON entries in label order) for an oracle case,
+of the request's stdout for a table case.  So two source trees can be
+compared on time and on output.  Standard library only.
 """
 
+import contextlib
 import hashlib
+import io
 import statistics
 import sys
 import time
 
-from branchbox import jsonio
+from branchbox import cli, jsonio, lr
 from branchbox.dualpair import FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, hwv_multiplicities
 from branchbox.reports import sorted_entries
 
@@ -26,6 +31,15 @@ CASES = [
     ("A(7,2+1 split) MOD_IDEAL deg 5", MatrixSpaceShape("A", 7, 2, 1, split_columns=True), 5,
      MOD_IDEAL),
 ]
+TABLE_CASES = [
+    ("restrict o 5,4,3,2 n=m=9", ["restrict", "o", "--lam", "5,4,3,2", "--n", "9", "--m", "9"]),
+    ("restrict o 4,3,3,2 n=m=9", ["restrict", "o", "--lam", "4,3,3,2", "--n", "9", "--m", "9"]),
+]
+
+
+def _report(name: str, times: list[float], text: str) -> None:
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    print(f"{name}\t{statistics.median(times):.3f}\t{sha}")
 
 
 def main(argv=None) -> int:
@@ -40,9 +54,20 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             entries = hwv_multiplicities(shape, degree, mode)
             times.append(time.perf_counter() - start)
-        text = jsonio.dumps([jsonio.entry_json(e) for e in sorted_entries(entries)])
-        sha = hashlib.sha256(text.encode()).hexdigest()
-        print(f"{name}\t{statistics.median(times):.3f}\t{sha}")
+        _report(name, times, jsonio.dumps([jsonio.entry_json(e) for e in sorted_entries(entries)]))
+    for name, request in TABLE_CASES:
+        times = []
+        for _ in range(repeat):
+            lr.clear_cache()
+            out = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(request)
+            times.append(time.perf_counter() - start)
+            if code:
+                print(f"{name}: exit {code}", file=sys.stderr)
+                return 1
+        _report(name, times, out.getvalue())
     return 0
 
 

@@ -212,6 +212,8 @@ def o_restrict_kernel(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     The restriction factors through its GL intermediate tau, |tau| = |mu|+|nu|:
     sum over tau of c^tau_{mu,nu} times the even-row sum of c^lam_{tau,delta}.
+    This gathers one value; `o_restrict_table` scatters the same sum over
+    every (mu, nu) at once and is what a whole table should use.
     """
     size = sum(mu) + sum(nu)
     rest = sum(lam) - size
@@ -223,6 +225,32 @@ def o_restrict_kernel(lam: Partition, mu: Partition, nu: Partition) -> int:
         if c:
             total += c * _even_row_sum(lam, tau)
     return total
+
+
+def o_restrict_table(lam: Partition) -> dict[tuple[Partition, Partition], int]:
+    """Every nonzero o_restrict_kernel(lam, mu, nu), keyed by (mu, nu), on a checked lam.
+
+    One scatter over the GL intermediates tau <= lam with |lam| - |tau| even:
+    the even-row sum E_lam(tau) is computed once per tau, and when it is
+    nonzero c^tau_{mu,nu} * E_lam(tau) is added to every (mu, nu) with
+    mu, nu <= tau and |mu| + |nu| = |tau|.  Every term is positive, so no
+    cell is zero.  Admissibility of mu and nu is left to the caller.
+    """
+    table: dict[tuple[Partition, Partition], int] = {}
+    size = sum(lam)
+    for t in range(size % 2, size + 1, 2):
+        for tau in partitions_between((), lam, t):
+            weight = _even_row_sum(lam, tau)
+            if not weight:
+                continue
+            for k in range(t + 1):
+                nus = list(partitions_between((), tau, t - k))
+                for mu in partitions_between((), tau, k):
+                    for nu in nus:
+                        c = lr_kernel(tau, mu, nu)
+                        if c:
+                            table[mu, nu] = table.get((mu, nu), 0) + c * weight
+    return table
 
 
 def gl_tensor_rational(mu: Signature, nu: Signature, lam: Signature, n: int) -> int:

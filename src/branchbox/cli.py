@@ -17,11 +17,19 @@ the same table.
 The argument parser is built once per process, on the first `main` call.  A
 `restrict o` or `tensor sp` table checks its fixed labels and applies the
 stable-range gate once, in the table handler (so under `--stable-policy warn`
-it emits one StableRangeWarning), then maps the trusted kernel over keys that
-are canonical and admissible by construction.  A `tensor o` table still
-evaluates each entry through `branch.o_tensor_stable`, which checks and gates
-every entry: the benchmark's tests plant wrong values in that binding and
-expect the table to show them.
+it emits one StableRangeWarning).  A `tensor sp` table then maps the trusted
+kernel over keys that are canonical and admissible by construction.  A
+`restrict o` table is one scatter, `branch.o_restrict_table`: each GL
+intermediate tau <= lam carries its even-row sum E_lam(tau), computed once,
+into every cell (mu, nu) with c^tau_{mu,nu} > 0, and the handler keeps the
+cells whose mu and nu are admissible O_n and O_m labels.  A single value
+still gathers its one sum through `branch.o_restrict_stable`.  A `tensor o`
+table still evaluates each entry through `branch.o_tensor_stable`, which
+checks and gates every entry: the benchmark's tests plant wrong values in
+that binding and expect the table to show them.
+
+Each handler hands `_emit` one callable per rendering, so only the
+requested format is built.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .dims import hilbert_check
 from .dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                        hwv_multiplicities, verify_brackets)
 from .errors import BudgetError, InternalInvariantError, StableRangeError, UsageError
-from .partitions import (IrrepLabel, enumerate_partitions,
+from .partitions import (IrrepLabel, admissible_o_kernel, enumerate_partitions,
                          is_admissible_o, partitions_of)
 from .reports import MultiplicityEntry, labels_sort_key, sorted_entries
 
@@ -54,16 +62,22 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _emit(cfg: RunConfig, json_obj, csv_text: str) -> None:
+def _emit(cfg: RunConfig, to_json: Callable[[], object], to_csv: Callable[[], str]) -> None:
+    """Write the requested rendering; only that one is built."""
     if cfg.output_format == "json":
-        sys.stdout.write(jsonio.dumps(json_obj) + "\n")
+        sys.stdout.write(jsonio.dumps(to_json()) + "\n")
     else:
-        sys.stdout.write(csv_text)
+        sys.stdout.write(to_csv())
+
+
+def _emit_value(cfg: RunConfig, value: int, stable: bool | None = None) -> None:
+    _emit(cfg, lambda: jsonio.value_json(value, stable), lambda: jsonio.value_csv(value, stable))
 
 
 def _emit_entries(cfg: RunConfig, entries: Sequence[MultiplicityEntry]) -> None:
     entries = sorted_entries(entries)
-    _emit(cfg, [jsonio.entry_json(e) for e in entries], jsonio.entries_csv(entries))
+    _emit(cfg, lambda: [jsonio.entry_json(e) for e in entries],
+          lambda: jsonio.entries_csv(entries))
 
 
 def _require_positive(**named: int) -> None:
@@ -100,8 +114,7 @@ def _cmd_lr(args, cfg: RunConfig) -> int:
     lam = jsonio.parse_partition(args.lam)
     mu = jsonio.parse_partition(args.mu)
     nu = jsonio.parse_partition(args.nu)
-    value = lr.lr_coefficient(lam, mu, nu)
-    _emit(cfg, jsonio.value_json(value), jsonio.value_csv(value))
+    _emit_value(cfg, lr.lr_coefficient(lam, mu, nu))
     return 0
 
 
@@ -116,7 +129,7 @@ def _cmd_branch(args, cfg: RunConfig) -> int:
     else:
         value = branch.gl_to_sp(lam, mu, args.n, policy)
         stable = branch.gl_to_sp_stable(lam, args.n)
-    _emit(cfg, jsonio.value_json(value, stable), jsonio.value_csv(value, stable))
+    _emit_value(cfg, value, stable)
     return 0
 
 
@@ -137,8 +150,7 @@ def _cmd_tensor(args, cfg: RunConfig) -> int:
         bound = branch.sp_tensor_bound(mu, nu)
         admissible = lambda lam: len(lam) <= n
     if args.lam is not None:
-        value = single(mu, nu, jsonio.parse_partition(args.lam), n, policy)
-        _emit(cfg, jsonio.value_json(value, stable), jsonio.value_csv(value, stable))
+        _emit_value(cfg, single(mu, nu, jsonio.parse_partition(args.lam), n, policy), stable)
         return 0
     if cfg.stable_policy == "enforce" and not stable:
         raise StableRangeError(f"outside the stable range: requires {bound}")
@@ -158,8 +170,7 @@ def _cmd_tensor_rational(args, cfg: RunConfig) -> int:
     mu = jsonio.parse_signature(args.mu)
     nu = jsonio.parse_signature(args.nu)
     lam = jsonio.parse_signature(args.lam)
-    value = branch.gl_tensor_rational(mu, nu, lam, args.n)
-    _emit(cfg, jsonio.value_json(value), jsonio.value_csv(value))
+    _emit_value(cfg, branch.gl_tensor_rational(mu, nu, lam, args.n))
     return 0
 
 
@@ -174,16 +185,15 @@ def _cmd_restrict(args, cfg: RunConfig) -> int:
     if args.mu is not None:
         mu = jsonio.parse_partition(args.mu)
         nu = jsonio.parse_partition(args.nu)
-        value = branch.o_restrict_stable(lam, mu, nu, n, m, policy)
-        _emit(cfg, jsonio.value_json(value, stable), jsonio.value_csv(value, stable))
+        _emit_value(cfg, branch.o_restrict_stable(lam, mu, nu, n, m, policy), stable)
         return 0
     if cfg.stable_policy == "enforce" and not stable:
         raise StableRangeError(
             f"outside the stable range: requires {branch.o_restrict_bound(lam)}")
     branch.check_o_restrict(lam, n, m, policy)
     entries = [MultiplicityEntry((IrrepLabel("O", n, mu), IrrepLabel("O", m, nu)), v, stable)
-               for mu, nu in _restrict_targets(lam, n, m)
-               for v in [branch.o_restrict_kernel(lam, mu, nu)] if v]
+               for (mu, nu), v in branch.o_restrict_table(lam).items()
+               if admissible_o_kernel(mu, n) and admissible_o_kernel(nu, m)]
     _emit_entries(cfg, entries)
     return 0
 
@@ -277,23 +287,24 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                     value, oracle.get(key, 0))
                    for key, value in values.items()),
                   key=lambda row: labels_sort_key(row[0]))
-    report = jsonio.verify_json(args.suite, {**p, "max_degree": deg}, rows)
-    _emit(cfg, report, jsonio.verify_csv(rows))
-    return _verdict(args.suite, len(rows), sum(1 for e in report["entries"] if not e["pass"]))
+    _emit(cfg, lambda: jsonio.verify_json(args.suite, {**p, "max_degree": deg}, rows),
+          lambda: jsonio.verify_csv(rows))
+    return _verdict(args.suite, len(rows), sum(1 for row in rows if row[1] != row[2]))
 
 
 def _cmd_verify_brackets(args, cfg: RunConfig) -> int:
     _require_positive(n=args.n, m=args.m)
     shape = MatrixSpaceShape(args.case.upper(), args.n, args.m, args.l or 0)
     report = verify_brackets(shape)
-    _emit(cfg, jsonio.bracket_report_json(report), jsonio.bracket_report_csv(report))
+    _emit(cfg, lambda: jsonio.bracket_report_json(report),
+          lambda: jsonio.bracket_report_csv(report))
     return _verdict("brackets", len(report.entries), len(report.failures))
 
 
 def _cmd_hilbert(args, cfg: RunConfig) -> int:
     _require_positive(n=args.n, m=args.m)
     ok, series = hilbert_check(args.n, args.m, cfg.max_degree)
-    _emit(cfg, jsonio.hilbert_json(ok, series), jsonio.hilbert_csv(ok, series))
+    _emit(cfg, lambda: jsonio.hilbert_json(ok, series), lambda: jsonio.hilbert_csv(ok, series))
     return 0 if ok else 1
 
 

@@ -47,11 +47,19 @@ from .poly import (Monomial, Operator, Poly, apply_operator, apply_to_monomial,
                    commutator_apply, grevlex_mono_key, monomials_of_degree)
 
 DEFAULT_BUDGET = 20000
-# The most monomials build_buckets enumerates.  It holds every one of them
-# before any block meets the budget, so a large max_degree would exhaust
-# memory first.  A(5,2) at degree 12 is 646,646 monomials: 0.54 s and a
-# 115 MB peak on a 2-vCPU x86_64 VM.
+# The most monomials build_buckets and harmonic_isotypic_dims enumerate.
+# Each holds every one of them before any block meets the budget, so a
+# large max_degree would exhaust memory first.  A(5,2) at degree 12 is
+# 646,646 monomials: 0.54 s and a 115 MB peak on a 2-vCPU x86_64 VM.
 MAX_MONOMIALS = 1_000_000
+
+
+def _check_monomial_count(config: SpaceConfig, max_degree: int) -> None:
+    """BudgetError if more than MAX_MONOMIALS monomials have degree <= max_degree."""
+    count = comb(config.var_count + max_degree, max_degree)
+    if count > MAX_MONOMIALS:
+        raise BudgetError(f"{count} monomials of degree <= {max_degree} in "
+                          f"{config.var_count} variables exceed {MAX_MONOMIALS}")
 
 
 @dataclass
@@ -160,10 +168,7 @@ def build_buckets(config: SpaceConfig, max_degree: int,
     packed code (`_dominance_codes`) before the weight is decoded; the budget
     still covers every block.
     """
-    count = comb(config.var_count + max_degree, max_degree)
-    if count > MAX_MONOMIALS:
-        raise BudgetError(f"{count} monomials of degree <= {max_degree} in "
-                          f"{config.var_count} variables exceed {MAX_MONOMIALS}")
+    _check_monomial_count(config, max_degree)
     codes, decode = _weight_codes(config, max_degree)
     groups: dict[int, list[tuple[int, ...]]] = {}  # code -> variable multisets
     for d in range(max_degree + 1):
@@ -526,11 +531,14 @@ def harmonic_isotypic_dims(shape: MatrixSpaceShape, max_degree: int,
     mixed), then cuts by the Delta family and the GL-side simple raisings.
     In the stable range the kernel at weight lambda is a single copy of
     the orthogonal or symplectic irreducible labelled lambda, so its
-    dimension cross-checks the Weyl dimension formulas.
+    dimension cross-checks the Weyl dimension formulas.  More than
+    MAX_MONOMIALS monomials in all is a BudgetError, raised before any is
+    enumerated, as in `build_buckets`.
     """
     if shape.split_columns or shape.case == "C":
         raise UsageError("isotypic dimensions apply to the two-factor cases A and B")
     config = build_config(shape)
+    _check_monomial_count(config, max_degree)
     groups: dict[tuple[int, ...], list[Monomial]] = {}
     for d in range(max_degree + 1):
         for mono in monomials_of_degree(config.var_count, d):

@@ -130,9 +130,12 @@ def is_admissible_o(nu: Iterable[int], n: int) -> bool:
     p = as_partition(nu)
     if n < 0:
         raise UsageError("n must be nonnegative")
-    c1 = len(p)
-    c2 = sum(1 for a in p if a >= 2)
-    return c1 + c2 <= n
+    return admissible_o_kernel(p, n)
+
+
+def admissible_o_kernel(p: Partition, n: int) -> bool:
+    """is_admissible_o on a canonical partition, which it trusts and does not re-check."""
+    return len(p) + sum(1 for a in p if a >= 2) <= n
 
 
 def associate_o(nu: Iterable[int], n: int) -> Partition:

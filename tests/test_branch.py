@@ -11,7 +11,8 @@ from branchbox.branch import (ENFORCE, WARN_AND_COMPUTE, _shifted_lr,
                               sp_tensor_stable)
 from branchbox.errors import (LabelError, StableRangeError, StableRangeWarning)
 from branchbox.lr import lr_coefficient, lr_multi
-from branchbox.partitions import Signature, enumerate_partitions, even_row_partitions
+from branchbox.partitions import (Signature, contains, enumerate_partitions,
+                                  even_row_partitions)
 
 small_partitions = st.lists(st.integers(1, 3), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
@@ -61,6 +62,23 @@ def test_o_restrict_factors_through_gl_intermediate():
                 assert o_restrict_stable(lam, mu, nu, 9, 9) == want, (lam, mu, nu)
                 checked += 1
     assert checked > 7000
+
+
+def test_restrict_table_takes_each_even_row_sum_once(monkeypatch):
+    # one E_lam(tau) per tau <= lam with |lam| - |tau| even, and no other
+    calls = []
+    even_row_sum = branch._even_row_sum
+
+    def counted(lam, tau):
+        calls.append((lam, tau))
+        return even_row_sum(lam, tau)
+
+    monkeypatch.setattr(branch, "_even_row_sum", counted)
+    lam = (4, 3, 1)
+    branch.o_restrict_table(lam)
+    want = [(lam, tau) for tau in enumerate_partitions(sum(lam), max_length=len(lam))
+            if contains(lam, tau) and (sum(lam) - sum(tau)) % 2 == 0]
+    assert sorted(calls) == sorted(want)
 
 
 def test_gl_tensor_rational_examples():

@@ -9,6 +9,7 @@ import pytest
 from branchbox import branch, cli, lr
 from branchbox.cli import main
 from branchbox.errors import StableRangeWarning
+from branchbox.partitions import enumerate_partitions, is_admissible_o
 
 
 def run(capsys, *argv, ignore_warnings=False):
@@ -135,12 +136,46 @@ PINNED_TABLES = [
      "ad5a000ceb74a612594baf55f98b4917475067338f6e881ef360d3cd56ae5b16"),
 ]
 
+# sha256 of the full stdout, recorded while a restrict o table gathered each
+# cell through branch.o_restrict_kernel and every handler built both renderings
+PINNED_LARGER = [
+    (("restrict", "o", "--lam", "5,4,3,2", "--n", "9", "--m", "9"),
+     "6ea6317a18bf9b77d80f1a34a867fb1bba3c5aac0a6345e0b161601b9b54a8ba"),
+    (("restrict", "o", "--lam", "5,4,3,2", "--n", "9", "--m", "9", "--output-format", "csv"),
+     "9800b643fb4787b7065d160f54fc7d22f142c1969f6c03f3ac44812df4d0df40"),
+    (("restrict", "o", "--lam", "2,2,1", "--n", "3", "--m", "4", "--stable-policy", "warn"),
+     "f96d91650483bf62b9d4f9b99f2a834229c056b925c23f13509c2409f4fea95d"),
+    (("verify", "restrict-o", "--n", "5", "--l", "5", "--m", "2", "--max-degree", "4",
+      "--output-format", "csv"),
+     "c51aaaac9689776a0e4bfed8a5f6fa0c1ec3ce2e52b151209a56d43c939ee832"),
+]
 
-@pytest.mark.parametrize("argv,digest", PINNED_TABLES)
+
+@pytest.mark.parametrize("argv,digest", PINNED_TABLES + PINNED_LARGER)
 def test_table_output_is_pinned(capsys, argv, digest):
-    rc, out, _ = run(capsys, *argv)
+    rc, out, _ = run(capsys, *argv, ignore_warnings=True)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,m", [(9, 9), (3, 4)])
+def test_restrict_table_scatter_equals_the_gather(capsys, n, m):
+    # every lam with |lam| <= 8 and at most 4 rows; (9, 9) is stable for all
+    # of them, (3, 4) is not and its admissibility filter drops cells
+    for lam in enumerate_partitions(8, max_length=4):
+        if not is_admissible_o(lam, n + m):
+            continue
+        rc, out, _ = run(capsys, "restrict", "o", "--lam", ",".join(map(str, lam)),
+                         "--n", str(n), "--m", str(m), "--stable-policy", "warn",
+                         ignore_warnings=True)
+        assert rc == 0
+        table = {tuple(tuple(lab["weight"]) for lab in row["labels"]): row["mult"]
+                 for row in json.loads(out)}
+        targets = cli._restrict_targets(lam, n, m)
+        gathered = {(mu, nu): v for mu, nu in targets
+                    for v in [branch.o_restrict_kernel(lam, mu, nu)] if v}
+        assert table.keys() <= set(targets), lam
+        assert table == gathered, lam
 
 
 def _single_argv(argv, labels):

@@ -407,6 +407,13 @@ def test_harmonic_isotypic_dims_match_weyl_formula():
     assert (1,) in iso and (2,) in iso
 
 
+def test_harmonic_isotypic_dims_refuses_before_enumerating():
+    # C(40, 30) = 847,660,528 monomials: enumerating them would exhaust memory
+    with pytest.raises(BudgetError, match="^847660528 monomials of degree <= 30 in 10 "
+                                          "variables exceed 1000000$"):
+        harmonic_isotypic_dims(MatrixSpaceShape("A", 5, 2), 30)
+
+
 def test_harmonic_isotypic_dims_case_b():
     iso = harmonic_isotypic_dims(MatrixSpaceShape("B", 3, 1), 3)
     for lam, got in iso.items():
