@@ -4,10 +4,10 @@ The formula side (`branch`, `lr`, `schur`, `dims`) computes branching and
 tensor multiplicities through Littlewood-Richardson combinatorics, valid in
 explicitly policed stable ranges.  The oracle side (`dualpair`) recomputes
 the same numbers with no combinatorics at all, by exact linear algebra on
-polynomial models: joint highest weight vectors are found as nullspaces of
-lowering and raising operators acting on graded monomial bases.  The two
-sides share nothing except the partition type, so agreement is meaningful
-verification.
+polynomial models: joint highest weight vectors are counted as the joint
+kernel of raising (and Laplace) operators on each weight block of a graded
+monomial basis.  The two sides share nothing except the partition type, so
+agreement is meaningful verification.
 """
 
 from .branch import (ENFORCE, WARN_AND_COMPUTE, StablePolicy, gl_tensor_rational,

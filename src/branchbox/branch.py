@@ -4,6 +4,9 @@ Each operation is a finite Littlewood-Richardson sum.  The answers are exact
 and n-independent once the rank clears the stated stable bound; below the
 bound the formulas are not guaranteed, so a policy decides between raising
 and computing anyway with a warning.
+
+Each formula's bound is written once, as a rule (`gl_to_o_range` ...) that
+returns the text of the bound a request misses, or None in the stable range.
 """
 
 from __future__ import annotations
@@ -39,13 +42,20 @@ ENFORCE = StablePolicy("enforce")
 WARN_AND_COMPUTE = StablePolicy("warn_and_compute")
 
 
-def _gate(ok: bool, bound: str, policy: StablePolicy) -> None:
-    if ok:
-        return
-    if policy.mode == "enforce":
-        raise StableRangeError(f"outside the stable range: requires {bound}")
-    warnings.warn(f"computing outside the stable range ({bound})", StableRangeWarning,
+def refuse(need: str | None, policy: StablePolicy) -> bool:
+    """The stable flag, need is None; a request that misses `need` raises under ENFORCE."""
+    if need is not None and policy.mode == "enforce":
+        raise StableRangeError(f"outside the stable range: requires {need}")
+    return need is None
+
+
+def _gate(need: str | None, policy: StablePolicy) -> bool:
+    """`refuse`, and a warning for a request computed outside the stable range."""
+    if refuse(need, policy):
+        return True
+    warnings.warn(f"computing outside the stable range ({need})", StableRangeWarning,
                   stacklevel=3)
+    return False
 
 
 def _check_o(label: Partition, n: int) -> None:
@@ -58,12 +68,9 @@ def _check_sp(label: Partition, n: int) -> None:
         raise LabelError(f"{label} has more than {n} rows (Sp rank {n})")
 
 
-def gl_to_o_bound(lam) -> str:
-    return f"n > 2*len(lam) = {2 * len(as_partition(lam))}"
-
-
-def gl_to_o_stable(lam, n: int) -> bool:
-    return n > 2 * len(as_partition(lam))
+def gl_to_o_range(lam, n: int) -> str | None:
+    rows = len(as_partition(lam))
+    return None if n > 2 * rows else f"n > 2*len(lam) = {2 * rows}"
 
 
 def gl_to_o(lam, mu, n: int, policy: StablePolicy = ENFORCE) -> int:
@@ -72,7 +79,7 @@ def gl_to_o(lam, mu, n: int, policy: StablePolicy = ENFORCE) -> int:
     if len(lam) > n:
         raise LabelError(f"{lam} has more than {n} rows")
     _check_o(mu, n)
-    _gate(gl_to_o_stable(lam, n), gl_to_o_bound(lam), policy)
+    _gate(gl_to_o_range(lam, n), policy)
     return _even_row_sum(lam, mu)
 
 
@@ -85,12 +92,9 @@ def _even_row_sum(lam: Partition, tau: Partition) -> int:
                for delta in even_row_partitions(rest, len(lam)))
 
 
-def gl_to_sp_bound(lam) -> str:
-    return f"n >= len(lam) = {len(as_partition(lam))}"
-
-
-def gl_to_sp_stable(lam, n: int) -> bool:
-    return n >= len(as_partition(lam))
+def gl_to_sp_range(lam, n: int) -> str | None:
+    rows = len(as_partition(lam))
+    return None if n >= rows else f"n >= len(lam) = {rows}"
 
 
 def gl_to_sp(lam, mu, n: int, policy: StablePolicy = ENFORCE) -> int:
@@ -99,7 +103,7 @@ def gl_to_sp(lam, mu, n: int, policy: StablePolicy = ENFORCE) -> int:
     if len(lam) > 2 * n:
         raise LabelError(f"{lam} has more than {2 * n} rows")
     _check_sp(mu, n)
-    _gate(gl_to_sp_stable(lam, n), gl_to_sp_bound(lam), policy)
+    _gate(gl_to_sp_range(lam, n), policy)
     rest = sum(lam) - sum(mu)
     if rest < 0 or rest % 2:
         return 0
@@ -141,12 +145,9 @@ def _under(inner, outer) -> bool:
     return len(inner) <= len(outer) and all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
-def o_tensor_bound(mu, nu) -> str:
-    return f"n > 2*(len(mu)+len(nu)) = {2 * (len(as_partition(mu)) + len(as_partition(nu)))}"
-
-
-def o_tensor_stable_range(mu, nu, n: int) -> bool:
-    return n > 2 * (len(as_partition(mu)) + len(as_partition(nu)))
+def o_tensor_range(mu, nu, n: int) -> str | None:
+    rows = len(as_partition(mu)) + len(as_partition(nu))
+    return None if n > 2 * rows else f"n > 2*(len(mu)+len(nu)) = {2 * rows}"
 
 
 def o_tensor_stable(mu, nu, lam, n: int, policy: StablePolicy = ENFORCE) -> int:
@@ -154,16 +155,13 @@ def o_tensor_stable(mu, nu, lam, n: int, policy: StablePolicy = ENFORCE) -> int:
     mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
     for label in (mu, nu, lam):
         _check_o(label, n)
-    _gate(o_tensor_stable_range(mu, nu, n), o_tensor_bound(mu, nu), policy)
+    _gate(o_tensor_range(mu, nu, n), policy)
     return tensor_kernel(mu, nu, lam)
 
 
-def sp_tensor_bound(mu, nu) -> str:
-    return f"n > len(mu)+len(nu) = {len(as_partition(mu)) + len(as_partition(nu))}"
-
-
-def sp_tensor_stable_range(mu, nu, n: int) -> bool:
-    return n > len(as_partition(mu)) + len(as_partition(nu))
+def sp_tensor_range(mu, nu, n: int) -> str | None:
+    rows = len(as_partition(mu)) + len(as_partition(nu))
+    return None if n > rows else f"n > len(mu)+len(nu) = {rows}"
 
 
 def sp_tensor_stable(mu, nu, lam, n: int, policy: StablePolicy = ENFORCE) -> int:
@@ -171,24 +169,26 @@ def sp_tensor_stable(mu, nu, lam, n: int, policy: StablePolicy = ENFORCE) -> int
     mu, nu, lam = as_partition(mu), as_partition(nu), as_partition(lam)
     for label in (mu, nu, lam):
         _check_sp(label, n)
-    _gate(sp_tensor_stable_range(mu, nu, n), sp_tensor_bound(mu, nu), policy)
+    _gate(sp_tensor_range(mu, nu, n), policy)
     return tensor_kernel(mu, nu, lam)
 
 
 def check_sp_tensor(mu: Partition, nu: Partition, n: int,
-                    policy: StablePolicy = ENFORCE) -> None:
-    """Check the canonical factors of an Sp_{2n} tensor table and gate it, once per table."""
+                    policy: StablePolicy = ENFORCE) -> bool:
+    """Gate an Sp_{2n} tensor table once and check its canonical factors; the stable flag.
+
+    Under ENFORCE an unstable table is refused before its labels are checked.
+    """
+    need = sp_tensor_range(mu, nu, n)
+    refuse(need, policy)
     _check_sp(mu, n)
     _check_sp(nu, n)
-    _gate(sp_tensor_stable_range(mu, nu, n), sp_tensor_bound(mu, nu), policy)
+    return _gate(need, policy)
 
 
-def o_restrict_bound(lam) -> str:
-    return f"min(n, m) > 2*len(lam) = {2 * len(as_partition(lam))}"
-
-
-def o_restrict_stable_range(lam, n: int, m: int) -> bool:
-    return min(n, m) > 2 * len(as_partition(lam))
+def o_restrict_range(lam, n: int, m: int) -> str | None:
+    rows = len(as_partition(lam))
+    return None if min(n, m) > 2 * rows else f"min(n, m) > 2*len(lam) = {2 * rows}"
 
 
 def o_restrict_stable(lam, mu, nu, n: int, m: int, policy: StablePolicy = ENFORCE) -> int:
@@ -197,14 +197,19 @@ def o_restrict_stable(lam, mu, nu, n: int, m: int, policy: StablePolicy = ENFORC
     _check_o(lam, n + m)
     _check_o(mu, n)
     _check_o(nu, m)
-    _gate(o_restrict_stable_range(lam, n, m), o_restrict_bound(lam), policy)
+    _gate(o_restrict_range(lam, n, m), policy)
     return o_restrict_kernel(lam, mu, nu)
 
 
-def check_o_restrict(lam: Partition, n: int, m: int, policy: StablePolicy = ENFORCE) -> None:
-    """Check the canonical lam of an O_{n+m} restriction table and gate it, once per table."""
+def check_o_restrict(lam: Partition, n: int, m: int, policy: StablePolicy = ENFORCE) -> bool:
+    """Gate an O_{n+m} restriction table once and check its canonical lam; the stable flag.
+
+    Under ENFORCE an unstable table is refused before lam is checked.
+    """
+    need = o_restrict_range(lam, n, m)
+    refuse(need, policy)
     _check_o(lam, n + m)
-    _gate(o_restrict_stable_range(lam, n, m), o_restrict_bound(lam), policy)
+    return _gate(need, policy)
 
 
 def o_restrict_kernel(lam: Partition, mu: Partition, nu: Partition) -> int:

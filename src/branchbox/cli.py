@@ -1,23 +1,26 @@
 """Batch front door: multiplicity tables, verification suites, reports.
 
 Exit status: 0 on success (and all-PASS for verification suites), 1 when any
-verification entry fails, 2 on usage or stable-range errors, 3 on an
-internal invariant error (a bug, reported in one line).  Table rows are
+verification entry fails, 2 on usage, stable-range or size-budget errors, 3
+on an internal invariant error (a bug, reported in one line).  Table rows are
 always assembled and sorted by graded-revlex label keys before emission, so
 output is byte-identical for identical inputs.
 
 Every formula-vs-oracle suite is one `Suite` row of `SUITES`: its flags, the
 label families, the label grid, the formula and the polynomial model.  One
-driver, `_cmd_verify`, evaluates the formula over the sorted grid (so
-`--stable-policy enforce` refuses before the oracle runs), counts highest
-weight vectors in the model, evaluates the formula on oracle-only labels
-too, and compares entry by entry.  The `verify` subparsers are built from
-the same table.
+driver, `_cmd_verify`, checks the model's monomial count (so an oversized
+request is refused before any work), evaluates the formula over the sorted
+grid (so `--stable-policy enforce` refuses before the oracle runs), counts
+highest weight vectors in the model, evaluates the formula on oracle-only
+labels too, and compares entry by entry.  The `verify` subparsers are built
+from the same table.
 
-The argument parser is built once per process, on the first `main` call.  A
-`restrict o` or `tensor sp` table checks its fixed labels and applies the
-stable-range gate once, in the table handler (so under `--stable-policy warn`
-it emits one StableRangeWarning).  A `tensor sp` table then maps the trusted
+No refusal is decided here: `branch` owns the stable range (handlers read
+the `stable` flag from its rules and table checks) and `dualpair` the size
+budgets.  The argument parser is built once per process, on the first
+`main` call.  A `restrict o` or `tensor sp` table is gated once, by
+`branch.check_o_restrict` or `branch.check_sp_tensor`, so under `warn` it
+emits one StableRangeWarning.  A `tensor sp` table then maps the trusted
 kernel over keys that are canonical and admissible by construction.  A
 `restrict o` table is one scatter, `branch.o_restrict_table`: each GL
 intermediate tau <= lam carries its even-row sum E_lam(tau), computed once,
@@ -25,8 +28,8 @@ into every cell (mu, nu) with c^tau_{mu,nu} > 0, and the handler keeps the
 cells whose mu and nu are admissible O_n and O_m labels.  A single value
 still gathers its one sum through `branch.o_restrict_stable`.  A `tensor o`
 table still evaluates each entry through `branch.o_tensor_stable`, which
-checks and gates every entry: the benchmark's tests plant wrong values in
-that binding and expect the table to show them.
+checks and gates every entry (after one `branch.refuse`): the benchmark's
+tests plant wrong values in that binding and expect the table to show them.
 
 Each handler hands `_emit` one callable per rendering, so only the
 requested format is built.
@@ -37,12 +40,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import branch, jsonio, lr
 from .dims import hilbert_check
-from .dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
+from .dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, check_monomial_count,
                        hwv_multiplicities, verify_brackets)
 from .errors import BudgetError, InternalInvariantError, StableRangeError, UsageError
 from .partitions import (IrrepLabel, admissible_o_kernel, enumerate_partitions,
@@ -52,31 +55,24 @@ from .reports import MultiplicityEntry, labels_sort_key, sorted_entries
 _POLICIES = {"enforce": branch.ENFORCE, "warn": branch.WARN_AND_COMPUTE}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    output_format: str = "json"
-    stable_policy: str = "enforce"
-    max_degree: int = 6
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _emit(cfg: RunConfig, to_json: Callable[[], object], to_csv: Callable[[], str]) -> None:
-    """Write the requested rendering; only that one is built."""
-    if cfg.output_format == "json":
+def _emit(args, to_json: Callable[[], object], to_csv: Callable[[], str]) -> None:
+    """Write the rendering --output-format asks for; only that one is built."""
+    if args.output_format == "json":
         sys.stdout.write(jsonio.dumps(to_json()) + "\n")
     else:
         sys.stdout.write(to_csv())
 
 
-def _emit_value(cfg: RunConfig, value: int, stable: bool | None = None) -> None:
-    _emit(cfg, lambda: jsonio.value_json(value, stable), lambda: jsonio.value_csv(value, stable))
+def _emit_value(args, value: int, stable: bool | None = None) -> None:
+    _emit(args, lambda: jsonio.value_json(value, stable), lambda: jsonio.value_csv(value, stable))
 
 
-def _emit_entries(cfg: RunConfig, entries: Sequence[MultiplicityEntry]) -> None:
+def _emit_entries(args, entries: Sequence[MultiplicityEntry]) -> None:
     entries = sorted_entries(entries)
-    _emit(cfg, lambda: [jsonio.entry_json(e) for e in entries],
+    _emit(args, lambda: [jsonio.entry_json(e) for e in entries],
           lambda: jsonio.entries_csv(entries))
 
 
@@ -110,91 +106,80 @@ def _restrict_targets(lam, n: int, m: int) -> list:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_lr(args, cfg: RunConfig) -> int:
+def _cmd_lr(args) -> int:
     lam = jsonio.parse_partition(args.lam)
     mu = jsonio.parse_partition(args.mu)
     nu = jsonio.parse_partition(args.nu)
-    _emit_value(cfg, lr.lr_coefficient(lam, mu, nu))
+    _emit_value(args, lr.lr_coefficient(lam, mu, nu))
     return 0
 
 
-def _cmd_branch(args, cfg: RunConfig) -> int:
+def _cmd_branch(args) -> int:
     _require_positive(n=args.n)
     lam = jsonio.parse_partition(args.lam)
     mu = jsonio.parse_partition(args.mu)
-    policy = _POLICIES[cfg.stable_policy]
-    if args.pair == "gl-o":
-        value = branch.gl_to_o(lam, mu, args.n, policy)
-        stable = branch.gl_to_o_stable(lam, args.n)
-    else:
-        value = branch.gl_to_sp(lam, mu, args.n, policy)
-        stable = branch.gl_to_sp_stable(lam, args.n)
-    _emit_value(cfg, value, stable)
+    formula, rule = ((branch.gl_to_o, branch.gl_to_o_range) if args.pair == "gl-o"
+                     else (branch.gl_to_sp, branch.gl_to_sp_range))
+    value = formula(lam, mu, args.n, _POLICIES[args.stable_policy])
+    _emit_value(args, value, rule(lam, args.n) is None)
     return 0
 
 
-def _cmd_tensor(args, cfg: RunConfig) -> int:
+def _cmd_tensor(args) -> int:
     _require_positive(n=args.n)
     mu = jsonio.parse_partition(args.mu)
     nu = jsonio.parse_partition(args.nu)
     n = args.n
-    policy = _POLICIES[cfg.stable_policy]
+    policy = _POLICIES[args.stable_policy]
     if args.family == "o":
-        single, fam, rank = branch.o_tensor_stable, "O", n
-        stable = branch.o_tensor_stable_range(mu, nu, n)
-        bound = branch.o_tensor_bound(mu, nu)
+        single, fam, rank, rule = branch.o_tensor_stable, "O", n, branch.o_tensor_range
         admissible = lambda lam: is_admissible_o(lam, n)
     else:
-        single, fam, rank = branch.sp_tensor_stable, "Sp", 2 * n
-        stable = branch.sp_tensor_stable_range(mu, nu, n)
-        bound = branch.sp_tensor_bound(mu, nu)
+        single, fam, rank, rule = branch.sp_tensor_stable, "Sp", 2 * n, branch.sp_tensor_range
         admissible = lambda lam: len(lam) <= n
     if args.lam is not None:
-        _emit_value(cfg, single(mu, nu, jsonio.parse_partition(args.lam), n, policy), stable)
+        value = single(mu, nu, jsonio.parse_partition(args.lam), n, policy)
+        _emit_value(args, value, rule(mu, nu, n) is None)
         return 0
-    if cfg.stable_policy == "enforce" and not stable:
-        raise StableRangeError(f"outside the stable range: requires {bound}")
     if args.family == "o":  # per entry, through the binding the benchmark plants into
+        stable = branch.refuse(rule(mu, nu, n), policy)
         value = lambda lam: branch.o_tensor_stable(mu, nu, lam, n, policy)
     else:
-        branch.check_sp_tensor(mu, nu, n, policy)
+        stable = branch.check_sp_tensor(mu, nu, n, policy)
         value = lambda lam: branch.tensor_kernel(mu, nu, lam)
     entries = [MultiplicityEntry((IrrepLabel(fam, rank, lam),), v, stable)
                for lam in _tensor_targets(mu, nu, admissible) for v in [value(lam)] if v]
-    _emit_entries(cfg, entries)
+    _emit_entries(args, entries)
     return 0
 
 
-def _cmd_tensor_rational(args, cfg: RunConfig) -> int:
+def _cmd_tensor_rational(args) -> int:
     _require_positive(n=args.n)
     mu = jsonio.parse_signature(args.mu)
     nu = jsonio.parse_signature(args.nu)
     lam = jsonio.parse_signature(args.lam)
-    _emit_value(cfg, branch.gl_tensor_rational(mu, nu, lam, args.n))
+    _emit_value(args, branch.gl_tensor_rational(mu, nu, lam, args.n))
     return 0
 
 
-def _cmd_restrict(args, cfg: RunConfig) -> int:
+def _cmd_restrict(args) -> int:
     _require_positive(n=args.n, m=args.m)
     lam = jsonio.parse_partition(args.lam)
     n, m = args.n, args.m
-    stable = branch.o_restrict_stable_range(lam, n, m)
     if (args.mu is None) != (args.nu is None):
         raise UsageError("provide both --mu and --nu for a single value, or neither for the table")
-    policy = _POLICIES[cfg.stable_policy]
+    policy = _POLICIES[args.stable_policy]
     if args.mu is not None:
         mu = jsonio.parse_partition(args.mu)
         nu = jsonio.parse_partition(args.nu)
-        _emit_value(cfg, branch.o_restrict_stable(lam, mu, nu, n, m, policy), stable)
+        value = branch.o_restrict_stable(lam, mu, nu, n, m, policy)
+        _emit_value(args, value, branch.o_restrict_range(lam, n, m) is None)
         return 0
-    if cfg.stable_policy == "enforce" and not stable:
-        raise StableRangeError(
-            f"outside the stable range: requires {branch.o_restrict_bound(lam)}")
-    branch.check_o_restrict(lam, n, m, policy)
+    stable = branch.check_o_restrict(lam, n, m, policy)
     entries = [MultiplicityEntry((IrrepLabel("O", n, mu), IrrepLabel("O", m, nu)), v, stable)
                for (mu, nu), v in branch.o_restrict_table(lam).items()
                if admissible_o_kernel(mu, n) and admissible_o_kernel(nu, m)]
-    _emit_entries(cfg, entries)
+    _emit_entries(args, entries)
     return 0
 
 
@@ -269,16 +254,18 @@ def _verdict(name: str, total: int, failed: int) -> int:
     return 1 if failed else 0
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
-    """The formula over the sorted grid first (so `enforce` refuses before the
-    oracle runs), then the oracle, then the formula on oracle-only keys."""
+def _cmd_verify(args) -> int:
+    """The oracle's size first, then the formula over the sorted grid (so
+    `enforce` refuses before the oracle runs), then the oracle, then the
+    formula on oracle-only keys."""
     suite = SUITES[args.suite]
     _require_positive(**{name: getattr(args, name) for name, _, _ in suite.flags})
     p = {flag: getattr(args, flag) for _, flag in suite.families}
-    policy, deg = _POLICIES[cfg.stable_policy], cfg.max_degree
+    policy, deg = _POLICIES[args.stable_policy], args.max_degree
+    shape, mode = suite.model(**p)
+    check_monomial_count(shape.var_count, deg)
     grid = suite.grid(deg, **p)
     values = {key: suite.formula(*key, policy, **p) for key in sorted(grid)}
-    shape, mode = suite.model(**p)
     oracle = {tuple(lab.weight for lab in e.labels): e.mult
               for e in hwv_multiplicities(shape, deg, mode)}
     values.update((key, suite.formula(*key, policy, **p)) for key in sorted(oracle.keys() - grid))
@@ -287,24 +274,24 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                     value, oracle.get(key, 0))
                    for key, value in values.items()),
                   key=lambda row: labels_sort_key(row[0]))
-    _emit(cfg, lambda: jsonio.verify_json(args.suite, {**p, "max_degree": deg}, rows),
+    _emit(args, lambda: jsonio.verify_json(args.suite, {**p, "max_degree": deg}, rows),
           lambda: jsonio.verify_csv(rows))
     return _verdict(args.suite, len(rows), sum(1 for row in rows if row[1] != row[2]))
 
 
-def _cmd_verify_brackets(args, cfg: RunConfig) -> int:
+def _cmd_verify_brackets(args) -> int:
     _require_positive(n=args.n, m=args.m)
     shape = MatrixSpaceShape(args.case.upper(), args.n, args.m, args.l or 0)
     report = verify_brackets(shape)
-    _emit(cfg, lambda: jsonio.bracket_report_json(report),
+    _emit(args, lambda: jsonio.bracket_report_json(report),
           lambda: jsonio.bracket_report_csv(report))
     return _verdict("brackets", len(report.entries), len(report.failures))
 
 
-def _cmd_hilbert(args, cfg: RunConfig) -> int:
+def _cmd_hilbert(args) -> int:
     _require_positive(n=args.n, m=args.m)
-    ok, series = hilbert_check(args.n, args.m, cfg.max_degree)
-    _emit(cfg, lambda: jsonio.hilbert_json(ok, series), lambda: jsonio.hilbert_csv(ok, series))
+    ok, series = hilbert_check(args.n, args.m, args.max_degree)
+    _emit(args, lambda: jsonio.hilbert_json(ok, series), lambda: jsonio.hilbert_csv(ok, series))
     return 0 if ok else 1
 
 
@@ -393,19 +380,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> RunConfig:
-    """The run options the subcommand offers; `verify brackets` offers only --output-format."""
-    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                       if hasattr(args, f.name)})
-    if cfg.max_degree < 0:
-        raise UsageError("--max-degree must be nonnegative")
-    return cfg
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args, _config(args))
+        if getattr(args, "max_degree", 0) < 0:  # `verify brackets` has no --max-degree
+            raise UsageError("--max-degree must be nonnegative")
+        return args.handler(args)
     except (UsageError, StableRangeError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

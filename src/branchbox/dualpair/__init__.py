@@ -7,6 +7,7 @@ from .analysis import (
     HarmonicReport,
     MinorCertificate,
     build_buckets,
+    check_monomial_count,
     harmonic_isotypic_dims,
     harmonic_report,
     hwv_multiplicities,
@@ -41,6 +42,7 @@ __all__ = [
     "build_buckets",
     "build_config",
     "build_product_config",
+    "check_monomial_count",
     "harmonic_isotypic_dims",
     "harmonic_report",
     "hwv_multiplicities",

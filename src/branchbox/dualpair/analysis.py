@@ -46,20 +46,25 @@ from .linalg import nullspace  # noqa: F401
 from .poly import (Monomial, Operator, Poly, apply_operator, apply_to_monomial,
                    commutator_apply, grevlex_mono_key, monomials_of_degree)
 
-DEFAULT_BUDGET = 20000
-# The most monomials build_buckets and harmonic_isotypic_dims enumerate.
-# Each holds every one of them before any block meets the budget, so a
-# large max_degree would exhaust memory first.  A(5,2) at degree 12 is
-# 646,646 monomials: 0.54 s and a 115 MB peak on a 2-vCPU x86_64 VM.
+DEFAULT_BUDGET = 20000  # monomials in one weight block, or in one bracket check's test set
+# The most monomials build_buckets enumerates.  It holds every one of them
+# before any block meets the budget, so a large max_degree would exhaust
+# memory first.  A(5,2) at degree 12 is 646,646 monomials: 0.54 s and a
+# 115 MB peak on a 2-vCPU x86_64 VM.
 MAX_MONOMIALS = 1_000_000
+# The most commutator applications, C(operators, 2) * test monomials, of one
+# bracket check.  A(6,3) makes 66,690 in 6 s and A(7,4) 430,650 in 122 s on a
+# 2-vCPU x86_64 VM; the tests' and verify scripts' shapes make at most 6,006.
+MAX_BRACKET_APPLICATIONS = 100_000
 
 
-def _check_monomial_count(config: SpaceConfig, max_degree: int) -> None:
-    """BudgetError if more than MAX_MONOMIALS monomials have degree <= max_degree."""
-    count = comb(config.var_count + max_degree, max_degree)
+def check_monomial_count(var_count: int, max_degree: int) -> None:
+    """BudgetError if over MAX_MONOMIALS monomials in var_count variables have degree
+    <= max_degree.  Every oracle enumeration checks this first; a caller may check sooner."""
+    count = comb(var_count + max_degree, max_degree)
     if count > MAX_MONOMIALS:
         raise BudgetError(f"{count} monomials of degree <= {max_degree} in "
-                          f"{config.var_count} variables exceed {MAX_MONOMIALS}")
+                          f"{var_count} variables exceed {MAX_MONOMIALS}")
 
 
 @dataclass
@@ -156,7 +161,6 @@ def _dominance_functionals(factor: TorusFactor, coords: int) -> list[tuple[tuple
 
 
 def build_buckets(config: SpaceConfig, max_degree: int,
-                  budget: int = DEFAULT_BUDGET,
                   dominant_only: bool = False) -> BucketTable:
     """Monomials of degree <= max_degree grouped by torus weight, grevlex inside a block.
 
@@ -168,7 +172,7 @@ def build_buckets(config: SpaceConfig, max_degree: int,
     packed code (`_dominance_codes`) before the weight is decoded; the budget
     still covers every block.
     """
-    _check_monomial_count(config, max_degree)
+    check_monomial_count(config.var_count, max_degree)
     codes, decode = _weight_codes(config, max_degree)
     groups: dict[int, list[tuple[int, ...]]] = {}  # code -> variable multisets
     for d in range(max_degree + 1):
@@ -182,9 +186,9 @@ def build_buckets(config: SpaceConfig, max_degree: int,
         dominance, mask = _dominance_codes(config, max_degree)
     table = BucketTable({}, {}, {d: [] for d in range(max_degree + 1)})
     for code, combos in groups.items():
-        if len(combos) > budget:
-            raise BudgetError(
-                f"weight space of dimension {len(combos)} exceeds the budget {budget}")
+        if len(combos) > DEFAULT_BUDGET:
+            raise BudgetError(f"weight space of dimension {len(combos)} "
+                              f"exceeds the budget {DEFAULT_BUDGET}")
         if len(combos[0]) != len(combos[-1]):  # combos come in increasing degree
             raise UsageError(f"weight {decode(code)} holds monomials of degrees "
                              f"{len(combos[0])} and {len(combos[-1])}")
@@ -251,8 +255,7 @@ def _labels_for(config: SpaceConfig, key: tuple) -> tuple[IrrepLabel, ...] | Non
 
 
 def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
-                       mode: str | ProductO = FULL,
-                       budget: int = DEFAULT_BUDGET) -> list[MultiplicityEntry]:
+                       mode: str | ProductO = FULL) -> list[MultiplicityEntry]:
     """Joint highest-weight-vector dimensions per weight, as label tuples.
 
     FULL counts on all polynomials, MOD_IDEAL inside the joint kernel of the
@@ -270,9 +273,9 @@ def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
         config = build_config(shape)
     else:
         raise UsageError(f"unknown mode {mode!r}")
-    cutters = config.simple_raisings if mode == FULL else config.deltas + config.simple_raisings
 
-    table = build_buckets(config, max_degree, budget, dominant_only=True)
+    table = build_buckets(config, max_degree, dominant_only=True)
+    cutters = config.simple_raisings if mode == FULL else config.deltas + config.simple_raisings
     entries = []
     for d in range(max_degree + 1):
         for key in table.by_degree[d]:
@@ -303,8 +306,7 @@ class HarmonicReport:
     generator_count: int | None
 
 
-def harmonic_report(shape: MatrixSpaceShape, max_degree: int,
-                    budget: int = DEFAULT_BUDGET) -> HarmonicReport:
+def harmonic_report(shape: MatrixSpaceShape, max_degree: int) -> HarmonicReport:
     """Degreewise dimensions of harmonics and of the invariant ideal.
 
     The identity harmonic + ideal = full is reported per degree; in case A
@@ -312,7 +314,7 @@ def harmonic_report(shape: MatrixSpaceShape, max_degree: int,
     m(m+1)/2 quadratic invariants is checked as well.
     """
     config = build_config(shape)
-    table = build_buckets(config, max_degree, budget)
+    table = build_buckets(config, max_degree)
     full = [0] * (max_degree + 1)
     harmonic = [0] * (max_degree + 1)
     ideal = [0] * (max_degree + 1)
@@ -388,8 +390,7 @@ def _bracket_rule(kind_a: str, kind_b: str) -> tuple[str, str | None]:
 
 
 def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
-                    printed_euler_variant: bool = False,
-                    budget: int = DEFAULT_BUDGET) -> BracketReport:
+                    printed_euler_variant: bool = False) -> BracketReport:
     """Certify the oscillator-algebra bracket relations by direct application.
 
     Every commutator of built operators must land exactly in the expected
@@ -399,16 +400,23 @@ def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
     span for raising pairs.  Abelianness of the Delta and r2 families is part
     of the same sweep.  The row-reversed case A Euler variant can be swapped
     in to let the closure test arbitrate between the two conventions.
+    A BudgetError refuses, before any work, more than DEFAULT_BUDGET test
+    monomials or MAX_BRACKET_APPLICATIONS commutator applications.
     """
     if test_degree < 2:
         raise UsageError("bracket verification needs test_degree >= 2")
+    count = comb(shape.var_count + test_degree, test_degree)
+    if count > DEFAULT_BUDGET:
+        raise BudgetError(f"{count} test monomials exceed the budget {DEFAULT_BUDGET}")
     config = build_config(shape, printed_euler_variant=printed_euler_variant)
+    family = list(config.deltas + config.r2s + config.eulers + config.k_raisings)
+    applications = comb(len(family), 2) * count
+    if applications > MAX_BRACKET_APPLICATIONS:
+        raise BudgetError(f"{applications} commutator applications exceed "
+                          f"{MAX_BRACKET_APPLICATIONS}")
+
     sources = [mono for d in range(test_degree + 1)
                for mono in monomials_of_degree(config.var_count, d)]
-    if len(sources) > budget:
-        raise BudgetError(f"{len(sources)} test monomials exceed the budget {budget}")
-
-    family = list(config.deltas + config.r2s + config.eulers + config.k_raisings)
     actions: dict[str, dict[Monomial, Poly]] = {
         op.name: {src: apply_to_monomial(op, src) for src in sources} for op in family}
     actions["id"] = {src: {src: 1} for src in sources}
@@ -523,37 +531,34 @@ def minor_hwv(n: int, m: int, columns) -> MinorCertificate:
                             weight, weight_ok)
 
 
-def harmonic_isotypic_dims(shape: MatrixSpaceShape, max_degree: int,
-                           budget: int = DEFAULT_BUDGET) -> dict[tuple[int, ...], int]:
+def harmonic_isotypic_dims(shape: MatrixSpaceShape,
+                           max_degree: int) -> dict[tuple[int, ...], int]:
     """Dimension of the harmonic isotypic component per GL-side highest weight.
 
-    Groups monomials by the GL-side weight alone (all group-side weights
-    mixed), then cuts by the Delta family and the GL-side simple raisings.
-    In the stable range the kernel at weight lambda is a single copy of
-    the orthogonal or symplectic irreducible labelled lambda, so its
-    dimension cross-checks the Weyl dimension formulas.  More than
-    MAX_MONOMIALS monomials in all is a BudgetError, raised before any is
-    enumerated, as in `build_buckets`.
+    Joins `build_buckets`' blocks by the GL-side weight alone (all
+    group-side weights mixed), then cuts by the Delta family and the GL-side
+    simple raisings.  In the stable range the kernel at weight lambda is a
+    single copy of the orthogonal or symplectic irreducible labelled lambda,
+    so its dimension cross-checks the Weyl dimension formulas.  The budgets
+    are `build_buckets`', and a joined block of more than DEFAULT_BUDGET
+    monomials is a BudgetError too.
     """
     if shape.split_columns or shape.case == "C":
         raise UsageError("isotypic dimensions apply to the two-factor cases A and B")
     config = build_config(shape)
-    _check_monomial_count(config, max_degree)
     groups: dict[tuple[int, ...], list[Monomial]] = {}
-    for d in range(max_degree + 1):
-        for mono in monomials_of_degree(config.var_count, d):
-            groups.setdefault(config.monomial_weight(mono)[1], []).append(mono)
+    for key, basis in build_buckets(config, max_degree).buckets.items():
+        w = key[1]
+        if all(w[i] >= w[i + 1] for i in range(len(w) - 1)):
+            groups.setdefault(w, []).extend(basis)
     for basis in groups.values():
-        if len(basis) > budget:
-            raise BudgetError(
-                f"isotypic block of dimension {len(basis)} exceeds the budget {budget}")
+        if len(basis) > DEFAULT_BUDGET:
+            raise BudgetError(f"isotypic block of dimension {len(basis)} "
+                              f"exceeds the budget {DEFAULT_BUDGET}")
     out: dict[tuple[int, ...], int] = {}
     cutters = config.deltas + tuple(op for op in config.simple_raisings
                                     if op in config.gl_raisings)
-    for gl_weight in sorted(groups):
-        w = gl_weight
-        if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
-            continue
+    for w in sorted(groups):
         dim = _kernel_dim(cutters, sorted(groups[w], key=grevlex_mono_key))
         if dim:
             out[as_partition(w)] = dim

@@ -49,6 +49,11 @@ class MatrixSpaceShape:
         if self.case == "A" and self.l and not self.split_columns:
             raise UsageError("case A uses l only with split_columns")
 
+    @property
+    def var_count(self) -> int:
+        """The number of variables `build_config` gives this shape, without building it."""
+        return (2 if self.case == "B" else 1) * self.n * (self.m + self.l)
+
 
 @dataclass(frozen=True)
 class ProductO:

@@ -3,12 +3,13 @@ import importlib.util
 import json
 import pathlib
 import warnings
+from functools import partial
 
 import pytest
 
 from branchbox import branch, cli, lr
 from branchbox.cli import main
-from branchbox.errors import StableRangeWarning
+from branchbox.errors import StableRangeError, StableRangeWarning
 from branchbox.partitions import enumerate_partitions, is_admissible_o
 
 
@@ -223,6 +224,79 @@ def test_table_warns_once_and_never_calls_the_checked_entry_point(capsys, monkey
     capsys.readouterr()
 
 
+def _arg(label) -> str:
+    return ",".join(map(str, label))
+
+
+_LABELS = [lam for k in range(5) for lam in enumerate_partitions(k)]  # |lam| <= 4
+_FACTORS = [(mu, nu) for mu in _LABELS[:4] for nu in _LABELS[:4]]  # |mu|, |nu| <= 2
+
+
+def _stable_range_cases(formula):
+    """(rule's answer, the ENFORCE call, single-value argv, table argv or None), n = 1..9."""
+    for n in range(1, 10):
+        if formula == "gl-o":
+            for lam in _LABELS:
+                if len(lam) <= n:
+                    yield (branch.gl_to_o_range(lam, n), partial(branch.gl_to_o, lam, (), n),
+                           ["branch", "gl-o", "--lam", _arg(lam), "--mu", "", "--n", str(n)],
+                           None)
+        elif formula == "gl-sp":
+            for lam in _LABELS:
+                if len(lam) <= 2 * n:
+                    yield (branch.gl_to_sp_range(lam, n), partial(branch.gl_to_sp, lam, (), n),
+                           ["branch", "gl-sp", "--lam", _arg(lam), "--mu", "", "--n", str(n)],
+                           None)
+        elif formula in ("tensor-o", "tensor-sp"):
+            if formula == "tensor-o":
+                fam, rule, call = "o", branch.o_tensor_range, branch.o_tensor_stable
+                ok = lambda lab: is_admissible_o(lab, n)
+            else:
+                fam, rule, call = "sp", branch.sp_tensor_range, branch.sp_tensor_stable
+                ok = lambda lab: len(lab) <= n
+            for mu, nu in _FACTORS:
+                if ok(mu) and ok(nu):
+                    table = ["tensor", fam, "--mu", _arg(mu), "--nu", _arg(nu), "--n", str(n)]
+                    yield (rule(mu, nu, n), partial(call, mu, nu, (), n),
+                           table + ["--lam", ""], table)
+        else:
+            for m in (1, 4, 9):
+                for lam in _LABELS:
+                    if is_admissible_o(lam, n + m):
+                        table = ["restrict", "o", "--lam", _arg(lam), "--n", str(n), "--m", str(m)]
+                        yield (branch.o_restrict_range(lam, n, m),
+                               partial(branch.o_restrict_stable, lam, (), (), n, m),
+                               table + ["--mu", "", "--nu", ""], table)
+
+
+@pytest.mark.parametrize("formula", ["gl-o", "gl-sp", "tensor-o", "tensor-sp", "restrict-o"])
+def test_stable_range_rule_is_the_one_owner_of_each_refusal(capsys, formula):
+    # the rule is None exactly when ENFORCE computes; the CLI's stable field is
+    # the rule's verdict; every refusal names the bound the rule returns
+    cases = 0
+    for need, call, single, table in _stable_range_cases(formula):
+        cases += 1
+        if need is None:
+            call()
+        else:
+            with pytest.raises(StableRangeError) as exc:
+                call()
+            assert need in str(exc.value)
+        for argv in [single] + ([table] if table else []):
+            rc, out, _ = run(capsys, *argv, "--stable-policy", "warn", ignore_warnings=True)
+            assert rc == 0
+            doc = json.loads(out)
+            flags = {row["stable"] for row in doc} if argv is table else {doc["stable"]}
+            assert flags <= {need is None}
+            rc, out, err = run(capsys, *argv)
+            if need is None:
+                assert rc == 0
+            else:
+                want = f"error: outside the stable range: requires {need}\n"
+                assert (rc, out, err) == (2, "", want)
+    assert cases > 40
+
+
 @pytest.mark.parametrize("policy,err", [
     ("enforce", "error: outside the stable range: requires min(n, m) > 2*len(lam) = 4\n"),
     ("warn", "error: (2, 2) is not an admissible O_2 label\n"),
@@ -397,6 +471,26 @@ def test_oversized_max_degree_exits_2_before_enumerating(capsys):
                        "--max-degree", "30")
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("seesaw-a", "--n", "40", "--m", "40", "--max-degree", "30"),
+     "error: 6689009172813490725211141236618491865686446623296409195572599365 monomials of "
+     "degree <= 30 in 1600 variables exceed 1000000\n"),
+    (("restrict-o", "--n", "9", "--l", "9", "--m", "4", "--max-degree", "14"),
+     "error: 4538340912686850 monomials of degree <= 14 in 72 variables exceed 1000000\n"),
+    # also outside the stable range: the size is checked first, under enforce too
+    (("restrict-o", "--n", "1", "--l", "1", "--m", "9", "--max-degree", "40"),
+     "error: 449972009097765 monomials of degree <= 40 in 18 variables exceed 1000000\n"),
+    (("tensor-o", "--n", "9", "--m", "3", "--l", "3", "--max-degree", "12"),
+     "error: 4922879481520 monomials of degree <= 12 in 54 variables exceed 1000000\n"),
+])
+def test_oversized_verify_exits_2_before_the_grid(capsys, monkeypatch, argv, err):
+    def grid(*args, **kwargs):
+        raise AssertionError("the formula grid was built before the size refusal")
+
+    monkeypatch.setattr(cli, "enumerate_partitions", grid)
+    assert run(capsys, "verify", *argv) == (2, "", err)
 
 
 def test_internal_error_exits_3_in_one_line(capsys):

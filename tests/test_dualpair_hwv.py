@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import warnings
 from math import comb
 
@@ -10,6 +11,7 @@ from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                                 SpaceConfig, build_buckets, build_config,
                                 build_product_config, harmonic_isotypic_dims,
                                 harmonic_report, hwv_multiplicities)
+from branchbox.dualpair import analysis
 from branchbox.dualpair.analysis import _labels_for
 from branchbox.dualpair.configs import TorusFactor
 from branchbox.dualpair.linalg import rank
@@ -209,6 +211,18 @@ def test_simple_raisings_count_what_all_raisings_count(name, shape, mode):
     assert {e.labels: e.mult for e in hwv_multiplicities(shape, 4, mode)} == expected
 
 
+def test_shape_counts_the_variables_its_config_builds():
+    shapes = []
+    for case in "ABC":
+        for n, m, l, split in itertools.product(range(1, 5), range(1, 4), range(3), (False, True)):
+            try:
+                shapes.append(MatrixSpaceShape(case, n, m, l, split))
+            except UsageError:  # a combination the shape does not offer
+                pass
+    assert len(shapes) == 108
+    assert [s for s in shapes if s.var_count != build_config(s).var_count] == []
+
+
 SIMPLE_RAISING_CONFIGS = (
     [build_config(MatrixSpaceShape("A", n, m)) for n in range(1, 10) for m in (1, 3)]
     + [build_config(MatrixSpaceShape("A", n, 2), printed_euler_variant=True) for n in (3, 4)]
@@ -361,7 +375,7 @@ def test_weight_that_does_not_fix_the_degree_is_refused(dominant_only):
         build_buckets(config, 2, dominant_only=dominant_only)
 
 
-def test_budget_covers_blocks_that_are_not_kept():
+def test_budget_covers_blocks_that_are_not_kept(monkeypatch):
     # one unsigned GL_2 factor on three variables of weights (0,1), (0,1), (1,0):
     # the weight (0, 4) block holds 5 monomials and is not dominant, while no
     # dominant block at degree <= 4 holds more than 3
@@ -373,15 +387,18 @@ def test_budget_covers_blocks_that_are_not_kept():
     largest = max(len(v) for v in full.buckets.values())
     assert largest == 5
     assert max(len(v) for k, v in full.buckets.items() if keep(k)) == 3
-    dominant = build_buckets(config, 4, budget=largest, dominant_only=True)
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", largest)
+    dominant = build_buckets(config, 4, dominant_only=True)
     assert dominant.buckets == {k: v for k, v in full.buckets.items() if keep(k)}
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", largest - 1)
     with pytest.raises(BudgetError):
-        build_buckets(config, 4, budget=largest - 1, dominant_only=True)
+        build_buckets(config, 4, dominant_only=True)
 
 
-def test_budget_error():
+def test_budget_error(monkeypatch):
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 1)
     with pytest.raises(BudgetError):
-        hwv_multiplicities(MatrixSpaceShape("A", 4, 2), 4, FULL, budget=1)
+        hwv_multiplicities(MatrixSpaceShape("A", 4, 2), 4, FULL)
 
 
 def test_harmonic_report_case_a_51():

@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 
 from branchbox import jsonio
-from branchbox.dualpair import (MatrixSpaceShape, ProductO, build_config,
+from branchbox.dualpair import (MatrixSpaceShape, ProductO, analysis, build_config,
                                 build_product_config, minor_hwv, verify_brackets)
 from branchbox.dualpair.linalg import echelon, nullspace, rank, solve_columns
 from branchbox.dualpair.poly import (apply_operator, apply_to_monomial,
                                      commutator_apply, grevlex_mono_key,
                                      make_operator, monomials_of_degree,
                                      poly_degree)
-from branchbox.errors import UsageError
+from branchbox.errors import BudgetError, UsageError
 
 from .oracles import nullspace_gauss_jordan, solve_columns_gauss_jordan
 
@@ -383,6 +383,24 @@ def test_bracket_abelian_pieces_checked():
     assert ("D", "D", "abelian") in rules
     assert ("r", "r", "abelian") in rules
     assert all(e.ok for e in report.entries if e.rule == "abelian")
+
+
+@pytest.mark.parametrize("n,message", [
+    # C(400 + 2, 2) test monomials, counted before the config is built
+    (20, "80601 test monomials exceed the budget 20000"),
+    # 10,585 test monomials fit, but C(330, 2) operator pairs apply to each
+    (12, "574606725 commutator applications exceed 100000"),
+])
+def test_bracket_check_refuses_on_its_counts_before_any_work(monkeypatch, n, message):
+    def expensive(*args, **kwargs):
+        raise AssertionError("the bracket check did work before refusing")
+
+    for name in ("monomials_of_degree", "apply_to_monomial", "commutator_apply"):
+        monkeypatch.setattr(analysis, name, expensive)
+    if n == 20:
+        monkeypatch.setattr(analysis, "build_config", expensive)
+    with pytest.raises(BudgetError, match=f"^{message}$"):
+        verify_brackets(MatrixSpaceShape("A", n, n))
 
 
 # sha256 of jsonio.dumps(bracket_report_json(verify_brackets(shape, printed_euler_variant=v)))
