@@ -4,14 +4,19 @@ Symmetric polynomials are stored sparsely on dominant exponent vectors: the
 table maps each weakly decreasing key to the common coefficient of its whole
 S_m orbit of monomials.  schur_expand realizes a Schur polynomial through
 semistandard tableau counting (Kostka numbers), decompose peels a symmetric
-polynomial back into Schur coefficients, and multiply_schur works directly
-on monomial orbits so the product is independent of tableau combinatorics.
+polynomial back into Schur coefficients, and multiply_schur multiplies Schur
+expansions by Brauer's form of the Weyl character formula: the weights of one
+factor, with their Kostka multiplicities, shift the other factor's
+alternant.  It shares no code with lr, which makes it a check on the LR
+coefficients.
 
 Two facts keep the kernels small.  K_{lam,kappa} is nonzero exactly when
 kappa <| lam in dominance order, so schur_expand and the Kostka recursion
 visit only dominated keys.  The coefficient of m_gamma in m_a * m_b is
 |orb b| * #{alpha in orb a : sort(alpha + b) = gamma} / |orb gamma|, so
-monomial_product is one pass over an orbit.  The public functions check
+monomial_product is one pass over an orbit; with dmp_multiply and decompose
+it forms the monomial-orbit product, which multiply_schur does not use and
+the tests check it against.  The public functions check
 their partition arguments; the private kernels they call (and
 monomial_product, which sees only keys of dominant tables) trust canonical
 tuples and do not re-check them.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, starmap
 
 from .errors import InternalInvariantError, UsageError
 from .partitions import Partition, as_partition, grevlex_key
@@ -168,6 +174,11 @@ def orbit_vectors(key: Partition, m: int) -> list[tuple[int, ...]]:
     key = as_partition(key)
     if len(key) > m:
         raise UsageError(f"key {key} does not fit in {m} variables")
+    return _orbit_vectors(key, m)
+
+
+def _orbit_vectors(key: Partition, m: int) -> list[tuple[int, ...]]:
+    """orbit_vectors of a canonical key of at most m parts."""
     memo_key = (key, m)
     hit = _orbit_memo.get(memo_key)
     if hit is not None:
@@ -239,7 +250,7 @@ def monomial_product(a: Partition, b: Partition, m: int) -> dict[Partition, int]
     small, big, size_big = (a, b, size_b) if size_a <= size_b else (b, a, size_a)
     big_padded = big + (0,) * (m - len(big))
     hits: dict[Partition, int] = {}
-    for al in orbit_vectors(small, m):
+    for al in _orbit_vectors(small, m):
         gv = sorted(map(int.__add__, al, big_padded), reverse=True)
         while gv and not gv[-1]:
             gv.pop()
@@ -311,43 +322,84 @@ def _peel(m: int, work: dict[Partition, int]) -> SchurVector:
 
 
 def schur_vector(m: int, coeffs: dict) -> SchurVector:
-    clean = {}
+    """A SchurVector in m variables; equal keys merge and zero sums are dropped."""
+    clean: dict[Partition, int] = {}
     for lam, c in coeffs.items():
         lam = as_partition(lam)
         if len(lam) > m:
             raise UsageError(f"{lam} has more than {m} rows")
-        if c:
-            clean[lam] = int(c)
-    return SchurVector(m, clean)
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise UsageError(f"coefficient of {lam} must be an int, got {c!r}")
+        clean[lam] = clean.get(lam, 0) + c
+    return SchurVector(m, {lam: c for lam, c in clean.items() if c})
 
 
 def multiply_schur(a: SchurVector, b: SchurVector) -> SchurVector:
-    """Product of two Schur expansions, via monomial-orbit arithmetic."""
+    """Product of two Schur expansions by Brauer's formula, one term pair at a time.
+
+    With delta = (k-1, ..., 1, 0), the Weyl character formula gives
+    s_mu * s_nu = sum over the weights alpha of s_nu, with their Kostka
+    multiplicities, of a_{mu+delta+alpha} / a_delta.  An alternant with a
+    repeated exponent vanishes; otherwise sorting mu+delta+alpha strictly
+    decreasing by a permutation of sign e makes the term e * s_lam, lam being
+    the sorted vector minus delta.  The factor of smaller dimension
+    (eval_ones of its expansion) is the one whose weights are enumerated.
+
+    Each pair is computed in k = min(m, len(mu) + len(nu)) variables.  Setting
+    x_{k+1..m} = 0 is a ring map that sends s_lam to itself when lam has at
+    most k parts and to 0 otherwise, and no lam in s_mu * s_nu has more than
+    len(mu) + len(nu) parts, so the product in k variables is the product in m.
+    """
     if a.var_count != b.var_count:
         raise UsageError("variable counts differ")
     m = a.var_count
-    by_degree: dict[int, dict[Partition, int]] = {}
-    for la, ca in a.coeffs.items():
-        pa = schur_expand(la, m)
-        for lb, cb in b.coeffs.items():
-            pb = schur_expand(lb, m)
-            prod = dmp_multiply(pa, pb)
-            bucket = by_degree.setdefault(prod.degree, {})
-            for key, c in prod.terms.items():
-                nxt = bucket.get(key, 0) + ca * cb * c
-                if nxt:
-                    bucket[key] = nxt
-                else:
-                    bucket.pop(key, None)
+    terms_b = [(as_partition(lb), cb) for lb, cb in b.coeffs.items()]
     out: dict[Partition, int] = {}
-    for d, terms in by_degree.items():
-        part = _peel(m, terms)
-        for lam, c in part.coeffs.items():
-            out[lam] = out.get(lam, 0) + c
-    return SchurVector(m, {k: v for k, v in out.items() if v})
+    for la, ca in a.coeffs.items():
+        la = as_partition(la)
+        for lb, cb in terms_b:
+            if len(la) > m or len(lb) > m:  # s_la or s_lb vanishes in m variables
+                continue
+            for lam, c in _brauer_product(la, lb, min(m, len(la) + len(lb))).items():
+                nxt = out.get(lam, 0) + ca * cb * c
+                if nxt:
+                    out[lam] = nxt
+                else:
+                    out.pop(lam, None)
+    return SchurVector(m, out)
+
+
+def _brauer_product(mu: Partition, nu: Partition, k: int) -> dict[Partition, int]:
+    """multiply_schur of one term pair: canonical mu, nu of at most k parts."""
+    pmu, pnu = schur_expand(mu, k), schur_expand(nu, k)
+    if eval_ones(pmu) < eval_ones(pnu):
+        mu, pnu = nu, pmu
+    delta = tuple(range(k - 1, -1, -1))
+    shifted = tuple(map(int.__add__, mu + (0,) * (k - len(mu)), delta))
+    alternants: dict[tuple[int, ...], int] = {}
+    for kappa, mult in pnu.terms.items():
+        for alpha in _orbit_vectors(kappa, k):
+            v = tuple(map(int.__add__, shifted, alpha))
+            if len(set(v)) < k:
+                continue
+            odd = sum(starmap(int.__lt__, combinations(v, 2))) & 1  # inversions
+            v = tuple(sorted(v, reverse=True))
+            alternants[v] = alternants.get(v, 0) + (-mult if odd else mult)
+    out: dict[Partition, int] = {}
+    for v, c in alternants.items():
+        if c:
+            lam = list(map(int.__sub__, v, delta))
+            while lam and not lam[-1]:
+                lam.pop()
+            out[tuple(lam)] = c
+    return out
 
 
 def eval_ones(p: DominantMonomialPoly) -> int:
-    """Evaluate at x_1 = ... = x_m = 1 (the polynomial's dimension count)."""
-    return sum(c * orbit_size(key, p.var_count) for key, c in p.terms.items())
+    """Evaluate at x_1 = ... = x_m = 1 (the polynomial's dimension count).
+
+    The keys are not re-checked: an orbit's size depends only on the
+    multiset of a key's entries, with or without trailing zeros.
+    """
+    return sum(c * _orbit_size(key, p.var_count) for key, c in p.terms.items())
 

@@ -1,7 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchbox import lr
 from branchbox.errors import UsageError
 from branchbox.partitions import (enumerate_partitions, even_column_partitions,
                                   even_row_partitions, partitions_of)
@@ -114,6 +118,18 @@ def test_decompose_square_of_power_sum():
     assert decompose(sq).coeffs == {(2,): 1, (1, 1): 1}
 
 
+def orbit_path_product(a: SchurVector, b: SchurVector) -> dict:
+    """multiply_schur's product the old way: monomial orbits in all m variables, then a peel."""
+    m = a.var_count
+    out: dict = {}
+    for la, ca in a.coeffs.items():
+        for lb, cb in b.coeffs.items():
+            prod = decompose(dmp_multiply(schur_expand(la, m), schur_expand(lb, m)))
+            for lam, c in prod.coeffs.items():
+                out[lam] = out.get(lam, 0) + ca * cb * c
+    return {lam: c for lam, c in out.items() if c}
+
+
 def test_multiply_schur_examples():
     one = schur_vector(2, {(): 1})
     b = schur_vector(2, {(2, 1): 3})
@@ -125,9 +141,67 @@ def test_multiply_schur_examples():
     assert prod.coeffs[(3, 2, 1)] == 2
 
 
+def test_multiply_schur_matches_orbit_path_on_small_grid():
+    # m runs below, at and above len(mu) + len(nu), so the variable cap both
+    # truncates and is inactive somewhere on the grid
+    seen_below = seen_above = False
+    for m in range(8):
+        for mu in enumerate_partitions(8, max_length=m):
+            for nu in enumerate_partitions(8 - sum(mu), max_length=m):
+                a, b = schur_vector(m, {mu: 1}), schur_vector(m, {nu: 1})
+                assert multiply_schur(a, b).coeffs == orbit_path_product(a, b), (mu, nu, m)
+                seen_below |= m < len(mu) + len(nu)
+                seen_above |= m > len(mu) + len(nu)
+    assert seen_below and seen_above
+
+
+def test_multiply_schur_matches_orbit_path_on_signed_vectors():
+    # s1 * (s2 - s11) = s3 - s111: the two s21 terms cancel
+    s1 = schur_vector(3, {(1,): 1})
+    assert multiply_schur(s1, schur_vector(3, {(2,): 1, (1, 1): -1})).coeffs == {
+        (3,): 1, (1, 1, 1): -1}
+    rng = random.Random(12)
+    signs = (-3, -2, -1, 1, 2, 3)
+    for _ in range(40):
+        m = rng.randint(1, 5)
+        pool = enumerate_partitions(4, max_length=m)
+        a = schur_vector(m, {rng.choice(pool): rng.choice(signs) for _ in range(3)})
+        b = schur_vector(m, {rng.choice(pool): rng.choice(signs) for _ in range(3)})
+        assert multiply_schur(a, b).coeffs == orbit_path_product(a, b), (a, b)
+
+
+def test_multiply_schur_never_reaches_lr_code(monkeypatch):
+    # the Schur = LR identity checks LR only while the product is computed without it
+    def refuse(*args):
+        raise AssertionError("multiply_schur called LR code")
+
+    monkeypatch.setattr(lr, "lr_kernel", refuse)
+    monkeypatch.setattr(lr, "_count_lattice_fillings", refuse)
+    s21 = schur_vector(5, {(2, 1): 1})
+    assert multiply_schur(s21, s21).coeffs == {
+        (4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1,
+        (2, 2, 2): 1, (2, 2, 1, 1): 1}
+    a = schur_vector(6, {(3, 2, 1): 2, (4, 1): -1})
+    b = schur_vector(6, {(2, 2): 1, (1,): 3})
+    assert multiply_schur(a, b).coeffs == orbit_path_product(a, b)
+
+
 def test_multiply_schur_rejects_mismatched_variable_counts():
     with pytest.raises(UsageError):
         multiply_schur(schur_vector(2, {(1,): 1}), schur_vector(3, {(1,): 1}))
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 1.5, Fraction(2, 1), 2.0, True])
+def test_schur_vector_rejects_non_int_coefficients(bad):
+    with pytest.raises(UsageError):
+        schur_vector(2, {(1,): bad})
+
+
+def test_schur_vector_stores_no_zero():
+    assert schur_vector(2, {(1,): 0, (2,): 1}).coeffs == {(2,): 1}
+    # (2, 1, 0) and (2, 1) name one Schur polynomial, so their coefficients add
+    assert schur_vector(3, {(2, 1, 0): 1, (2, 1): -1}).coeffs == {}
+    assert schur_vector(3, {(2, 1, 0): 1, (2, 1): 2}).coeffs == {(2, 1): 3}
 
 
 @given(small_partitions, small_partitions)
@@ -141,16 +215,18 @@ def test_multiply_schur_commutes(lam, mu):
 @given(small_partitions, small_partitions)
 @settings(max_examples=30, deadline=None)
 def test_multiply_schur_stable_in_variable_count(lam, mu):
-    base = len(lam) + len(mu)
+    # multiply_schur computes every m >= len(lam) + len(mu) in the same capped
+    # variable count, so the reference is the uncapped orbit path at each m
+    base = max(len(lam) + len(mu), 1)
     reference = None
     for m in range(base, base + 3):
-        m = max(m, 1)
-        prod = multiply_schur(schur_vector(m, {lam: 1}), schur_vector(m, {mu: 1}))
-        restricted = {k: v for k, v in prod.coeffs.items() if len(k) <= base}
+        a, b = schur_vector(m, {lam: 1}), schur_vector(m, {mu: 1})
+        expected = orbit_path_product(a, b)
+        assert multiply_schur(a, b).coeffs == expected, m
         if reference is None:
-            reference = restricted
+            reference = expected
         else:
-            assert restricted == reference
+            assert expected == reference, m
 
 
 def test_sym2_series_matches_brute_force_symmetric_algebra():
