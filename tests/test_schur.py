@@ -119,7 +119,7 @@ def test_decompose_square_of_power_sum():
 
 
 def orbit_path_product(a: SchurVector, b: SchurVector) -> dict:
-    """multiply_schur's product the old way: monomial orbits in all m variables, then a peel."""
+    """Reference for multiply_schur: monomial orbits in all m variables, then a peel."""
     m = a.var_count
     out: dict = {}
     for la, ca in a.coeffs.items():
