@@ -37,7 +37,7 @@ from ..errors import BudgetError, InternalInvariantError, UsageError
 from ..partitions import IrrepLabel, as_partition, weight_to_signature
 from ..reports import MultiplicityEntry
 from .configs import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig,
-                      TorusFactor, build_config, build_product_config)
+                      TorusFactor, balanced_code, build_config, build_product_config)
 from .linalg import rank, solve_columns
 # Nothing here calls nullspace: the benchmark's tracer (perfbench/tracer.py) wraps
 # the binding `branchbox.dualpair.analysis.nullspace`, and its tests need the name
@@ -95,12 +95,7 @@ def _weight_codes(config: SpaceConfig, max_degree: int):
     coords = sum(sizes)
     half = max((abs(c) for w in flat for c in w), default=0) * max_degree
     base = 2 * half + 1
-    codes = []
-    for w in flat:
-        code = 0
-        for c in reversed(w):
-            code = code * base + c
-        codes.append(code)
+    codes = [balanced_code(w, base) for w in flat]
 
     def decode(code: int) -> tuple[tuple[int, ...], ...]:
         digits = []

@@ -17,7 +17,6 @@ each factor acting on its own rows.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,6 +64,18 @@ class ProductO:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise UsageError("ProductO needs positive block sizes")
+
+
+def balanced_code(digits: tuple[int, ...], base: int) -> int:
+    """The integer with these balanced base-`base` digits, the first one lowest.
+
+    Codes add like the vectors they pack as long as every coordinate of the
+    sum stays within +-(base - 1) / 2.
+    """
+    code = 0
+    for c in reversed(digits):
+        code = code * base + c
+    return code
 
 
 FULL = "full"
@@ -133,11 +144,21 @@ class SpaceConfig:
         operator that kills v kills every bracket of operators that kill v,
         so these raisings have the joint kernel of all of them.  The rule
         reads only the weight shifts, so it holds for every builder.
+
+        Each shift (all factors' coordinates in a row) is packed into one
+        integer by `balanced_code` in base B = 2*h + 1, h = 2 * max|coord|.
+        A difference of two shifts has its coordinates in [-h, h], so its
+        code is the difference of their codes, and s is a sum a + b of two
+        raisings' shifts iff code(s) - code(a) is the code of a raising
+        other than a's.
         """
-        shifts = [self.op_weight_shift(op) for op in self.raisings]
-        sums = {tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
-                for a, b in itertools.combinations(shifts, 2)}
-        return tuple(op for op, s in zip(self.raisings, shifts) if s not in sums)
+        flats = [tuple(c for w in self.op_weight_shift(op) for c in w) for op in self.raisings]
+        base = 4 * max((abs(c) for w in flats for c in w), default=0) + 1
+        codes = [balanced_code(w, base) for w in flats]
+        count = Counter(codes)
+        sums = {s for s in count for a in count
+                if s - a in count and (s - a != a or count[a] > 1)}
+        return tuple(op for op, code in zip(self.raisings, codes) if code not in sums)
 
 
 def _o_row_weight(s: int, n: int) -> tuple[int, ...]:

@@ -3,7 +3,15 @@
 c^lam_{mu,nu} counts semistandard fillings of the skew shape lam/mu with
 content nu whose reverse reading word (rows top to bottom, right to left)
 is a lattice word.  This is deliberately direct so it can serve as an
-independent oracle for the symmetric-polynomial arithmetic.
+independent oracle for the symmetric-polynomial arithmetic, and it shares
+no code with `schur`.
+
+The filler keeps its values in one flat list indexed by reading position.
+Each call computes once, per cell, the positions of its right and upper
+neighbours, and caps the values in row r (1-indexed) at r, the row bound
+of an LR tableau: the first value read in a row is its largest, and the
+lattice condition needs that value minus one read before it, in a row
+above, so by induction no row r holds a value over r.
 """
 
 from __future__ import annotations
@@ -41,37 +49,44 @@ def _count_lattice_fillings(lam: Partition, mu: Partition, nu: Partition) -> int
     if not nu:
         return 1 if lam == mu else 0
     rows = len(lam)
-    mu_pad = tuple(mu) + (0,) * (rows - len(mu))
-    # Cells in reverse reading order: top to bottom, right to left in each row.
-    cells = [(r, c) for r in range(rows) for c in range(lam[r] - 1, mu_pad[r] - 1, -1)]
+    mu_pad = mu + (0,) * (rows - len(mu))
     nvals = len(nu)
-    counts = [0] * (nvals + 1)
-    filling: dict[tuple[int, int], int] = {}
-    total = 0
+    # Cells in reverse reading order (top to bottom, right to left in each
+    # row) are positions 0..ncells-1 of `vals`.  Slot ncells + r holds row r's
+    # value cap min(r + 1, nvals) and slot ncells + rows holds 0, so every
+    # cell reads its bounds from two slots: `right[pos]` (the cell to its
+    # right, or its row's cap) and `above[pos]` (the cell above, or 0).
+    ncells = sum(lam) - sum(mu)
+    right: list[int] = []
+    above: list[int] = []
+    first = [0] * rows  # position of each row's rightmost cell
+    for r in range(rows):
+        first[r] = len(right)
+        for c in range(lam[r] - 1, mu_pad[r] - 1, -1):
+            right.append(ncells + r if c == lam[r] - 1 else len(right) - 1)
+            up = r > 0 and c >= mu_pad[r - 1]
+            above.append(first[r - 1] + lam[r - 1] - 1 - c if up else ncells + rows)
+    vals = [0] * ncells + [min(r + 1, nvals) for r in range(rows)] + [0]
+    need = (0,) + nu  # need[v]: how many v the content nu asks for
+    counts = [ncells] + [0] * nvals  # counts[0] never binds the lattice check
+    last = ncells - 1
 
-    def fill(pos: int) -> None:
-        nonlocal total
-        if pos == len(cells):
-            total += 1
-            return
-        r, c = cells[pos]
-        right = filling.get((r, c + 1))
-        above = filling.get((r - 1, c))
-        hi = right if right is not None else nvals
-        lo = (above + 1) if above is not None else 1
-        for v in range(lo, hi + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice condition on the reverse reading word
-            counts[v] += 1
-            filling[(r, c)] = v
-            fill(pos + 1)
-            del filling[(r, c)]
-            counts[v] -= 1
+    def fill(pos: int) -> int:
+        total = 0
+        for v in range(vals[above[pos]] + 1, vals[right[pos]] + 1):
+            c = counts[v]
+            # content nu, and the lattice condition on the reverse reading word
+            if c < need[v] and c < counts[v - 1]:
+                if pos == last:
+                    total += 1
+                else:
+                    counts[v] = c + 1
+                    vals[pos] = v
+                    total += fill(pos + 1)
+                    counts[v] = c
+        return total
 
-    fill(0)
-    return total
+    return fill(0)
 
 
 def lr_multi(lam: Iterable[int], factors: Sequence[Iterable[int]]) -> int:

@@ -17,16 +17,32 @@ EMPTY: Partition = ()
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize to a partition, stripping trailing zeros."""
-    seq = list(parts)
-    while seq and seq[-1] == 0:
-        seq.pop()
+    """Canonicalize to a partition, stripping trailing zeros.
+
+    One pass over the parts: a tuple that is already canonical is returned
+    as it is, the same object.  Only input that fails the pass is checked
+    part by part, to name the fault.
+    """
+    seq = parts if type(parts) is tuple else tuple(parts)
+    end = len(seq)
+    while end and seq[end - 1] == 0:
+        end -= 1
+    if end < len(seq):
+        seq = seq[:end]
+    prev = seq[0] if seq else 0
+    for a in seq:
+        if type(a) is not int or not 0 < a <= prev:
+            break
+        prev = a
+    else:
+        return seq
+    # The part-by-part check names the fault, and accepts int subclasses such as bool.
     for a in seq:
         if not isinstance(a, int) or a <= 0:
-            raise UsageError(f"partition parts must be positive integers: {seq!r}")
+            raise UsageError(f"partition parts must be positive integers: {list(seq)!r}")
     if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
-        raise UsageError(f"partition parts must be weakly decreasing: {seq!r}")
-    return tuple(seq)
+        raise UsageError(f"partition parts must be weakly decreasing: {list(seq)!r}")
+    return seq
 
 
 def conjugate(lam: Iterable[int]) -> Partition:

@@ -216,3 +216,50 @@ def nullspace_gauss_jordan(rows: list[list], ncols: int) -> list[tuple[int, ...]
         g = gcd(*ints)
         basis.append(tuple(a // g for a in ints))
     return basis
+
+
+def lr_fillings_reference(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """c^lam_{mu,nu} by the dict-keyed lattice filler, on canonical partitions.
+
+    Cells are filled in reverse reading order (top to bottom, right to left)
+    with values keyed by (row, col); a value is at most its right neighbour,
+    above its upper neighbour, within the content nu, and keeps the reverse
+    reading word a lattice word.
+    """
+    if sum(lam) != sum(mu) + sum(nu) or len(mu) > len(lam):
+        return 0
+    if any(a > b for a, b in zip(mu, lam)):
+        return 0
+    if not nu:
+        return 1 if lam == mu else 0
+    rows = len(lam)
+    mu_pad = tuple(mu) + (0,) * (rows - len(mu))
+    cells = [(r, c) for r in range(rows) for c in range(lam[r] - 1, mu_pad[r] - 1, -1)]
+    nvals = len(nu)
+    counts = [0] * (nvals + 1)
+    filling: dict[tuple[int, int], int] = {}
+    total = 0
+
+    def fill(pos: int) -> None:
+        nonlocal total
+        if pos == len(cells):
+            total += 1
+            return
+        r, c = cells[pos]
+        right = filling.get((r, c + 1))
+        above = filling.get((r - 1, c))
+        hi = right if right is not None else nvals
+        lo = (above + 1) if above is not None else 1
+        for v in range(lo, hi + 1):
+            if counts[v] >= nu[v - 1]:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue
+            counts[v] += 1
+            filling[(r, c)] = v
+            fill(pos + 1)
+            del filling[(r, c)]
+            counts[v] -= 1
+
+    fill(0)
+    return total

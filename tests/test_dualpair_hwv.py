@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import warnings
 from math import comb
 
@@ -15,7 +16,7 @@ from branchbox.dualpair import analysis
 from branchbox.dualpair.analysis import _labels_for
 from branchbox.dualpair.configs import TorusFactor
 from branchbox.dualpair.linalg import rank
-from branchbox.dualpair.poly import apply_to_monomial, grevlex_mono_key
+from branchbox.dualpair.poly import apply_to_monomial, grevlex_mono_key, make_operator
 from branchbox.errors import BudgetError, UsageError
 from branchbox.lr import lr_coefficient
 from branchbox.partitions import Signature, as_partition, enumerate_partitions
@@ -211,14 +212,17 @@ def test_simple_raisings_count_what_all_raisings_count(name, shape, mode):
     assert {e.labels: e.mult for e in hwv_multiplicities(shape, 4, mode)} == expected
 
 
-def test_shape_counts_the_variables_its_config_builds():
-    shapes = []
+def _grid_shapes():
     for case in "ABC":
         for n, m, l, split in itertools.product(range(1, 5), range(1, 4), range(3), (False, True)):
             try:
-                shapes.append(MatrixSpaceShape(case, n, m, l, split))
+                yield MatrixSpaceShape(case, n, m, l, split)
             except UsageError:  # a combination the shape does not offer
                 pass
+
+
+def test_shape_counts_the_variables_its_config_builds():
+    shapes = list(_grid_shapes())
     assert len(shapes) == 108
     assert [s for s in shapes if s.var_count != build_config(s).var_count] == []
 
@@ -249,6 +253,42 @@ def test_simple_raisings_number_the_rank_of_each_factor(config):
         [factor] = [i for i, w in enumerate(config.op_weight_shift(op)) if any(w)]
         found[factor] += 1
     assert found == expected
+
+
+def _pair_sum_simple_raisings(config):
+    """The raisings whose weight shift is no sum of two raisings' shifts, by every pair sum."""
+    shifts = [config.op_weight_shift(op) for op in config.raisings]
+    sums = {tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
+            for a, b in itertools.combinations(shifts, 2)}
+    return tuple(op for op, s in zip(config.raisings, shifts) if s not in sums)
+
+
+def test_simple_raisings_match_the_pair_sum_rule():
+    configs = list(SIMPLE_RAISING_CONFIGS)
+    configs += [build_config(shape) for shape in _grid_shapes()]
+    for _, shape, mode in ALL_RAISINGS_CASES:
+        configs.append(build_product_config(mode, shape.m) if isinstance(mode, ProductO)
+                       else build_config(shape))
+    configs.append(build_config(MatrixSpaceShape("A", 20, 20)))
+    assert len(configs) == 43 + 108 + 8 + 1
+    for config in configs:
+        assert config.simple_raisings == _pair_sum_simple_raisings(config), config.descriptor
+    assert (len(config.raisings), len(config.simple_raisings)) == (280, 29)
+
+
+def test_simple_raisings_match_the_pair_sum_rule_on_repeated_shifts():
+    # built-in configs never repeat a shift, double one or shift by 0; these
+    # x_i d_j raisings on random small weights do all three
+    pairs = list(itertools.product(range(4), repeat=2))
+    for seed in range(200):
+        rng = random.Random(seed)
+        weights = tuple(tuple(rng.randint(-1, 1) for _ in range(2)) for _ in range(4))
+        raisings = tuple(make_operator(f"R{i}{j}", "raising", [(1, {i: 1}, {j: 1})])
+                         for i, j in rng.sample(pairs, 6))
+        config = SpaceConfig("random shifts", 4, ("a", "b", "c", "d"),
+                             (TorusFactor("GL", 2, 2, signed=True),), (weights,),
+                             (), (), (), raisings, ())
+        assert config.simple_raisings == _pair_sum_simple_raisings(config), seed
 
 
 def test_product_o_requires_matching_block_sizes():

@@ -1,9 +1,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchbox.lr import cache_snapshot, clear_cache, lr_coefficient, lr_multi
-from branchbox.partitions import conjugate, enumerate_partitions, partitions_of
+from branchbox import schur
+from branchbox.lr import cache_snapshot, clear_cache, lr_coefficient, lr_kernel, lr_multi
+from branchbox.partitions import (conjugate, enumerate_partitions, partitions_between,
+                                  partitions_of)
 from branchbox.schur import multiply_schur, schur_vector
+
+from .oracles import lr_fillings_reference
 
 small_partitions = st.lists(st.integers(1, 4), max_size=4).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
@@ -109,3 +113,66 @@ def test_memo_stores_one_entry_under_the_normalized_key():
         assert cache_snapshot() == {((2, 1), (2,), (1,)): 1}  # swapped: no new entry
     finally:
         clear_cache()
+
+
+def _triples(max_size):
+    """Every (lam, mu, nu) with |lam| <= max_size and |mu| + |nu| = |lam|."""
+    for size in range(max_size + 1):
+        for lam in partitions_of(size):
+            for k in range(size + 1):
+                for mu in partitions_of(k):
+                    for nu in partitions_of(size - k):
+                        yield lam, mu, nu
+
+
+def test_lr_kernel_matches_the_dict_keyed_filler_to_size_10():
+    clear_cache()
+    try:
+        checked = nonzero = 0
+        for lam, mu, nu in _triples(10):
+            c = lr_kernel(lam, mu, nu)
+            assert c == lr_fillings_reference(lam, mu, nu), (lam, mu, nu)
+            checked += 1
+            nonzero += c > 0
+        assert (checked, nonzero) == (36032, 5462)
+    finally:
+        clear_cache()
+
+
+@st.composite
+def lr_triples(draw, max_size=16):
+    """lam of size <= max_size, mu inside lam, nu inside lam of the remaining size."""
+    lam = draw(st.sampled_from(list(partitions_of(draw(st.integers(0, max_size))))))
+    mu = draw(st.sampled_from(list(partitions_between(
+        (), lam, draw(st.integers(0, sum(lam)))))))
+    nu = draw(st.sampled_from(list(partitions_between((), lam, sum(lam) - sum(mu)))))
+    return lam, mu, nu
+
+
+@given(lr_triples())
+@settings(max_examples=300, deadline=None)
+def test_lr_kernel_matches_the_dict_keyed_filler_to_size_16(triple):
+    clear_cache()
+    try:
+        assert lr_kernel(*triple) == lr_fillings_reference(*triple)
+    finally:
+        clear_cache()
+
+
+def test_lr_coefficient_never_reaches_schur_code(monkeypatch):
+    # converse of test_multiply_schur_never_reaches_lr_code: LR checks Schur only
+    # while it is computed without Schur arithmetic
+    def refuse(*args):
+        raise AssertionError("lr_coefficient called Schur code")
+
+    for name in ("_kostka", "_brauer_product", "schur_expand"):
+        monkeypatch.setattr(schur, name, refuse)
+    clear_cache()
+    try:
+        table = {lam: lr_coefficient(lam, (3, 2, 1), (2, 1)) for lam in partitions_of(9)}
+    finally:
+        clear_cache()
+    assert sum(table.values()) == 17
+    assert {lam: c for lam, c in table.items() if c > 1} == {
+        (4, 3, 2): 2, (4, 3, 1, 1): 2, (4, 2, 2, 1): 2, (3, 3, 2, 1): 2}
+    assert table[(5, 3, 1)] == 1 and table[(3, 2, 1, 1, 1, 1)] == 0

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,56 @@ def test_as_partition_rejects_bad_input():
         as_partition((1, 2))
     with pytest.raises(UsageError):
         as_partition((2, -1))
+
+
+def _as_partition_reference(parts):
+    """as_partition as it was before its one-pass check: strip, then check part by part."""
+    seq = list(parts)
+    while seq and seq[-1] == 0:
+        seq.pop()
+    for a in seq:
+        if not isinstance(a, int) or a <= 0:
+            raise UsageError(f"partition parts must be positive integers: {seq!r}")
+    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
+        raise UsageError(f"partition parts must be weakly decreasing: {seq!r}")
+    return tuple(seq)
+
+
+AS_PARTITION_INPUTS = {
+    "list": lambda: [3, 2, 2],
+    "tuple": lambda: (3, 2, 2),
+    "range": lambda: range(4, 0, -1),
+    "generator": lambda: (a for a in (3, 1, 1)),
+    "trailing zeros": lambda: (3, 2, 0, 0),
+    "inner zero": lambda: (2, 0, 1),
+    "increasing": lambda: (1, 2),
+    "negative": lambda: (2, -1),
+    "bool": lambda: (True,),
+    "float": lambda: (2.0,),
+    "str": lambda: ("a",),
+    "trailing float zero": lambda: (2, 0.0),
+    "trailing Fraction zero": lambda: (2, Fraction(0)),
+}
+
+
+def _outcome(fn, parts):
+    try:
+        result = fn(parts)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(result), result, [type(a) for a in result]
+
+
+@pytest.mark.parametrize("name", AS_PARTITION_INPUTS)
+def test_as_partition_keeps_the_part_by_part_results(name):
+    make = AS_PARTITION_INPUTS[name]
+    assert _outcome(as_partition, make()) == _outcome(_as_partition_reference, make())
+
+
+def test_as_partition_returns_a_canonical_tuple_itself():
+    lam = (4, 2, 2, 1)
+    assert as_partition(lam) is lam
+    assert as_partition(()) == ()
 
 
 # Each public entry point with a placeholder p for one partition argument;
