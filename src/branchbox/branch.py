@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import LabelError, StableRangeError, StableRangeWarning
-from .lr import lr_coefficient, lr_kernel
+from .lr import coproduct, lr_coefficient, lr_kernel
 # Nothing here calls lr_multi: the benchmark's tracer (perfbench/tracer.py) wraps
 # the binding `branchbox.branch.lr_multi`, and its tests need the name to exist.
 from .lr import lr_multi  # noqa: F401
@@ -237,24 +237,21 @@ def o_restrict_table(lam: Partition) -> dict[tuple[Partition, Partition], int]:
 
     One scatter over the GL intermediates tau <= lam with |lam| - |tau| even:
     the even-row sum E_lam(tau) is computed once per tau, and when it is
-    nonzero c^tau_{mu,nu} * E_lam(tau) is added to every (mu, nu) with
-    mu, nu <= tau and |mu| + |nu| = |tau|.  Every term is positive, so no
-    cell is zero.  Admissibility of mu and nu is left to the caller.
+    nonzero c^tau_{mu,nu} * E_lam(tau) is added to every (mu, nu) of
+    `lr.coproduct(tau)`, which lists each nonzero c^tau_{mu,nu} once from one
+    fill per mu <= tau and is memoized by tau, so tables sharing a tau share
+    its fills.  Every term is positive, so no cell is zero.  Admissibility of
+    mu and nu is left to the caller.  A single value (`o_restrict_kernel`)
+    still gathers through `lr_kernel`, which fills for its one content only.
     """
     table: dict[tuple[Partition, Partition], int] = {}
     size = sum(lam)
     for t in range(size % 2, size + 1, 2):
         for tau in partitions_between((), lam, t):
             weight = _even_row_sum(lam, tau)
-            if not weight:
-                continue
-            for k in range(t + 1):
-                nus = list(partitions_between((), tau, t - k))
-                for mu in partitions_between((), tau, k):
-                    for nu in nus:
-                        c = lr_kernel(tau, mu, nu)
-                        if c:
-                            table[mu, nu] = table.get((mu, nu), 0) + c * weight
+            if weight:
+                for key, c in coproduct(tau):
+                    table[key] = table.get(key, 0) + c * weight
     return table
 
 

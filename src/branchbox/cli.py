@@ -24,9 +24,11 @@ emits one StableRangeWarning.  A `tensor sp` table then maps the trusted
 kernel over keys that are canonical and admissible by construction.  A
 `restrict o` table is one scatter, `branch.o_restrict_table`: each GL
 intermediate tau <= lam carries its even-row sum E_lam(tau), computed once,
-into every cell (mu, nu) with c^tau_{mu,nu} > 0, and the handler keeps the
-cells whose mu and nu are admissible O_n and O_m labels.  A single value
-still gathers its one sum through `branch.o_restrict_stable`.  A `tensor o`
+into every cell (mu, nu) of its memoized LR coproduct `lr.coproduct(tau)`,
+and the handler keeps the cells whose mu and nu are admissible O_n and O_m
+labels, building one `IrrepLabel` per distinct mu and per distinct nu.  A
+single value still gathers its one sum through `branch.o_restrict_stable`,
+whose `lr_kernel` calls fill for one content each.  A `tensor o`
 table still evaluates each entry through `branch.o_tensor_stable`, which
 checks and gates every entry (after one `branch.refuse`): the benchmark's
 tests plant wrong values in that binding and expect the table to show them.
@@ -176,9 +178,12 @@ def _cmd_restrict(args) -> int:
         _emit_value(args, value, branch.o_restrict_range(lam, n, m) is None)
         return 0
     stable = branch.check_o_restrict(lam, n, m, policy)
-    entries = [MultiplicityEntry((IrrepLabel("O", n, mu), IrrepLabel("O", m, nu)), v, stable)
-               for (mu, nu), v in branch.o_restrict_table(lam).items()
-               if admissible_o_kernel(mu, n) and admissible_o_kernel(nu, m)]
+    cells = [(mu, nu, v) for (mu, nu), v in branch.o_restrict_table(lam).items()
+             if admissible_o_kernel(mu, n) and admissible_o_kernel(nu, m)]
+    # one validated label per distinct weight, shared by every entry that has it
+    mus = {mu: IrrepLabel("O", n, mu) for mu in {mu for mu, _, _ in cells}}
+    nus = {nu: IrrepLabel("O", m, nu) for nu in {nu for _, nu, _ in cells}}
+    entries = [MultiplicityEntry((mus[mu], nus[nu]), v, stable) for mu, nu, v in cells]
     _emit_entries(args, entries)
     return 0
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchbox import branch
+from branchbox import branch, lr
 from branchbox.branch import (ENFORCE, WARN_AND_COMPUTE, _shifted_lr,
                               gl_tensor_rational, gl_to_o, gl_to_sp,
                               o_restrict_stable, o_tensor_stable,
@@ -79,6 +79,40 @@ def test_restrict_table_takes_each_even_row_sum_once(monkeypatch):
     want = [(lam, tau) for tau in enumerate_partitions(sum(lam), max_length=len(lam))
             if contains(lam, tau) and (sum(lam) - sum(tau)) % 2 == 0]
     assert sorted(calls) == sorted(want)
+
+
+def _fill_keys(lam):
+    """(tau, mu) for each tau <= lam with E_lam(tau) > 0 and each mu <= tau."""
+    return sorted((tau, mu) for tau in enumerate_partitions(sum(lam), max_length=len(lam))
+                  if contains(lam, tau) and branch._even_row_sum(lam, tau)
+                  for mu in enumerate_partitions(sum(tau), max_length=len(tau))
+                  if contains(tau, mu))
+
+
+def test_restrict_table_fills_each_tau_once(monkeypatch):
+    # one skew fill per (tau, mu) with tau weighted, and none for a later
+    # table whose weighted tau were all seen before
+    fills = []
+    by_content = lr._fillings_by_content
+
+    def counted(tau, mu):
+        fills.append((tau, mu))
+        return by_content(tau, mu)
+
+    monkeypatch.setattr(lr, "_fillings_by_content", counted)
+    lr.clear_cache()
+    try:
+        branch.o_restrict_table((4, 3, 1))
+        assert sorted(fills) == _fill_keys((4, 3, 1))
+        seen = len(fills)
+        assert {tau for tau, _ in _fill_keys((3, 2, 1))} <= set(lr._coproduct_memo)
+        warm = branch.o_restrict_table((3, 2, 1))
+        assert len(fills) == seen
+        lr.clear_cache()
+        assert branch.o_restrict_table((3, 2, 1)) == warm
+        assert sorted(fills[seen:]) == _fill_keys((3, 2, 1))
+    finally:
+        lr.clear_cache()
 
 
 def test_gl_tensor_rational_examples():

@@ -152,7 +152,19 @@ PINNED_LARGER = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_TABLES + PINNED_LARGER)
+# sha256 of stdout, recorded while a restrict o table made one lr_kernel call
+# per (tau, mu, nu) instead of reading each tau's coproduct
+PINNED_COPRODUCT = [
+    (("restrict", "o", "--lam", "6,5,4,3", "--n", "9", "--m", "9"),
+     "b291ec2b62c71e84afa7575dfcca4a9a1244cbc1b2f8abb97285db8ae5c4130d"),
+    (("restrict", "o", "--lam", "7,5,3,1", "--n", "9", "--m", "9", "--output-format", "csv"),
+     "4c78eb72fe6a641010a3fbb36429f48ef0e035870437a8cd163f4cd54e88fd5c"),
+    (("restrict", "o", "--lam", "4,4,2,2", "--n", "7", "--m", "8", "--stable-policy", "warn"),
+     "7808704b15f8f07fd31ad3ab033057403c3f335b6400a4752d4e56b7393f657a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_TABLES + PINNED_LARGER + PINNED_COPRODUCT)
 def test_table_output_is_pinned(capsys, argv, digest):
     rc, out, _ = run(capsys, *argv, ignore_warnings=True)
     assert rc == 0

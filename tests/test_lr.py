@@ -1,8 +1,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchbox import schur
-from branchbox.lr import cache_snapshot, clear_cache, lr_coefficient, lr_kernel, lr_multi
+from branchbox import branch, lr, schur
+from branchbox.lr import (cache_snapshot, clear_cache, coproduct, lr_coefficient, lr_kernel,
+                          lr_multi)
 from branchbox.partitions import (conjugate, enumerate_partitions, partitions_between,
                                   partitions_of)
 from branchbox.schur import multiply_schur, schur_vector
@@ -176,3 +177,55 @@ def test_lr_coefficient_never_reaches_schur_code(monkeypatch):
     assert {lam: c for lam, c in table.items() if c > 1} == {
         (4, 3, 2): 2, (4, 3, 1, 1): 2, (4, 2, 2, 1): 2, (3, 3, 2, 1): 2}
     assert table[(5, 3, 1)] == 1 and table[(3, 2, 1, 1, 1, 1)] == 0
+
+
+def _coproduct_reference(tau, mus):
+    """c^tau_{mu,nu} by the dict-keyed filler for every mu in mus and nu inside tau."""
+    return {(mu, nu): lr_fillings_reference(tau, mu, nu)
+            for mu in mus for nu in partitions_between((), tau, sum(tau) - sum(mu))}
+
+
+def test_coproduct_matches_the_dict_keyed_filler_to_size_10():
+    clear_cache()
+    try:
+        checked = nonzero = 0
+        for tau in enumerate_partitions(10):
+            got = coproduct(tau)
+            mus = [mu for k in range(sum(tau) + 1) for mu in partitions_between((), tau, k)]
+            want = _coproduct_reference(tau, mus)
+            assert len(dict(got)) == len(got), tau  # each (mu, nu) once
+            assert dict(got) == {key: c for key, c in want.items() if c}, tau
+            checked += len(want)
+            nonzero += len(got)
+        assert (checked, nonzero) == (8376, 5462)
+    finally:
+        clear_cache()
+
+
+@st.composite
+def taus_and_mus(draw, max_size=14):
+    """tau of size <= max_size and mu inside tau."""
+    tau = draw(st.sampled_from(list(partitions_of(draw(st.integers(0, max_size))))))
+    mu = draw(st.sampled_from(list(partitions_between((), tau, draw(st.integers(0, sum(tau)))))))
+    return tau, mu
+
+
+@given(taus_and_mus())
+@settings(max_examples=150, deadline=None)
+def test_coproduct_matches_the_dict_keyed_filler_to_size_14(pair):
+    tau, mu = pair
+    clear_cache()
+    try:
+        got = {(m, nu): c for (m, nu), c in coproduct(tau) if m == mu}
+        want = _coproduct_reference(tau, [mu])
+        assert got == {key: c for key, c in want.items() if c}
+    finally:
+        clear_cache()
+
+
+def test_clear_cache_empties_both_memos():
+    clear_cache()
+    branch.o_restrict_table((3, 2, 1))
+    assert cache_snapshot() and lr._coproduct_memo
+    clear_cache()
+    assert cache_snapshot() == {} and lr._coproduct_memo == {}

@@ -127,8 +127,8 @@ def test_public_entry_points_reject_bad_partitions(call, bad):
 
 def test_trusting_kernels_stay_out_of_the_public_api():
     # these take partitions unchecked, so only library code may call them
-    trusting = {"lr_kernel", "monomial_product", "o_restrict_kernel", "o_restrict_table",
-                "tensor_kernel", "admissible_o_kernel"}
+    trusting = {"lr_kernel", "coproduct", "monomial_product", "o_restrict_kernel",
+                "o_restrict_table", "tensor_kernel", "admissible_o_kernel"}
     assert not trusting & set(branchbox.__all__)
     assert not [name for name in branchbox.__all__ if name.startswith("_")]
 
