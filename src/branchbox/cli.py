@@ -2,9 +2,11 @@
 
 Exit status: 0 on success (and all-PASS for verification suites), 1 when any
 verification entry fails, 2 on usage, stable-range or size-budget errors, 3
-on an internal invariant error (a bug, reported in one line).  Table rows are
-always assembled and sorted by graded-revlex label keys before emission, so
-output is byte-identical for identical inputs.
+on an internal invariant error (a bug, reported in one line).  A table is
+handed to `_emit_table` as cells {weights: mult}: it validates, ranks and
+renders each distinct label once and sorts the rows by those graded-revlex
+ranks, in the order `reports.sorted_entries` defines, so output is
+byte-identical for identical inputs.
 
 Every formula-vs-oracle suite is one `Suite` row of `SUITES`: its flags, the
 label families, the label grid, the formula and the polynomial model.  One
@@ -26,15 +28,15 @@ kernel over keys that are canonical and admissible by construction.  A
 intermediate tau <= lam carries its even-row sum E_lam(tau), computed once,
 into every cell (mu, nu) of its memoized LR coproduct `lr.coproduct(tau)`,
 and the handler keeps the cells whose mu and nu are admissible O_n and O_m
-labels, building one `IrrepLabel` per distinct mu and per distinct nu.  A
-single value still gathers its one sum through `branch.o_restrict_stable`,
-whose `lr_kernel` calls fill for one content each.  A `tensor o`
-table still evaluates each entry through `branch.o_tensor_stable`, which
-checks and gates every entry (after one `branch.refuse`): the benchmark's
-tests plant wrong values in that binding and expect the table to show them.
+labels, testing each distinct mu and nu once.  A single value still
+gathers its one sum through `branch.o_restrict_stable`, whose `lr_kernel`
+calls fill for one content each.  A `tensor o` table still evaluates each
+entry through `branch.o_tensor_stable`, which checks and gates every entry
+(after one `branch.refuse`): the benchmark's tests plant wrong values in
+that binding and expect the table to show them.
 
-Each handler hands `_emit` one callable per rendering, so only the
-requested format is built.
+Each handler hands `_emit` one callable per rendering, and `_emit_table`
+branches on the format, so only the requested one is built.
 """
 
 from __future__ import annotations
@@ -43,16 +45,19 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import getitem
+from typing import Callable, Mapping, Sequence
 
 from . import branch, jsonio, lr
 from .dims import hilbert_check
 from .dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, check_monomial_count,
                        hwv_multiplicities, verify_brackets)
 from .errors import BudgetError, InternalInvariantError, StableRangeError, UsageError
-from .partitions import (IrrepLabel, admissible_o_kernel, enumerate_partitions,
-                         is_admissible_o, partitions_of)
-from .reports import MultiplicityEntry, labels_sort_key, sorted_entries
+from .partitions import (IrrepLabel, Partition, admissible_o_kernel, enumerate_partitions,
+                         grevlex_key, is_admissible_o, partitions_of)
+from .reports import MultiplicityEntry, labels_sort_key
+# Uncalled (`_emit_table` sorts by ranks); perfbench/tracer.py wraps this binding.
+from .reports import sorted_entries  # noqa: F401
 
 _POLICIES = {"enforce": branch.ENFORCE, "warn": branch.WARN_AND_COMPUTE}
 
@@ -72,10 +77,29 @@ def _emit_value(args, value: int, stable: bool | None = None) -> None:
     _emit(args, lambda: jsonio.value_json(value, stable), lambda: jsonio.value_csv(value, stable))
 
 
-def _emit_entries(args, entries: Sequence[MultiplicityEntry]) -> None:
-    entries = sorted_entries(entries)
-    _emit(args, lambda: [jsonio.entry_json(e) for e in entries],
-          lambda: jsonio.entries_csv(entries))
+def _emit_table(args, columns: Sequence[tuple[str, int]],
+                cells: Mapping[tuple[Partition, ...], int], stable: bool) -> None:
+    """Write a table of cells {weights: mult}, columns[i] the (family, rank) of weights[i].
+
+    Each distinct weight of a column is validated once (one `IrrepLabel`),
+    ranked once (its place in graded-revlex order) and, for JSON, rendered
+    once.  The cells are sorted by their tuple of column ranks: the order of
+    `sorted_entries`, since a column shares one family, `grevlex_key` is
+    injective on partitions and no two cells share their weights.
+    """
+    labels = [{w: IrrepLabel(family, rank, w) for w in set(col)}
+              for (family, rank), col in zip(columns, zip(*cells))]
+    ranks = [{w: r for r, w in enumerate(sorted(col, key=grevlex_key))} for col in labels]
+    order = sorted(cells, key=lambda key: tuple(map(getitem, ranks, key)))
+    if args.output_format == "json":
+        texts = [{w: jsonio.dumps(jsonio.label_json(lab)) for w, lab in col.items()}
+                 for col in labels]
+        rows = ((tuple(map(getitem, texts, key)), cells[key]) for key in order)
+        sys.stdout.write(jsonio.entries_json_text(rows, stable) + "\n")
+    else:
+        sys.stdout.write(jsonio.entries_csv(
+            [MultiplicityEntry(tuple(map(getitem, labels, key)), cells[key], stable)
+             for key in order]))
 
 
 def _require_positive(**named: int) -> None:
@@ -149,9 +173,8 @@ def _cmd_tensor(args) -> int:
     else:
         stable = branch.check_sp_tensor(mu, nu, n, policy)
         value = lambda lam: branch.tensor_kernel(mu, nu, lam)
-    entries = [MultiplicityEntry((IrrepLabel(fam, rank, lam),), v, stable)
-               for lam in _tensor_targets(mu, nu, admissible) for v in [value(lam)] if v]
-    _emit_entries(args, entries)
+    cells = {(lam,): v for lam in _tensor_targets(mu, nu, admissible) for v in [value(lam)] if v}
+    _emit_table(args, ((fam, rank),), cells, stable)
     return 0
 
 
@@ -178,13 +201,12 @@ def _cmd_restrict(args) -> int:
         _emit_value(args, value, branch.o_restrict_range(lam, n, m) is None)
         return 0
     stable = branch.check_o_restrict(lam, n, m, policy)
-    cells = [(mu, nu, v) for (mu, nu), v in branch.o_restrict_table(lam).items()
-             if admissible_o_kernel(mu, n) and admissible_o_kernel(nu, m)]
-    # one validated label per distinct weight, shared by every entry that has it
-    mus = {mu: IrrepLabel("O", n, mu) for mu in {mu for mu, _, _ in cells}}
-    nus = {nu: IrrepLabel("O", m, nu) for nu in {nu for _, nu, _ in cells}}
-    entries = [MultiplicityEntry((mus[mu], nus[nu]), v, stable) for mu, nu, v in cells]
-    _emit_entries(args, entries)
+    table = branch.o_restrict_table(lam)
+    # admissibility once per distinct mu and nu, not once per cell
+    mus = {mu for mu in {mu for mu, _ in table} if admissible_o_kernel(mu, n)}
+    nus = {nu for nu in {nu for _, nu in table} if admissible_o_kernel(nu, m)}
+    cells = {key: v for key, v in table.items() if key[0] in mus and key[1] in nus}
+    _emit_table(args, (("O", n), ("O", m)), cells, stable)
     return 0
 
 

@@ -145,7 +145,9 @@ def hilbert_check(n: int, m: int, max_degree: int):
     The harmonic series sum_lam dim_o(lam,n) dim_gl(lam,m) q^|lam| times the
     free invariant series (1-q^2)^(-m(m+1)/2) must reproduce the full
     polynomial series (1-q)^(-nm).  Requires n > 2m so every label in range
-    has a well-defined O_n dimension.
+    has a well-defined O_n dimension, and raises StableRangeError otherwise.
+    There is no policy: the CLI's `hilbert --stable-policy warn` is accepted
+    and ignored, and exits 2 exactly as under `enforce`.
     """
     if n <= 2 * m:
         raise StableRangeError(

@@ -59,6 +59,17 @@ def entry_json(entry: MultiplicityEntry) -> dict:
             "mult": entry.mult, "stable": entry.stable}
 
 
+def entries_json_text(rows: Iterable[tuple[Sequence[str], int]], stable: bool) -> str:
+    """The text of dumps([entry_json(e) ...]) for a table of one stable flag.
+
+    Each row is (label fragments, mult), a fragment being the text of
+    dumps(label_json(label)), so a table renders each distinct label once.
+    """
+    tail = ',"stable":true}' if stable else ',"stable":false}'
+    return "[" + ",".join(f'{{"labels":[{",".join(labels)}],"mult":{mult}{tail}'
+                          for labels, mult in rows) + "]"
+
+
 def value_json(value: int, stable: bool | None = None) -> dict:
     if stable is None:
         return {"value": value}

@@ -1,4 +1,12 @@
-"""Report records shared by the formula side and the brute-force side."""
+"""Report records shared by the formula side and the brute-force side.
+
+`sorted_entries` defines the order of every table: by label, in graded
+reverse-lexicographic order of its weight.  The CLI's table emitter
+(`cli._emit_table`) validates, ranks and renders each distinct label of a
+table once and sorts by those ranks, which gives the same order, since the
+labels of a column share one family; the oracle side and the tests sort
+with `sorted_entries` itself.
+"""
 
 from __future__ import annotations
 

@@ -7,10 +7,11 @@ from functools import partial
 
 import pytest
 
-from branchbox import branch, cli, lr
+from branchbox import branch, cli, jsonio, lr
 from branchbox.cli import main
 from branchbox.errors import StableRangeError, StableRangeWarning
-from branchbox.partitions import enumerate_partitions, is_admissible_o
+from branchbox.partitions import IrrepLabel, enumerate_partitions, is_admissible_o, partitions_of
+from branchbox.reports import MultiplicityEntry, sorted_entries
 
 
 def run(capsys, *argv, ignore_warnings=False):
@@ -164,7 +165,35 @@ PINNED_COPRODUCT = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_TABLES + PINNED_LARGER + PINNED_COPRODUCT)
+# sha256 of stdout, recorded while every table built one entry (two labels
+# for restrict o) per cell, sorted the entries and rendered them one by one:
+# tensor tables below their stable bound, where every row has "stable":false
+PINNED_UNSTABLE_TENSOR = [
+    (("tensor", "o", "--mu", "2,1", "--nu", "1,1", "--n", "4", "--stable-policy", "warn"),
+     "054d36641efa643deb816d339b7902db952ad880811821d438cc08046f85a897"),
+    (("tensor", "o", "--mu", "2,1", "--nu", "1,1", "--n", "4", "--stable-policy", "warn",
+      "--output-format", "csv"),
+     "ae70059ed1f52f6354f353c0c0b8e828a46650f3e7829664b251aa5ab39b3c3f"),
+    (("tensor", "o", "--mu", "3,2", "--nu", "2,2", "--n", "6", "--stable-policy", "warn"),
+     "5493db7c80085575a087e4e594586ad2556e4f76567ee70c96c4b454622e152d"),
+    (("tensor", "o", "--mu", "3,2", "--nu", "2,2", "--n", "6", "--stable-policy", "warn",
+      "--output-format", "csv"),
+     "b2d7c18269174ab673ebe914415c6d20fd9b0219fbf878f5c0d5a8aa94bef46c"),
+    (("tensor", "sp", "--mu", "2,1", "--nu", "2", "--n", "2", "--stable-policy", "warn"),
+     "0ddcaf188479ed23a3e3ce18ba3b15d7295e41acda87f24ba177ab66119e7184"),
+    (("tensor", "sp", "--mu", "2,1", "--nu", "2", "--n", "2", "--stable-policy", "warn",
+      "--output-format", "csv"),
+     "35ea2b5a4687d267ac6a5bfdf07a439296ac10a4ec3d0ab74178c8833dd9c1ec"),
+    (("tensor", "sp", "--mu", "4,3", "--nu", "2,2", "--n", "3", "--stable-policy", "warn"),
+     "b850e66935e0860b30bd54d4bfe80e665aa3d42eb4879a461c25928dc5f28e47"),
+    (("tensor", "sp", "--mu", "4,3", "--nu", "2,2", "--n", "3", "--stable-policy", "warn",
+      "--output-format", "csv"),
+     "a5eb8902f57ec278d5904f0eb1f36eb40fa783b1f06484571597861ebeaeabed"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_TABLES + PINNED_LARGER + PINNED_COPRODUCT
+                         + PINNED_UNSTABLE_TENSOR)
 def test_table_output_is_pinned(capsys, argv, digest):
     rc, out, _ = run(capsys, *argv, ignore_warnings=True)
     assert rc == 0
@@ -189,6 +218,108 @@ def test_restrict_table_scatter_equals_the_gather(capsys, n, m):
                     for v in [branch.o_restrict_kernel(lam, mu, nu)] if v}
         assert table.keys() <= set(targets), lam
         assert table == gathered, lam
+
+
+def _reference_text(entries, output_format) -> str:
+    """A table rendered the way every table was before labels were shared:
+    sort the entries, then render each entry on its own."""
+    entries = sorted_entries(entries)
+    if output_format == "json":
+        return jsonio.dumps([jsonio.entry_json(e) for e in entries]) + "\n"
+    return jsonio.entries_csv(entries)
+
+
+def _restrict_reference(lam, n, m):
+    stable = branch.o_restrict_range(lam, n, m) is None
+    cells = reversed(branch.o_restrict_table(lam).items())  # not in output order
+    return stable, [MultiplicityEntry((IrrepLabel("O", n, mu), IrrepLabel("O", m, nu)), v, stable)
+                    for (mu, nu), v in cells if is_admissible_o(mu, n) and is_admissible_o(nu, m)]
+
+
+def _tensor_reference(family, mu, nu, n):
+    if family == "o":
+        stable = branch.o_tensor_range(mu, nu, n) is None
+        fam, rank, admissible = "O", n, lambda lam: is_admissible_o(lam, n)
+    else:
+        stable = branch.sp_tensor_range(mu, nu, n) is None
+        fam, rank, admissible = "Sp", 2 * n, lambda lam: len(lam) <= n
+    targets = reversed(cli._tensor_targets(mu, nu, admissible))  # not in output order
+    return stable, [MultiplicityEntry((IrrepLabel(fam, rank, lam),), v, stable)
+                    for lam in targets for v in [branch.tensor_kernel(mu, nu, lam)] if v]
+
+
+def _restrict_cases():
+    """Every lam with |lam| <= 8 and at most 3 rows, at its least stable n = m
+    and at n = m = max(len(lam), 1), unstable for every lam but the empty one."""
+    for lam in enumerate_partitions(8, max_length=3):
+        for n in (2 * len(lam) + 1, max(len(lam), 1)):
+            argv = ("restrict", "o", "--lam", _arg(lam), "--n", str(n), "--m", str(n))
+            yield argv, partial(_restrict_reference, lam, n, n)
+
+
+_POOL = [p for s in (2, 3, 4) for p in partitions_of(s, max_length=2)]
+
+
+def _tensor_cases(family):
+    """Every pair of the pool, at its least stable n and one below it."""
+    for mu in _POOL:
+        for nu in _POOL:
+            rows = len(mu) + len(nu)
+            bound = 2 * rows if family == "o" else rows
+            for n in (bound + 1, bound):
+                argv = ("tensor", family, "--mu", _arg(mu), "--nu", _arg(nu), "--n", str(n))
+                yield argv, partial(_tensor_reference, family, mu, nu, n)
+
+
+_TABLE_CASES = {"restrict-o": _restrict_cases, "tensor-o": partial(_tensor_cases, "o"),
+                "tensor-sp": partial(_tensor_cases, "sp")}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLE_CASES))
+def test_table_emitter_equals_the_per_entry_rendering(capsys, table):
+    flags = set()
+    for argv, reference in _TABLE_CASES[table]():
+        stable, entries = reference()
+        flags.add(stable)
+        for fmt in ("json", "csv"):
+            rc, out, _ = run(capsys, *argv, "--stable-policy", "warn", "--output-format", fmt,
+                             ignore_warnings=True)
+            assert rc == 0, argv
+            assert out == _reference_text(entries, fmt), (argv, fmt)
+    assert flags == {True, False}
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("restrict", "o", "--lam", "4,3,2", "--n", "7", "--m", "7"), ""),
+    (("restrict", "o", "--lam", "2,2,1", "--n", "3", "--m", "4", "--stable-policy", "warn"), ""),
+    (("restrict", "o", "--lam", "2,2", "--n", "1", "--m", "1", "--stable-policy", "warn"),
+     "error: (2, 2) is not an admissible O_2 label\n"),
+])
+def test_restrict_table_builds_one_label_per_distinct_weight(capsys, monkeypatch, argv, err):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return IrrepLabel(*args)
+
+    monkeypatch.setattr(cli, "IrrepLabel", counting)
+    rc, out, got = run(capsys, *argv, ignore_warnings=True)
+    assert (rc, got) == ((2, err) if err else (0, ""))
+    rows = json.loads(out) if out else []
+    mus = {tuple(row["labels"][0]["weight"]) for row in rows}
+    nus = {tuple(row["labels"][1]["weight"]) for row in rows}
+    assert len(built) == len(mus) + len(nus)
+    assert err or len(built) < 2 * len(rows)  # fewer than two labels per cell
+
+
+def test_table_emitter_still_validates_each_label(capsys, monkeypatch):
+    # with the handler's admissibility filter gone, inadmissible weights
+    # reach the emitter, whose labels refuse them
+    monkeypatch.setattr(cli, "admissible_o_kernel", lambda p, n: True)
+    rc, out, err = run(capsys, "restrict", "o", "--lam", "2,2,1", "--n", "3", "--m", "4",
+                       "--stable-policy", "warn", ignore_warnings=True)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: (") and "is not an admissible O_" in err
 
 
 def _single_argv(argv, labels):
