@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Time the multiplicity oracle in process at four certification sizes, every mode included,
-and two `restrict o` tables larger than the benchmark's.
+two `restrict o` tables larger than the benchmark's, and the bracket check on A(6,3).
 
     PYTHONPATH=src python3 scripts/oracle_ladder.py [REPEAT]
 
 Each oracle case calls `hwv_multiplicities` REPEAT times (default 5), each
-table case runs its CLI request in process REPEAT times from an empty LR
+CLI case runs its request in process REPEAT times from an empty LR
 memo, as a fresh CLI process would.  Each case prints one line: the case,
 the median wall seconds (`time.perf_counter`) and a sha256: of the result
 as the CLI would emit it (JSON entries in label order) for an oracle case,
-of the request's stdout for a table case.  So two source trees can be
+of the request's stdout for a CLI case.  So two source trees can be
 compared on time and on output.  Standard library only.
 """
 
@@ -34,6 +34,7 @@ CASES = [
 TABLE_CASES = [
     ("restrict o 5,4,3,2 n=m=9", ["restrict", "o", "--lam", "5,4,3,2", "--n", "9", "--m", "9"]),
     ("restrict o 4,3,3,2 n=m=9", ["restrict", "o", "--lam", "4,3,3,2", "--n", "9", "--m", "9"]),
+    ("verify brackets A(6,3)", ["verify", "brackets", "--case", "a", "--n", "6", "--m", "3"]),
 ]
 
 
@@ -59,13 +60,13 @@ def main(argv=None) -> int:
         times = []
         for _ in range(repeat):
             lr.clear_cache()
-            out = io.StringIO()
+            out, err = io.StringIO(), io.StringIO()
             start = time.perf_counter()
-            with contextlib.redirect_stdout(out):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(request)
             times.append(time.perf_counter() - start)
             if code:
-                print(f"{name}: exit {code}", file=sys.stderr)
+                print(f"{name}: exit {code}: {err.getvalue().strip()}", file=sys.stderr)
                 return 1
         _report(name, times, out.getvalue())
     return 0

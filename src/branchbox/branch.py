@@ -255,6 +255,11 @@ def o_restrict_table(lam: Partition) -> dict[tuple[Partition, Partition], int]:
     return table
 
 
+def hilbert_range(n: int, m: int) -> str | None:
+    """The bound of `dims.hilbert_check`, which sums an O_n dimension for every label."""
+    return None if n > 2 * m else f"n > 2*m = {2 * m}"
+
+
 def gl_tensor_rational(mu: Signature, nu: Signature, lam: Signature, n: int) -> int:
     """Multiplicity of lam in mu x nu for rational GL_n irreps.
 

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InternalInvariantError, StableRangeError, UsageError
+from .branch import ENFORCE, hilbert_range, refuse
+from .errors import InternalInvariantError, UsageError
 from .partitions import Partition, as_partition, partitions_of
 
 
@@ -144,14 +145,13 @@ def hilbert_check(n: int, m: int, max_degree: int):
 
     The harmonic series sum_lam dim_o(lam,n) dim_gl(lam,m) q^|lam| times the
     free invariant series (1-q^2)^(-m(m+1)/2) must reproduce the full
-    polynomial series (1-q)^(-nm).  Requires n > 2m so every label in range
-    has a well-defined O_n dimension, and raises StableRangeError otherwise.
-    There is no policy: the CLI's `hilbert --stable-policy warn` is accepted
-    and ignored, and exits 2 exactly as under `enforce`.
+    polynomial series (1-q)^(-nm).  Requires n > 2m (`branch.hilbert_range`)
+    so every label in range has a well-defined O_n dimension, and raises
+    StableRangeError otherwise.  The bound is always enforced: the CLI's
+    `hilbert --stable-policy warn` is accepted and ignored, and exits 2
+    exactly as under `enforce`.
     """
-    if n <= 2 * m:
-        raise StableRangeError(
-            f"outside the stable range: requires n > 2*m = {2 * m}")
+    refuse(hilbert_range(n, m), ENFORCE)
     d = max_degree
     harm = [0] * (d + 1)
     for lam in [p for k in range(d + 1) for p in partitions_of(k, max_length=m)]:

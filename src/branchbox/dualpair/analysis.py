@@ -22,8 +22,9 @@ weight is decoded (`_dominance_codes`), and every row handed to the
 multiplicity eliminations is made of `int`s; `linalg.echelon` eliminates
 them sparsely.  One builder, `_stacked_rows`, turns per-operator images of a
 block's columns into annihilator rows: for the kernel dimensions and for the
-ideal's rank in `harmonic_report`.  The bracket check applies each operator
-to each monomial once and builds every commutator from those images.
+ideal's rank in `harmonic_report`.  The bracket check multiplies the
+operators' normal-ordered terms c*x^a*d^b, a basis of the Weyl algebra, so
+each relation it certifies is an operator identity, true on every polynomial.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 from ..errors import BudgetError, InternalInvariantError, UsageError
 from ..partitions import IrrepLabel, as_partition, weight_to_signature
@@ -43,19 +44,26 @@ from .linalg import rank, solve_columns
 # the binding `branchbox.dualpair.analysis.nullspace`, and its tests need the name
 # to exist.
 from .linalg import nullspace  # noqa: F401
-from .poly import (Monomial, Operator, Poly, apply_operator, apply_to_monomial,
-                   commutator_apply, grevlex_mono_key, monomials_of_degree)
+from .poly import (Monomial, Operator, Poly, Term, apply_operator, apply_to_monomial,
+                   grevlex_mono_key)
+# Uncalled (the bracket check multiplies terms); the tracer wraps this binding too.
+from .poly import commutator_apply  # noqa: F401
 
-DEFAULT_BUDGET = 20000  # monomials in one weight block, or in one bracket check's test set
+DEFAULT_BUDGET = 20000  # monomials in one weight block
 # The most monomials build_buckets enumerates.  It holds every one of them
 # before any block meets the budget, so a large max_degree would exhaust
 # memory first.  A(5,2) at degree 12 is 646,646 monomials: 0.54 s and a
 # 115 MB peak on a 2-vCPU x86_64 VM.
 MAX_MONOMIALS = 1_000_000
-# The most commutator applications, C(operators, 2) * test monomials, of one
-# bracket check.  A(6,3) makes 66,690 in 6 s and A(7,4) 430,650 in 122 s on a
-# 2-vCPU x86_64 VM; the tests' and verify scripts' shapes make at most 6,006.
-MAX_BRACKET_APPLICATIONS = 100_000
+# The most term products, sum over operator pairs of |terms a| * |terms b|,
+# of one bracket check.  A(6,3) makes 10,380 in 0.06 s and A(7,4) 45,140 in
+# 0.4 s on a 2-vCPU x86_64 VM; A(8,8) would make 743,516 and took 128 s under
+# cProfile, nearly all of it in building and solving the per-pair span systems.
+MAX_BRACKET_PRODUCTS = 50_000
+# The most variables of a bracket check's shape, counted before its config is
+# built.  Every shape within MAX_BRACKET_PRODUCTS has far fewer; the guard
+# spares the build of a shape that the product count would refuse anyway.
+MAX_BRACKET_VARIABLES = 200
 
 
 def check_monomial_count(var_count: int, max_degree: int) -> None:
@@ -384,37 +392,82 @@ def _bracket_rule(kind_a: str, kind_b: str) -> tuple[str, str | None]:
     return ("euler,euler", "euler_id")
 
 
+WeylElement = dict[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]],
+                   int | Fraction]  # (xs, ds) of a normal-ordered term -> coefficient
+
+
+def _add_contractions(out: WeylElement, s: Term, t: Term, sign: int) -> None:
+    """Add sign * s t, less its k = 0 term x^(a+c) d^(b+d), to out; s = x^a d^b, t = x^c d^d.
+
+    Per variable d^b x^c = sum_k C(b, k) c!/(c-k)! x^(c-k) d^(b-k).  The k = 0
+    term of the product is the same for s t and t s, so a commutator needs
+    only the contractions, k != 0 on some variable where s differentiates
+    and t multiplies.
+    """
+    xs_t = dict(t.xs)
+    overlap = [(v, b, xs_t[v]) for v, b in s.ds if v in xs_t]
+    if not overlap:
+        return
+    for ks in itertools.product(*(range(min(b, c) + 1) for _, b, c in overlap)):
+        if not any(ks):
+            continue
+        coeff = sign * s.coeff * t.coeff
+        xs, ds = dict(s.xs), dict(s.ds)
+        for v, e in t.xs:
+            xs[v] = xs.get(v, 0) + e
+        for v, e in t.ds:
+            ds[v] = ds.get(v, 0) + e
+        for (v, b, c), k in zip(overlap, ks):
+            coeff *= comb(b, k) * perm(c, k)
+            xs[v] -= k
+            ds[v] -= k
+        key = (tuple(sorted((v, e) for v, e in xs.items() if e)),
+               tuple(sorted((v, e) for v, e in ds.items() if e)))
+        out[key] = out.get(key, 0) + coeff
+
+
+def _weyl_commutator(a: Operator, b: Operator) -> WeylElement:
+    """[a, b] = a b - b a in the normal-ordered basis of the Weyl algebra, zeros dropped."""
+    out: WeylElement = {}
+    for s in a.terms:
+        for t in b.terms:
+            _add_contractions(out, s, t, 1)
+            _add_contractions(out, t, s, -1)
+    return {key: c for key, c in out.items() if c}
+
+
 def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
                     printed_euler_variant: bool = False) -> BracketReport:
-    """Certify the oscillator-algebra bracket relations by direct application.
+    """Certify the oscillator-algebra bracket relations as Weyl-algebra identities.
 
-    Every commutator of built operators must land exactly in the expected
+    Every commutator of built operators must lie exactly in the expected
     span: Euler plus identity for [Delta, r2], the Delta respectively r2
     family for Euler brackets, zero for the group-side raisings against the
     whole family (the two actions centralize each other), and the raising
     span for raising pairs.  Abelianness of the Delta and r2 families is part
-    of the same sweep.  The row-reversed case A Euler variant can be swapped
-    in to let the closure test arbitrate between the two conventions.
-    A BudgetError refuses, before any work, more than DEFAULT_BUDGET test
-    monomials or MAX_BRACKET_APPLICATIONS commutator applications.
+    of the same check.  Each commutator is computed on the operators'
+    normal-ordered terms (`_weyl_commutator`) and its span solved on their
+    coefficients, so a relation that holds holds on every polynomial.
+    `test_degree` is kept only for the report's format; it must be at least 2.
+    The row-reversed case A Euler variant can be swapped in to let the
+    closure test arbitrate between the two conventions.  A BudgetError
+    refuses a shape of more than MAX_BRACKET_VARIABLES variables before its
+    config is built, and more than MAX_BRACKET_PRODUCTS term products before
+    any product.
     """
     if test_degree < 2:
         raise UsageError("bracket verification needs test_degree >= 2")
-    count = comb(shape.var_count + test_degree, test_degree)
-    if count > DEFAULT_BUDGET:
-        raise BudgetError(f"{count} test monomials exceed the budget {DEFAULT_BUDGET}")
+    if shape.var_count > MAX_BRACKET_VARIABLES:
+        raise BudgetError(f"{shape.var_count} variables exceed {MAX_BRACKET_VARIABLES}")
     config = build_config(shape, printed_euler_variant=printed_euler_variant)
     family = list(config.deltas + config.r2s + config.eulers + config.k_raisings)
-    applications = comb(len(family), 2) * count
-    if applications > MAX_BRACKET_APPLICATIONS:
-        raise BudgetError(f"{applications} commutator applications exceed "
-                          f"{MAX_BRACKET_APPLICATIONS}")
+    sizes = [len(op.terms) for op in family]
+    products = (sum(sizes) ** 2 - sum(n * n for n in sizes)) // 2
+    if products > MAX_BRACKET_PRODUCTS:
+        raise BudgetError(f"{products} term products exceed {MAX_BRACKET_PRODUCTS}")
 
-    sources = [mono for d in range(test_degree + 1)
-               for mono in monomials_of_degree(config.var_count, d)]
-    actions: dict[str, dict[Monomial, Poly]] = {
-        op.name: {src: apply_to_monomial(op, src) for src in sources} for op in family}
-    actions["id"] = {src: {src: 1} for src in sources}
+    coeffs = {op.name: {(t.xs, t.ds): t.coeff for t in op.terms} for op in family}
+    coeffs["id"] = {((), ()): 1}
     spans = {
         "euler_id": [op.name for op in config.eulers] + ["id"],
         "delta": [op.name for op in config.deltas],
@@ -422,31 +475,17 @@ def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
         "raising": [op.name for op in config.k_raisings],
     }
 
-    images = {op.name: dict(actions[op.name]) for op in family}
-
-    def image(op: Operator, mono: Monomial) -> Poly:
-        known = images[op.name]
-        img = known.get(mono)
-        if img is None:
-            img = known[mono] = apply_to_monomial(op, mono)
-        return img
-
     entries = []
     for a, b in itertools.combinations(family, 2):
         rule, span = _bracket_rule(a.kind, b.kind)
-        comm = {src: commutator_apply(a, b, {src: 1}, image) for src in sources}
+        comm = _weyl_commutator(a, b)
         if span is None:
-            ok = all(not p for p in comm.values())
-            entries.append(BracketEntry(a.name, b.name, rule, ok, ()))
+            entries.append(BracketEntry(a.name, b.name, rule, not comm, ()))
             continue
         names = spans[span]
-        eq_keys = sorted({(src, tm) for src, p in comm.items() for tm in p} |
-                         {(src, tm) for name in names
-                          for src, p in actions[name].items() for tm in p})
-        columns = [[actions[name][src].get(tm, 0) for src, tm in eq_keys]
-                   for name in names]
-        rhs = [comm[src].get(tm, 0) for src, tm in eq_keys]
-        sol = solve_columns(columns, rhs)
+        keys = sorted(set(comm).union(*(coeffs[name] for name in names)))
+        columns = [[coeffs[name].get(key, 0) for key in keys] for name in names]
+        sol = solve_columns(columns, [comm.get(key, 0) for key in keys])
         if sol is None:
             entries.append(BracketEntry(a.name, b.name, rule, False, ()))
         else:
@@ -454,9 +493,8 @@ def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
             entries.append(BracketEntry(a.name, b.name, rule, True, expr))
 
     variant = "printed" if printed_euler_variant else "untwisted"
-    report = BracketReport(config.descriptor, test_degree, variant,
-                           all(e.ok for e in entries), tuple(entries))
-    return report
+    return BracketReport(config.descriptor, test_degree, variant,
+                         all(e.ok for e in entries), tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ polynomial and needs no degree truncation.
 Coefficients are `int` wherever they are integral, which covers every
 Delta, r2 and raising operator and so the whole multiplicity oracle; only
 the Euler operators' n/2 shift (odd n) is a `Fraction`, and it reaches
-nothing but the bracket check.
+nothing but the bracket check.  That check multiplies the terms themselves
+and applies no operator; `commutator_apply` is the reference it is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int | Fraction]
@@ -33,9 +35,6 @@ class Operator:
     kind: str  # "delta" | "r2" | "euler" | "raising"
     shift: int  # homogeneous degree shift
     terms: tuple[Term, ...]
-
-
-Image = Callable[[Operator, Monomial], Poly]  # an operator's image of a monomial
 
 
 def make_operator(name: str, kind: str,
@@ -92,15 +91,11 @@ def apply_to_monomial(op: Operator, mono: Monomial) -> Poly:
     return out
 
 
-def apply_operator(op: Operator, poly: Poly, image: Image = apply_to_monomial) -> Poly:
-    """op applied to poly, by linearity from op's images of its monomials.
-
-    `image(op, mono)` defaults to `apply_to_monomial`; a caller may pass a
-    cache of it instead.  The images it returns are only read.
-    """
+def apply_operator(op: Operator, poly: Poly) -> Poly:
+    """op applied to poly, by linearity from op's images of its monomials."""
     out: Poly = {}
     for mono, c in poly.items():
-        for target, tc in image(op, mono).items():
+        for target, tc in apply_to_monomial(op, mono).items():
             val = out.get(target, 0) + c * tc
             if val:
                 out[target] = val
@@ -109,11 +104,10 @@ def apply_operator(op: Operator, poly: Poly, image: Image = apply_to_monomial) -
     return out
 
 
-def commutator_apply(a: Operator, b: Operator, poly: Poly,
-                     image: Image = apply_to_monomial) -> Poly:
-    """[a, b] applied to poly, with monomial images from `image` as in `apply_operator`."""
-    first = apply_operator(a, apply_operator(b, poly, image), image)
-    second = apply_operator(b, apply_operator(a, poly, image), image)
+def commutator_apply(a: Operator, b: Operator, poly: Poly) -> Poly:
+    """[a, b] applied to poly."""
+    first = apply_operator(a, apply_operator(b, poly))
+    second = apply_operator(b, apply_operator(a, poly))
     for mono, c in second.items():
         val = first.get(mono, 0) - c
         if val:

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd, lcm
+
+from branchbox.dualpair import analysis, build_config
+from branchbox.dualpair.linalg import solve_columns
+from branchbox.dualpair.poly import apply_to_monomial, commutator_apply, monomials_of_degree
 
 
 @lru_cache(maxsize=None)
@@ -180,6 +184,52 @@ def solve_columns_gauss_jordan(columns: list[list], rhs: list) -> list[Fraction]
     for r, c in pivots:
         sol[c] = aug[r][ncand]
     return sol
+
+
+def brackets_by_application(shape, printed_euler_variant: bool = False,
+                            test_degree: int = 2) -> analysis.BracketReport:
+    """`verify_brackets`' report, each commutator applied to every monomial of degree <= test_degree.
+
+    [a, b] is applied by `commutator_apply` to each test monomial, and the
+    expected span is solved by `solve_columns_gauss_jordan` on the
+    coefficients of the span operators' images, one equation per (test
+    monomial, target monomial).  Only the span rules (`_bracket_rule`) are
+    the library's.  This is evidence on low degrees, not an identity.
+    """
+    config = build_config(shape, printed_euler_variant=printed_euler_variant)
+    family = list(config.deltas + config.r2s + config.eulers + config.k_raisings)
+    sources = [mono for d in range(test_degree + 1)
+               for mono in monomials_of_degree(config.var_count, d)]
+    actions = {op.name: {src: apply_to_monomial(op, src) for src in sources} for op in family}
+    actions["id"] = {src: {src: 1} for src in sources}
+    spans = {
+        "euler_id": [op.name for op in config.eulers] + ["id"],
+        "delta": [op.name for op in config.deltas],
+        "r2": [op.name for op in config.r2s],
+        "raising": [op.name for op in config.k_raisings],
+    }
+    entries = []
+    for a, b in combinations(family, 2):
+        rule, span = analysis._bracket_rule(a.kind, b.kind)
+        comm = {src: commutator_apply(a, b, {src: 1}) for src in sources}
+        if span is None:
+            ok = all(not p for p in comm.values())
+            entries.append(analysis.BracketEntry(a.name, b.name, rule, ok, ()))
+            continue
+        names = spans[span]
+        eq_keys = sorted({(src, tm) for src, p in comm.items() for tm in p} |
+                         {(src, tm) for name in names
+                          for src, p in actions[name].items() for tm in p})
+        columns = [[actions[name][src].get(tm, 0) for src, tm in eq_keys] for name in names]
+        sol = solve_columns(columns, [comm[src].get(tm, 0) for src, tm in eq_keys])
+        if sol is None:
+            entries.append(analysis.BracketEntry(a.name, b.name, rule, False, ()))
+        else:
+            expr = tuple((name, c) for name, c in zip(names, sol) if c)
+            entries.append(analysis.BracketEntry(a.name, b.name, rule, True, expr))
+    variant = "printed" if printed_euler_variant else "untwisted"
+    return analysis.BracketReport(config.descriptor, test_degree, variant,
+                                  all(e.ok for e in entries), tuple(entries))
 
 
 def nullspace_gauss_jordan(rows: list[list], ncols: int) -> list[tuple[int, ...]]:

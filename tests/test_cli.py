@@ -689,6 +689,13 @@ def test_hilbert_outside_range_exits_2(capsys):
     assert err == "error: outside the stable range: requires n > 2*m = 4\n"
 
 
+@pytest.mark.parametrize("policy", ["enforce", "warn"])
+def test_hilbert_refuses_outside_its_range_under_either_policy(capsys, policy):
+    rc, out, err = run(capsys, "hilbert", "--n", "6", "--m", "3", "--stable-policy", policy)
+    assert (rc, out) == (2, "")
+    assert err == "error: outside the stable range: requires n > 2*m = 6\n"
+
+
 def test_cache_option_is_refused(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lr", "--lam", "2", "--mu", "1", "--nu", "1", "--cache", "x"])

@@ -9,6 +9,7 @@ import pytest
 from branchbox import jsonio
 from branchbox.dualpair import (MatrixSpaceShape, ProductO, analysis, build_config,
                                 build_product_config, minor_hwv, verify_brackets)
+from branchbox.dualpair.analysis import _weyl_commutator
 from branchbox.dualpair.linalg import echelon, nullspace, rank, solve_columns
 from branchbox.dualpair.poly import (apply_operator, apply_to_monomial,
                                      commutator_apply, grevlex_mono_key,
@@ -16,7 +17,8 @@ from branchbox.dualpair.poly import (apply_operator, apply_to_monomial,
                                      poly_degree)
 from branchbox.errors import BudgetError, UsageError
 
-from .oracles import nullspace_gauss_jordan, solve_columns_gauss_jordan
+from .oracles import (brackets_by_application, nullspace_gauss_jordan,
+                      solve_columns_gauss_jordan)
 
 
 def F(x):
@@ -386,21 +388,27 @@ def test_bracket_abelian_pieces_checked():
 
 
 @pytest.mark.parametrize("n,message", [
-    # C(400 + 2, 2) test monomials, counted before the config is built
-    (20, "80601 test monomials exceed the budget 20000"),
-    # 10,585 test monomials fit, but C(330, 2) operator pairs apply to each
-    (12, "574606725 commutator applications exceed 100000"),
+    # 400 variables, counted before the config is built
+    (20, "400 variables exceed 200"),
+    # 144 variables fit, but the 330 operators' terms make this many products
+    (12, "8740578 term products exceed 50000"),
 ])
 def test_bracket_check_refuses_on_its_counts_before_any_work(monkeypatch, n, message):
     def expensive(*args, **kwargs):
         raise AssertionError("the bracket check did work before refusing")
 
-    for name in ("monomials_of_degree", "apply_to_monomial", "commutator_apply"):
+    for name in ("_add_contractions", "_weyl_commutator", "solve_columns"):
         monkeypatch.setattr(analysis, name, expensive)
     if n == 20:
         monkeypatch.setattr(analysis, "build_config", expensive)
     with pytest.raises(BudgetError, match=f"^{message}$"):
         verify_brackets(MatrixSpaceShape("A", n, n))
+
+
+@pytest.mark.parametrize("n,m", [(6, 3), (7, 4)])
+def test_bracket_check_accepts_the_largest_shapes_within_its_count(n, m):
+    # 10,380 and 45,140 term products; A(7,4) was refused by the count of applications
+    assert verify_brackets(MatrixSpaceShape("A", n, m)).ok
 
 
 # sha256 of jsonio.dumps(bracket_report_json(verify_brackets(shape, printed_euler_variant=v)))
@@ -425,29 +433,58 @@ def test_bracket_report_is_pinned(shape, printed, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_commutator_with_image_cache_matches_direct_application():
-    # every pair of the case C family, Euler operators with their n/2 shift included
+def _weyl(terms):
+    return {(tuple(sorted(xs.items())), tuple(sorted(ds.items()))): c for c, xs, ds in terms}
+
+
+def test_weyl_commutator_product_rule():
+    x = make_operator("x", "r2", [(1, {0: 1}, {})])
+    d = make_operator("d", "delta", [(1, {}, {0: 1})])
+    assert _weyl_commutator(d, x) == _weyl([(1, {}, {})])
+    assert _weyl_commutator(x, d) == _weyl([(-1, {}, {})])
+    x2 = make_operator("x2", "r2", [(1, {0: 2}, {})])
+    d2 = make_operator("d2", "delta", [(1, {}, {0: 2})])
+    # d^2 x^2 = x^2 d^2 + 4 x d + 2
+    assert _weyl_commutator(d2, x2) == _weyl([(4, {0: 1}, {0: 1}), (2, {}, {})])
+    # d0^2 d1 against x0 x1^2: one contraction on x0, one on x1, or both
+    s = make_operator("s", "delta", [(1, {}, {0: 2, 1: 1})])
+    t = make_operator("t", "r2", [(1, {0: 1, 1: 2}, {})])
+    assert _weyl_commutator(s, t) == _weyl([(2, {1: 2}, {0: 1, 1: 1}),
+                                            (2, {0: 1, 1: 1}, {0: 2}), (4, {1: 1}, {0: 1})])
+    # terms that share no variable commute; equal terms cancel to zero
+    assert _weyl_commutator(make_operator("e", "euler", [(1, {0: 1}, {1: 1})]),
+                            make_operator("f", "euler", [(3, {2: 1}, {3: 1})])) == {}
+    assert _weyl_commutator(d2, d2) == {} and _weyl_commutator(x2, x2) == {}
+
+
+def test_weyl_commutator_acts_as_the_applied_commutator():
+    # every pair of the case C family, Euler operators with their n/2 shift and the
+    # GL-side raisings included, on every monomial of degree <= 3
     cfg = build_config(MatrixSpaceShape("C", 3, 1, 1))
     family = cfg.deltas + cfg.r2s + cfg.eulers + cfg.k_raisings + cfg.gl_raisings
-    sources = [mono for d in range(3) for mono in monomials_of_degree(cfg.var_count, d)]
-    cache: dict = {}
-    lookups = []
-
-    def image(op, mono):
-        lookups.append((op.name, mono))
-        if (op.name, mono) not in cache:
-            cache[op.name, mono] = apply_to_monomial(op, mono)
-        return cache[op.name, mono]
-
+    sources = [mono for d in range(4) for mono in monomials_of_degree(cfg.var_count, d)]
     for a, b in itertools.combinations(family, 2):
+        comm = make_operator("comm", "euler", [(c, dict(xs), dict(ds))
+                                               for (xs, ds), c in _weyl_commutator(a, b).items()])
         for src in sources:
-            poly = {src: 1}
-            assert commutator_apply(a, b, poly, image) == commutator_apply(a, b, poly)
-            assert poly == {src: 1}
-    assert len(lookups) > len(cache)  # images were reused
-    # the caller's cached images are read, never written
-    assert all(img == apply_to_monomial(next(op for op in family if op.name == name), mono)
-               for (name, mono), img in cache.items())
+            assert apply_to_monomial(comm, src) == commutator_apply(a, b, {src: 1})
+
+
+# the shapes the Weyl-algebra check was first compared on, case A in both Euler variants
+APPLICATION_SHAPES = ([(("A", n, m), printed) for n, m in ((2, 1), (4, 2), (5, 1), (6, 3))
+                       for printed in (False, True)] +
+                      [((case, *dims), False) for case, *dims in
+                       (("B", 1, 2), ("B", 2, 2), ("B", 3, 2), ("C", 1, 2, 1), ("C", 2, 1, 1),
+                        ("C", 3, 1, 1), ("C", 3, 2, 0), ("C", 3, 2, 2))])
+
+
+@pytest.mark.parametrize("shape,printed", APPLICATION_SHAPES,
+                         ids=[f"{s[0]}{s[1:]}{'-printed' if p else ''}"
+                              for s, p in APPLICATION_SHAPES])
+def test_bracket_report_equals_the_application_sweep(shape, printed):
+    shape = MatrixSpaceShape(*shape)
+    assert (verify_brackets(shape, printed_euler_variant=printed) ==
+            brackets_by_application(shape, printed_euler_variant=printed))
 
 
 def test_printed_euler_variant_fails_brackets():
