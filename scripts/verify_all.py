@@ -36,7 +36,7 @@ def main(argv=None) -> int:
 
     failures = 0
     for argv in SUITES:
-        if argv[0] == "verify" and argv[1] != "brackets":  # brackets fixes its test degree
+        if argv[0] == "verify" and argv[1] != "brackets":  # brackets has no degree
             argv = argv + ["--max-degree", str(args.max_degree)]
         print("$ branchbox " + " ".join(argv), file=sys.stderr)
         if args.quiet:

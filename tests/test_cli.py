@@ -666,7 +666,7 @@ def test_verify_brackets_case_a(capsys):
 
 @pytest.mark.parametrize("option", [["--max-degree", "3"], ["--stable-policy", "warn"]])
 def test_verify_brackets_refuses_options_it_would_ignore(capsys, option):
-    # the bracket check fixes its own test degree and has no stable range
+    # the bracket check proves operator identities: it has no degree and no stable range
     with pytest.raises(SystemExit) as exc:
         main(["verify", "brackets", "--case", "a", "--n", "4", "--m", "2", *option])
     assert exc.value.code == 2
