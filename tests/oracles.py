@@ -190,11 +190,14 @@ def brackets_by_application(shape, printed_euler_variant: bool = False,
                             test_degree: int = 2) -> analysis.BracketReport:
     """`verify_brackets`' report, each commutator applied to every monomial of degree <= test_degree.
 
-    [a, b] is applied by `commutator_apply` to each test monomial, and the
-    expected span is solved by `solve_columns_gauss_jordan` on the
-    coefficients of the span operators' images, one equation per (test
-    monomial, target monomial).  Only the span rules (`_bracket_rule`) are
-    the library's.  This is evidence on low degrees, not an identity.
+    The bracket check as it was before it multiplied operator terms: [a, b]
+    is applied by `commutator_apply` to each test monomial, and the expected
+    span is solved on the coefficients of the span operators' images, one
+    equation per (test monomial, target monomial).  Unlike the rest of this
+    module it shares library code, the configs, the span rules
+    (`_bracket_rule`) and `solve_columns` (a Fraction Gauss-Jordan made the
+    A(6,3) case about four times slower); what it checks is the commutator.  It
+    is evidence on low degrees, not an identity.
     """
     config = build_config(shape, printed_euler_variant=printed_euler_variant)
     family = list(config.deltas + config.r2s + config.eulers + config.k_raisings)
