@@ -56,14 +56,20 @@ DEFAULT_BUDGET = 20000  # monomials in one weight block
 # 115 MB peak on a 2-vCPU x86_64 VM.
 MAX_MONOMIALS = 1_000_000
 # The most term products, sum over operator pairs of |terms a| * |terms b|,
-# of one bracket check.  A(6,3) makes 10,380 in 0.06 s and A(7,4) 45,140 in
-# 0.4 s on a 2-vCPU x86_64 VM; A(8,8) would make 743,516 and took 128 s under
-# cProfile, nearly all of it in building and solving the per-pair span systems.
+# of one bracket check.  They bound the pairs too, and each pair's solve only
+# sees the span operators linked to its commutator (`_connected_span`), so the
+# time follows them: on a 2-vCPU x86_64 VM A(6,3) makes 10,380 in 0.05 s,
+# A(7,4) 45,140 in 0.1 s and C(1,17,0) 46,648 over 41,616 pairs in 0.5 s, the
+# slowest under the bound in every case 0.7 s.  A(8,8) would make 743,516.
 MAX_BRACKET_PRODUCTS = 50_000
 # The most variables of a bracket check's shape, counted before its config is
 # built, whose cost grows with them (A(20,20), 400 variables: 0.14 s).  Term
 # products grow faster: A(12,12), 144 variables, already makes 8,740,578.
 MAX_BRACKET_VARIABLES = 200
+# The `test_degree` of every bracket report.  The check applies no operator to
+# test monomials; the field keeps the degree the earlier sweep used, so the
+# report's format and bytes are unchanged.
+BRACKET_TEST_DEGREE = 2
 
 
 def check_monomial_count(var_count: int, max_degree: int) -> None:
@@ -436,7 +442,32 @@ def _weyl_commutator(a: Operator, b: Operator) -> WeylElement:
     return {key: c for key, c in out.items() if c}
 
 
-def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
+def _connected_span(comm: WeylElement, names: list[str], coeffs: dict,
+                    owners: dict) -> tuple[list[int], list]:
+    """The span operators that can carry a coefficient of comm, and the keys they touch.
+
+    Span columns and term keys form a bipartite graph, and the span system
+    is block diagonal along its components.  The blocks outside comm's
+    components have a zero right-hand side, so their columns are zero in
+    the solution `solve_columns` returns, and dropping them changes no
+    other coefficient.  Returns the column indices reached from comm's
+    keys through shared keys, in span order, and the sorted keys of comm
+    and of those columns.
+    """
+    cols: set[int] = set()
+    keys = set(comm)
+    frontier = list(comm)
+    while frontier:
+        for i in owners.get(frontier.pop(), ()):
+            if i not in cols:
+                cols.add(i)
+                fresh = [key for key in coeffs[names[i]] if key not in keys]
+                keys.update(fresh)
+                frontier.extend(fresh)
+    return sorted(cols), sorted(keys)
+
+
+def verify_brackets(shape: MatrixSpaceShape,
                     printed_euler_variant: bool = False) -> BracketReport:
     """Certify the oscillator-algebra bracket relations as Weyl-algebra identities.
 
@@ -447,16 +478,16 @@ def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
     span for raising pairs.  Abelianness of the Delta and r2 families is part
     of the same check.  Each commutator is computed on the operators'
     normal-ordered terms (`_weyl_commutator`) and its span solved on their
-    coefficients, so a relation that holds holds on every polynomial.
-    `test_degree` is kept only for the report's format; it must be at least 2.
+    coefficients, so a relation that holds holds on every polynomial; each
+    solve keeps only the span operators linked to the commutator's terms
+    (`_connected_span`).  The report's `test_degree` is always
+    BRACKET_TEST_DEGREE.
     The row-reversed case A Euler variant can be swapped in to let the
     closure test arbitrate between the two conventions.  A BudgetError
     refuses a shape of more than MAX_BRACKET_VARIABLES variables before its
     config is built, and more than MAX_BRACKET_PRODUCTS term products before
     any product.
     """
-    if test_degree < 2:
-        raise UsageError("bracket verification needs test_degree >= 2")
     if shape.var_count > MAX_BRACKET_VARIABLES:
         raise BudgetError(f"{shape.var_count} variables exceed {MAX_BRACKET_VARIABLES}")
     config = build_config(shape, printed_euler_variant=printed_euler_variant)
@@ -474,26 +505,32 @@ def verify_brackets(shape: MatrixSpaceShape, test_degree: int = 2,
         "r2": [op.name for op in config.r2s],
         "raising": [op.name for op in config.k_raisings],
     }
+    owners: dict[str, dict] = {}  # span -> term key -> indices of its operators with that key
+    for span, names in spans.items():
+        index = owners[span] = {}
+        for i, name in enumerate(names):
+            for key in coeffs[name]:
+                index.setdefault(key, []).append(i)
 
     entries = []
     for a, b in itertools.combinations(family, 2):
         rule, span = _bracket_rule(a.kind, b.kind)
         comm = _weyl_commutator(a, b)
-        if span is None:
+        if span is None or not comm:
             entries.append(BracketEntry(a.name, b.name, rule, not comm, ()))
             continue
         names = spans[span]
-        keys = sorted(set(comm).union(*(coeffs[name] for name in names)))
-        columns = [[coeffs[name].get(key, 0) for key in keys] for name in names]
+        cols, keys = _connected_span(comm, names, coeffs, owners[span])
+        columns = [[coeffs[names[i]].get(key, 0) for key in keys] for i in cols]
         sol = solve_columns(columns, [comm.get(key, 0) for key in keys])
         if sol is None:
             entries.append(BracketEntry(a.name, b.name, rule, False, ()))
         else:
-            expr = tuple((name, c) for name, c in zip(names, sol) if c)
+            expr = tuple((names[i], c) for i, c in zip(cols, sol) if c)
             entries.append(BracketEntry(a.name, b.name, rule, True, expr))
 
     variant = "printed" if printed_euler_variant else "untwisted"
-    return BracketReport(config.descriptor, test_degree, variant,
+    return BracketReport(config.descriptor, BRACKET_TEST_DEGREE, variant,
                          all(e.ok for e in entries), tuple(entries))
 
 

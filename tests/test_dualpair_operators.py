@@ -9,7 +9,7 @@ import pytest
 from branchbox import jsonio
 from branchbox.dualpair import (MatrixSpaceShape, ProductO, analysis, build_config,
                                 build_product_config, minor_hwv, verify_brackets)
-from branchbox.dualpair.analysis import _weyl_commutator
+from branchbox.dualpair.analysis import _connected_span, _weyl_commutator
 from branchbox.dualpair.linalg import echelon, nullspace, rank, solve_columns
 from branchbox.dualpair.poly import (apply_operator, apply_to_monomial,
                                      commutator_apply, grevlex_mono_key,
@@ -405,10 +405,49 @@ def test_bracket_check_refuses_on_its_counts_before_any_work(monkeypatch, n, mes
         verify_brackets(MatrixSpaceShape("A", n, n))
 
 
-@pytest.mark.parametrize("n,m", [(6, 3), (7, 4)])
-def test_bracket_check_accepts_the_largest_shapes_within_its_count(n, m):
-    # 10,380 and 45,140 term products; A(7,4) was refused by the count of applications
-    assert verify_brackets(MatrixSpaceShape("A", n, m)).ok
+# A(6,3) and A(7,4) (10,380 and 45,140 term products; A(7,4) was refused by the
+# count of applications), and per case the shape under the count that took the
+# longest, 0.4-0.7 s each on a 2-vCPU x86_64 VM: A(1,12), 44,850 pairs; A(1,8+7
+# split), 28,920; B(1,8), 7,260; C(1,17,0), 41,616 pairs of which 136 solve against
+# the Euler span; C(1,2,17 split), 42,778.
+LARGEST_BRACKET_SHAPES = [("A", 6, 3, 0, False), ("A", 7, 4, 0, False),
+                          ("A", 1, 12, 0, False), ("A", 1, 8, 7, True),
+                          ("B", 1, 8, 0, False), ("C", 1, 17, 0, False),
+                          ("C", 1, 2, 17, True)]
+
+
+@pytest.mark.parametrize("case,n,m,l,split", LARGEST_BRACKET_SHAPES)
+def test_bracket_check_accepts_the_largest_shapes_within_its_count(case, n, m, l, split):
+    assert verify_brackets(MatrixSpaceShape(case, n, m, l, split_columns=split)).ok
+
+
+def test_bracket_solves_keep_only_the_connected_span(monkeypatch):
+    # C(1,17,0) has 289 Euler operators; the 17 diagonal ones share their n/2 shift
+    # with the identity, so an Euler-span solve sees at most those 18 columns
+    widths = []
+
+    def recording(columns, rhs):
+        widths.append(len(columns))
+        return solve_columns(columns, rhs)
+
+    monkeypatch.setattr(analysis, "solve_columns", recording)
+    assert verify_brackets(MatrixSpaceShape("C", 1, 17)).ok
+    assert len(widths) == 4760 and max(widths) == 18
+
+
+def test_connected_span_follows_shared_keys():
+    # comm = x0 reaches a = x0 + x1 directly, b = x1 + x2 through x1, and c = x2
+    # through b; e = x3 shares no key, so it is left out
+    x = [((((i, 1),), ()),) for i in range(4)]
+    coeffs = {"a": {x[0][0]: 1, x[1][0]: 1}, "e": {x[3][0]: 1},
+              "b": {x[1][0]: 1, x[2][0]: -1}, "c": {x[2][0]: 1}}
+    names = ["a", "e", "b", "c"]
+    owners = {}
+    for i, name in enumerate(names):
+        for key in coeffs[name]:
+            owners.setdefault(key, []).append(i)
+    cols, keys = _connected_span({x[0][0]: 1}, names, coeffs, owners)
+    assert cols == [0, 2, 3] and keys == [x[0][0], x[1][0], x[2][0]]
 
 
 # sha256 of jsonio.dumps(bracket_report_json(verify_brackets(shape, printed_euler_variant=v)))
@@ -470,12 +509,13 @@ def test_weyl_commutator_acts_as_the_applied_commutator():
             assert apply_to_monomial(comm, src) == commutator_apply(a, b, {src: 1})
 
 
-# the shapes the Weyl-algebra check was first compared on, case A in both Euler variants
-APPLICATION_SHAPES = ([(("A", n, m), printed) for n, m in ((2, 1), (4, 2), (5, 1), (6, 3))
+# the shapes the Weyl-algebra check was first compared on, case A in both Euler
+# variants but A(6,3), whose sweep takes seconds, in the untwisted one only
+APPLICATION_SHAPES = ([(("A", n, m), printed) for n, m in ((2, 1), (4, 2), (5, 1))
                        for printed in (False, True)] +
                       [((case, *dims), False) for case, *dims in
-                       (("B", 1, 2), ("B", 2, 2), ("B", 3, 2), ("C", 1, 2, 1), ("C", 2, 1, 1),
-                        ("C", 3, 1, 1), ("C", 3, 2, 0), ("C", 3, 2, 2))])
+                       (("A", 6, 3), ("B", 1, 2), ("B", 2, 2), ("B", 3, 2), ("C", 1, 2, 1),
+                        ("C", 2, 1, 1), ("C", 3, 1, 1), ("C", 3, 2, 0), ("C", 3, 2, 2))])
 
 
 @pytest.mark.parametrize("shape,printed", APPLICATION_SHAPES,
