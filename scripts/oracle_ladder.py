@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
-"""Time the multiplicity oracle in process at four certification sizes, every mode included,
-two `restrict o` tables larger than the benchmark's, and the bracket check on A(6,3).
+"""Time the multiplicity oracle and a few CLI requests in process, for two source trees.
+
+The oracle cases are four certification sizes, every mode included.  The
+CLI cases are two `restrict o` tables larger than the benchmark's, a
+`tensor sp` and a `tensor o` table, one large `lr` value and the bracket
+check on A(6,3).
 
     PYTHONPATH=src python3 scripts/oracle_ladder.py [REPEAT]
 
@@ -34,6 +38,11 @@ CASES = [
 TABLE_CASES = [
     ("restrict o 5,4,3,2 n=m=9", ["restrict", "o", "--lam", "5,4,3,2", "--n", "9", "--m", "9"]),
     ("restrict o 4,3,3,2 n=m=9", ["restrict", "o", "--lam", "4,3,3,2", "--n", "9", "--m", "9"]),
+    ("tensor sp 4,3,2 x 3,2,1 n=13",
+     ["tensor", "sp", "--mu", "4,3,2", "--nu", "3,2,1", "--n", "13"]),
+    ("tensor o 5,3,1 x 4,2,1 n=13", ["tensor", "o", "--mu", "5,3,1", "--nu", "4,2,1", "--n", "13"]),
+    ("lr 8..1 / 5..1 x 6..1", ["lr", "--lam", "8,7,6,5,4,3,2,1", "--mu", "5,4,3,2,1",
+                              "--nu", "6,5,4,3,2,1"]),
     ("verify brackets A(6,3)", ["verify", "brackets", "--case", "a", "--n", "6", "--m", "3"]),
 ]
 

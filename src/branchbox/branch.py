@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import LabelError, StableRangeError, StableRangeWarning
-from .lr import coproduct, lr_coefficient, lr_kernel
+from .lr import coproduct, lr_coefficient, lr_kernel, skew_contents
 # Nothing here calls lr_multi: the benchmark's tracer (perfbench/tracer.py) wraps
 # the binding `branchbox.branch.lr_multi`, and its tests need the name to exist.
 from .lr import lr_multi  # noqa: F401
@@ -24,11 +24,9 @@ from .partitions import (
     Signature,
     as_partition,
     check_signature_rank,
-    even_column_partitions,
-    even_row_partitions,
+    contains,
     is_admissible_o,
     partitions_between,
-    partitions_of,
     signature_weight,
 )
 
@@ -85,11 +83,10 @@ def gl_to_o(lam, mu, n: int, policy: StablePolicy = ENFORCE) -> int:
 
 def _even_row_sum(lam: Partition, tau: Partition) -> int:
     """sum over even-row delta of c^lam_{tau,delta}, on canonical partitions."""
-    rest = sum(lam) - sum(tau)
-    if rest < 0 or rest % 2:
+    if (sum(lam) - sum(tau)) % 2 or not contains(lam, tau):
         return 0
-    return sum(lr_kernel(lam, tau, delta)
-               for delta in even_row_partitions(rest, len(lam)))
+    return sum(c for delta, c in skew_contents(lam, tau).items()
+               if not any(a % 2 for a in delta))
 
 
 def gl_to_sp_range(lam, n: int) -> str | None:
@@ -104,45 +101,38 @@ def gl_to_sp(lam, mu, n: int, policy: StablePolicy = ENFORCE) -> int:
         raise LabelError(f"{lam} has more than {2 * n} rows")
     _check_sp(mu, n)
     _gate(gl_to_sp_range(lam, n), policy)
-    rest = sum(lam) - sum(mu)
-    if rest < 0 or rest % 2:
+    if (sum(lam) - sum(mu)) % 2 or not contains(lam, mu):
         return 0
-    return sum(lr_kernel(lam, mu, delta)
-               for delta in even_column_partitions(rest, len(lam)))
+    # even columns: delta's parts pair off, and an odd length leaves the slices unequal
+    return sum(c for delta, c in skew_contents(lam, mu).items()
+               if delta[0::2] == delta[1::2])
 
 
 def tensor_kernel(mu: Partition, nu: Partition, lam: Partition) -> int:
     """sum over (alpha, beta, delta) of c^lam_{alpha,beta} c^mu_{alpha,delta} c^nu_{beta,delta}.
 
     The stable O and Sp tensor multiplicity, on canonical labels that the
-    caller has checked and gated.
+    caller has checked and gated.  Each alpha inside lam and mu, of size
+    (|lam| + |mu| - |nu|) / 2, pairs the nonzero beta of the content table of
+    lam/alpha with the nonzero delta of that of mu/alpha (`lr.skew_contents`),
+    so only the last factor is looked up one content at a time.
     """
     two_sa = sum(lam) + sum(mu) - sum(nu)
     two_sb = sum(lam) + sum(nu) - sum(mu)
     two_sd = sum(mu) + sum(nu) - sum(lam)
     if min(two_sa, two_sb, two_sd) < 0 or two_sa % 2:
         return 0
-    sa, sb, sd = two_sa // 2, two_sb // 2, two_sd // 2
     total = 0
-    for alpha in partitions_of(sa, max_length=min(len(lam), len(mu))):
-        if not _under(alpha, lam) or not _under(alpha, mu):
+    for alpha in partitions_between((), mu, two_sa // 2):
+        if not contains(lam, alpha):
             continue
-        for beta in partitions_of(sb, max_length=min(len(lam), len(nu))):
-            c_lab = lr_kernel(lam, alpha, beta)
-            if not c_lab:
-                continue
-            for delta in partitions_of(sd, max_length=min(len(mu), len(nu))):
-                c_mad = lr_kernel(mu, alpha, delta)
-                if not c_mad:
-                    continue
+        deltas = skew_contents(mu, alpha).items()
+        for beta, c_lab in skew_contents(lam, alpha).items():
+            for delta, c_mad in deltas:
                 c_nbd = lr_kernel(nu, beta, delta)
                 if c_nbd:
                     total += c_lab * c_mad * c_nbd
     return total
-
-
-def _under(inner, outer) -> bool:
-    return len(inner) <= len(outer) and all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
 def o_tensor_range(mu, nu, n: int) -> str | None:
@@ -217,8 +207,9 @@ def o_restrict_kernel(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     The restriction factors through its GL intermediate tau, |tau| = |mu|+|nu|:
     sum over tau of c^tau_{mu,nu} times the even-row sum of c^lam_{tau,delta}.
-    This gathers one value; `o_restrict_table` scatters the same sum over
-    every (mu, nu) at once and is what a whole table should use.
+    This gathers one value, reading each c^tau_{mu,nu} and each even-row sum
+    from the memoized content tables of `lr.skew_contents`; `o_restrict_table`
+    scatters the same sum over every (mu, nu) at once.
     """
     size = sum(mu) + sum(nu)
     rest = sum(lam) - size
@@ -238,11 +229,10 @@ def o_restrict_table(lam: Partition) -> dict[tuple[Partition, Partition], int]:
     One scatter over the GL intermediates tau <= lam with |lam| - |tau| even:
     the even-row sum E_lam(tau) is computed once per tau, and when it is
     nonzero c^tau_{mu,nu} * E_lam(tau) is added to every (mu, nu) of
-    `lr.coproduct(tau)`, which lists each nonzero c^tau_{mu,nu} once from one
-    fill per mu <= tau and is memoized by tau, so tables sharing a tau share
-    its fills.  Every term is positive, so no cell is zero.  Admissibility of
-    mu and nu is left to the caller.  A single value (`o_restrict_kernel`)
-    still gathers through `lr_kernel`, which fills for its one content only.
+    `lr.coproduct(tau)`, which lists each nonzero c^tau_{mu,nu} once from the
+    content table of tau/mu for every mu <= tau and is memoized by tau, so
+    tables sharing a tau share its fills.  Every term is positive, so no cell
+    is zero.  Admissibility of mu and nu is left to the caller.
     """
     table: dict[tuple[Partition, Partition], int] = {}
     size = sum(lam)

@@ -29,11 +29,11 @@ intermediate tau <= lam carries its even-row sum E_lam(tau), computed once,
 into every cell (mu, nu) of its memoized LR coproduct `lr.coproduct(tau)`,
 and the handler keeps the cells whose mu and nu are admissible O_n and O_m
 labels, testing each distinct mu and nu once.  A single value still
-gathers its one sum through `branch.o_restrict_stable`, whose `lr_kernel`
-calls fill for one content each.  A `tensor o` table still evaluates each
-entry through `branch.o_tensor_stable`, which checks and gates every entry
-(after one `branch.refuse`): the benchmark's tests plant wrong values in
-that binding and expect the table to show them.
+gathers its one sum through `branch.o_restrict_stable`, which reads the
+same memoized LR content tables (`lr.skew_contents`).  A `tensor o` table
+still evaluates each entry through `branch.o_tensor_stable`, which checks
+and gates every entry (after one `branch.refuse`): the benchmark's tests
+plant wrong values in that binding and expect the table to show them.
 
 Each handler hands `_emit` one callable per rendering, and `_emit_table`
 branches on the format, so only the requested one is built.

@@ -15,6 +15,8 @@ from math import gcd, lcm
 from branchbox.dualpair import analysis, build_config
 from branchbox.dualpair.linalg import solve_columns
 from branchbox.dualpair.poly import apply_to_monomial, commutator_apply, monomials_of_degree
+from branchbox.lr import lr_coefficient
+from branchbox.partitions import contains, partitions_of
 
 
 @lru_cache(maxsize=None)
@@ -315,4 +317,32 @@ def lr_fillings_reference(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[i
             counts[v] -= 1
 
     fill(0)
+    return total
+
+
+def tensor_triple_loop(mu: tuple[int, ...], nu: tuple[int, ...], lam: tuple[int, ...]) -> int:
+    """The Newell-Littlewood sum over every (alpha, beta, delta) of the right sizes.
+
+    sum of c^lam_{alpha,beta} c^mu_{alpha,delta} c^nu_{beta,delta}, each
+    factor one `lr_coefficient` call, on canonical partitions.
+    """
+    two_sa = sum(lam) + sum(mu) - sum(nu)
+    two_sb = sum(lam) + sum(nu) - sum(mu)
+    two_sd = sum(mu) + sum(nu) - sum(lam)
+    if min(two_sa, two_sb, two_sd) < 0 or two_sa % 2:
+        return 0
+    sa, sb, sd = two_sa // 2, two_sb // 2, two_sd // 2
+    total = 0
+    for alpha in partitions_of(sa, max_length=min(len(lam), len(mu))):
+        if not contains(lam, alpha) or not contains(mu, alpha):
+            continue
+        for beta in partitions_of(sb, max_length=min(len(lam), len(nu))):
+            c_lab = lr_coefficient(lam, alpha, beta)
+            if not c_lab:
+                continue
+            for delta in partitions_of(sd, max_length=min(len(mu), len(nu))):
+                c_mad = lr_coefficient(mu, alpha, delta)
+                if not c_mad:
+                    continue
+                total += c_lab * c_mad * lr_coefficient(nu, beta, delta)
     return total

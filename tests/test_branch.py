@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchbox import branch, lr
+from branchbox import branch, cli, lr
 from branchbox.branch import (ENFORCE, WARN_AND_COMPUTE, _shifted_lr,
                               gl_tensor_rational, gl_to_o, gl_to_sp,
                               o_restrict_stable, o_tensor_stable,
@@ -12,7 +12,9 @@ from branchbox.branch import (ENFORCE, WARN_AND_COMPUTE, _shifted_lr,
 from branchbox.errors import (LabelError, StableRangeError, StableRangeWarning)
 from branchbox.lr import lr_coefficient, lr_multi
 from branchbox.partitions import (Signature, contains, enumerate_partitions,
-                                  even_row_partitions)
+                                  even_column_partitions, even_row_partitions)
+
+from .oracles import tensor_triple_loop
 
 small_partitions = st.lists(st.integers(1, 3), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
@@ -178,16 +180,45 @@ def test_o_tensor_symmetric_in_factors(mu, nu):
         assert o_tensor_stable(mu, nu, lam, n) == o_tensor_stable(nu, mu, lam, n)
 
 
-def test_gl_to_o_reduces_to_even_row_sum():
-    # direct restatement of the formula on a case with several terms
-    lam = (4, 2)
-    for mu in enumerate_partitions(6, max_length=2):
-        expected = 0
-        for d in range(0, 7, 2):
-            from branchbox.partitions import even_row_partitions
-            for delta in even_row_partitions(d):
-                expected += lr_coefficient(lam, mu, delta)
-        assert gl_to_o(lam, mu, 9) == expected
+SMALL_LAMS = enumerate_partitions(8)
+
+
+def _label_id(lam) -> str:
+    return ",".join(map(str, lam)) or "empty"
+
+
+@pytest.mark.parametrize("lam", SMALL_LAMS, ids=_label_id)
+def test_gl_to_o_equals_the_even_row_sum(lam):
+    # direct restatement of the formula: c^lam_{mu,delta} summed over even-row delta
+    for mu in enumerate_partitions(sum(lam)):
+        expected = sum(lr_coefficient(lam, mu, delta)
+                       for delta in even_row_partitions(sum(lam) - sum(mu)))
+        assert gl_to_o(lam, mu, 17) == expected, mu
+
+
+@pytest.mark.parametrize("lam", SMALL_LAMS, ids=_label_id)
+def test_gl_to_sp_equals_the_even_column_sum(lam):
+    # direct restatement of the formula: c^lam_{mu,delta} summed over even-column delta
+    for mu in enumerate_partitions(sum(lam)):
+        expected = sum(lr_coefficient(lam, mu, delta)
+                       for delta in even_column_partitions(sum(lam) - sum(mu)))
+        assert gl_to_sp(lam, mu, 8) == expected, mu
+
+
+TENSOR_PAIRS = ([(mu, nu) for mu in enumerate_partitions(4) for nu in enumerate_partitions(4)]
+                + [((4, 3, 2), (3, 2, 1)), ((2, 1), (1, 1)), ((3, 2, 1), (2, 1)),
+                   ((4, 2), (3, 1)), ((5, 3, 1), (4, 2, 1))])
+
+
+def test_tensor_kernel_equals_the_triple_loop():
+    # every target of a tensor table, against the sum over every (alpha, beta, delta)
+    checked = 0
+    for mu, nu in TENSOR_PAIRS:
+        for lam in cli._tensor_targets(mu, nu, lambda lam: True):
+            assert branch.tensor_kernel(mu, nu, lam) == tensor_triple_loop(mu, nu, lam), \
+                (mu, nu, lam)
+            checked += 1
+    assert checked > 3000
 
 
 @given(small_partitions, small_partitions, st.integers(0, 2), st.integers(0, 2))

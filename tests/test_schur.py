@@ -176,7 +176,8 @@ def test_multiply_schur_never_reaches_lr_code(monkeypatch):
         raise AssertionError("multiply_schur called LR code")
 
     monkeypatch.setattr(lr, "lr_kernel", refuse)
-    monkeypatch.setattr(lr, "_count_lattice_fillings", refuse)
+    monkeypatch.setattr(lr, "skew_contents", refuse)
+    monkeypatch.setattr(lr, "_fillings_by_content", refuse)
     s21 = schur_vector(5, {(2, 1): 1})
     assert multiply_schur(s21, s21).coeffs == {
         (4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1,
