@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Time the multiplicity oracle and a few CLI requests in process, for two source trees.
 
-The oracle cases are four certification sizes, every mode included.  The
-CLI cases are two `restrict o` tables larger than the benchmark's, a
-`tensor sp` and a `tensor o` table, one large `lr` value and the bracket
-check on A(6,3).
+The oracle cases are six certification sizes: every mode, and cases A, B
+and stacked C.  The CLI cases are two `restrict o` tables larger than the
+benchmark's, a `tensor sp` and a `tensor o` table, one large `lr` value and
+the bracket check on A(6,3).
 
     PYTHONPATH=src python3 scripts/oracle_ladder.py [REPEAT]
 
@@ -34,6 +34,8 @@ CASES = [
     ("A(6,2) ProductO(3,3) deg 6", MatrixSpaceShape("A", 6, 2), 6, ProductO(3, 3)),
     ("A(7,2+1 split) MOD_IDEAL deg 5", MatrixSpaceShape("A", 7, 2, 1, split_columns=True), 5,
      MOD_IDEAL),
+    ("B(3,2) FULL deg 7", MatrixSpaceShape("B", 3, 2), 7, FULL),
+    ("C(4,2+2 stacked) FULL deg 6", MatrixSpaceShape("C", 4, 2, 2, split_columns=True), 6, FULL),
 ]
 TABLE_CASES = [
     ("restrict o 5,4,3,2 n=m=9", ["restrict", "o", "--lam", "5,4,3,2", "--n", "9", "--m", "9"]),

@@ -8,17 +8,18 @@ P(M_{n,m}) tensor P(M_{l,n}), the y block carrying the dual action.
 split_columns variants put two column blocks (sizes m and l) on one grid:
 for Case A this models a tensor product of two G'-factors against one O_n,
 for Case C it models P(M_{n,m} + M_{n,l}) with all variables polynomial.
-Case A and build_product_config share one builder, `_o_gl`: an O factor
-per row block and a GL factor per column block, on the block sum of
-antidiagonal forms.  Case A has one row block; ProductO(n1, n2) has row
-blocks n1 and n2, which realizes O_{n1} x O_{n2} inside O_{n1+n2} with
-each factor acting on its own rows.
+Every model but plain case C comes from one builder, `_matrix_space`: a
+group per row block (O, Sp or GL, each given by one row-family function)
+and a GL factor per column block, on the block sum of the row groups'
+forms.  Cases A, B and stacked C have one row block; ProductO(n1, n2) has
+O row blocks n1 and n2, which realizes O_{n1} x O_{n2} inside O_{n1+n2}
+with each factor acting on its own rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ..errors import UsageError
@@ -103,34 +104,26 @@ class SpaceConfig:
     k_raisings: tuple[Operator, ...]
     gl_raisings: tuple[Operator, ...]
 
-    def monomial_weight(self, mono: Monomial) -> tuple[tuple[int, ...], ...]:
+    def _weight_sum(self, pairs) -> tuple[tuple[int, ...], ...]:
+        """Per factor, the sum of e times the weight of v over the (v, e) pairs."""
         out = []
         for weights in self.var_weights:
             coords = len(weights[0]) if weights else 0
             acc = [0] * coords
-            for v, e in enumerate(mono):
-                if e:
-                    w = weights[v]
-                    for i in range(coords):
-                        acc[i] += e * w[i]
+            for v, e in pairs:
+                w = weights[v]
+                for i in range(coords):
+                    acc[i] += e * w[i]
             out.append(tuple(acc))
         return tuple(out)
+
+    def monomial_weight(self, mono: Monomial) -> tuple[tuple[int, ...], ...]:
+        return self._weight_sum([(v, e) for v, e in enumerate(mono) if e])
 
     def op_weight_shift(self, op: Operator) -> tuple[tuple[int, ...], ...]:
         """The torus weight a weight-homogeneous operator adds, read off its first term."""
         term = op.terms[0]
-        out = []
-        for weights in self.var_weights:
-            coords = len(weights[0]) if weights else 0
-            acc = [0] * coords
-            for v, e in term.xs:
-                for i in range(coords):
-                    acc[i] += e * weights[v][i]
-            for v, e in term.ds:
-                for i in range(coords):
-                    acc[i] -= e * weights[v][i]
-            out.append(tuple(acc))
-        return tuple(out)
+        return self._weight_sum(term.xs + tuple((v, -e) for v, e in term.ds))
 
     @property
     def raisings(self) -> tuple[Operator, ...]:
@@ -159,17 +152,6 @@ class SpaceConfig:
         sums = {s for s in count for a in count
                 if s - a in count and (s - a != a or count[a] > 1)}
         return tuple(op for op, code in zip(self.raisings, codes) if code not in sums)
-
-
-def _o_row_weight(s: int, n: int) -> tuple[int, ...]:
-    """A_{O_n} weight of row s for the antidiagonal form, 1-indexed."""
-    k = n // 2
-    w = [0] * k
-    if s <= k:
-        w[s - 1] = 1
-    elif s >= n + 1 - k:
-        w[n - s] = -1
-    return tuple(w)
 
 
 def _unit(k: int, i: int) -> tuple[int, ...]:
@@ -203,31 +185,67 @@ def _gl_raisings(tag: str, cols: list[int], idx, rows: list[int]) -> list[Operat
     return ops
 
 
-def _o_raisings(tag: str, n: int, row_offset: int, cols: list[int], idx) -> list[Operator]:
-    """Nilradical of so_n for the antidiagonal form: E_ab - E_{n+1-b,n+1-a}, a+b <= n."""
-    ops = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if a + b > n:
-                continue
-            terms = []
-            for j in cols:
-                terms.append((1, {idx(row_offset + a, j): 1}, {idx(row_offset + b, j): 1}))
-                terms.append((-1, {idx(row_offset + n + 1 - b, j): 1},
-                              {idx(row_offset + n + 1 - a, j): 1}))
-            ops.append(make_operator(f"Z{tag}[{a},{b}]", "raising", terms))
-    return ops
+# A row family gives, for a block of `size` rows numbered 1..size: its torus
+# factor, each row's weight, its raisings as (name, [(coeff, a, b)]) standing
+# for sum_j coeff * x_{a,j} d/dx_{b,j} over every column, and its form as
+# {row: (mate, sign)}.
 
 
-def _o_gl(descriptor: str, row_blocks: list[int], col_blocks: list[int]) -> SpaceConfig:
-    """O per row block x GL per column block on M_{sum(row_blocks), sum(col_blocks)}.
+def _o_rows(n: int):
+    """O_n with the antidiagonal form, so that its Borel is upper triangular.
 
-    The form is the block sum of antidiagonal forms, one per row block, so
-    each orthogonal factor acts on its own rows with an upper triangular
-    Borel.  The Laplacians and multiplication invariants pair each row with
-    its mate under that form and two columns of one column block.
+    The raisings span the nilradical of so_n: E_ab - E_{n+1-b,n+1-a}, a < b, a+b <= n.
     """
-    n, total_cols = sum(row_blocks), sum(col_blocks)
+    k = n // 2
+    weights = []
+    for s in range(1, n + 1):
+        w = [0] * k
+        if s <= k:
+            w[s - 1] = 1
+        elif s >= n + 1 - k:
+            w[n - s] = -1
+        weights.append(tuple(w))
+    raisings = [(f"[{a},{b}]", [(1, a, b), (-1, n + 1 - b, n + 1 - a)])
+                for a in range(1, n + 1) for b in range(a + 1, n + 1 - a)]
+    return TorusFactor("O", n, k), weights, raisings, {s: (n + 1 - s, 1) for s in range(1, n + 1)}
+
+
+def _sp_rows(size: int):
+    """Sp_2n, size = 2n, with the skew form in n+n block shape: row s pairs with row n+s."""
+    n = size // 2
+    weights = [_unit(n, s) for s in range(1, n + 1)]
+    weights += [tuple(-c for c in w) for w in weights]
+    raisings = []
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            if a < b:
+                raisings.append((f"a[{a},{b}]", [(1, a, b), (-1, n + b, n + a)]))
+            raisings.append((f"b[{a},{b}]", [(1, a, n + b)] + ([(1, b, n + a)] if a < b else [])))
+    form = {s: (n + s, 1) for s in range(1, n + 1)}
+    form.update((n + s, (s, -1)) for s in range(1, n + 1))
+    return TorusFactor("Sp", size, n), weights, raisings, form
+
+
+def _gl_rows(n: int):
+    """GL_n with the raisings E_ab, a < b, and no form."""
+    raisings = [(f"[{a},{b}]", [(1, a, b)]) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    return TorusFactor("GL", n, n), [_unit(n, s) for s in range(1, n + 1)], raisings, {}
+
+
+_ROW_FAMILIES = {"O": _o_rows, "Sp": _sp_rows, "GL": _gl_rows}
+
+
+def _matrix_space(descriptor: str, row_blocks: list[tuple[str, int]],
+                  col_blocks: list[int]) -> SpaceConfig:
+    """A group per row block x GL per column block on P(M_{rows, sum(col_blocks)}).
+
+    `row_blocks` lists (family, size), family "O", "Sp" or "GL", each group
+    acting on its own rows.  The form is the block sum of the row groups'
+    forms.  The Laplacians and multiplication invariants pair each row with
+    its mate under that form and two columns i <= j of one column block; a
+    pair whose terms cancel (a skew form on i = j, or no form) is left out.
+    """
+    n, total_cols = sum(size for _, size in row_blocks), sum(col_blocks)
 
     def idx(s, j):
         return (s - 1) * total_cols + (j - 1)
@@ -236,16 +254,21 @@ def _o_gl(descriptor: str, row_blocks: list[int], col_blocks: list[int]) -> Spac
     all_cols = list(range(1, total_cols + 1))
     var_names = tuple(f"x[{s},{j}]" for s in rows for j in all_cols)
 
-    factors, var_weights, k_raise, mate = [], [], [], {}
+    factors, var_weights, k_raise, form = [], [], [], {}
     offset = 0
-    for tag, size in zip([""] if len(row_blocks) == 1 else ["t", "b"], row_blocks):
-        factors.append(TorusFactor("O", size, size // 2))
-        var_weights.append(tuple(
-            _o_row_weight(s - offset, size) if offset < s <= offset + size else _zero(size // 2)
-            for s in rows for _ in all_cols))
-        mate.update((s, 2 * offset + size + 1 - s) for s in range(offset + 1, offset + size + 1))
-        k_raise += _o_raisings(tag, size, offset, all_cols, idx)
+    for tag, (family, size) in zip([""] if len(row_blocks) == 1 else ["t", "b"], row_blocks):
+        factor, weights, raisings, block_form = _ROW_FAMILIES[family](size)
+        factors.append(factor)
+        zero = _zero(factor.coords)
+        var_weights.append(tuple(weights[s - offset - 1] if offset < s <= offset + size else zero
+                                 for s in rows for _ in all_cols))
+        k_raise += [make_operator(f"Z{tag}{name}", "raising",
+                                  [(c, {idx(offset + a, j): 1}, {idx(offset + b, j): 1})
+                                   for c, a, b in terms for j in all_cols])
+                    for name, terms in raisings]
+        form.update((offset + s, (offset + mate, sign)) for s, (mate, sign) in block_form.items())
         offset += size
+    r2_prefix = "S2" if any(family == "Sp" for family, _ in row_blocks) else "r2"
 
     deltas, r2s, eulers, gl_raise = [], [], [], []
     start = 1
@@ -257,11 +280,14 @@ def _o_gl(descriptor: str, row_blocks: list[int], col_blocks: list[int]) -> Spac
                                  for s in rows for j in all_cols))
         for ci, i in enumerate(cols, start=1):
             for cj, j in enumerate(cols[ci - 1:], start=ci):
-                pairs = [Counter((idx(s, i), idx(mate[s], j))) for s in rows]
-                deltas.append(make_operator(f"D{tag}[{ci},{cj}]", "delta",
-                                            [(1, {}, pair) for pair in pairs]))
-                r2s.append(make_operator(f"r2{tag}[{ci},{cj}]", "r2",
-                                         [(1, pair, {}) for pair in pairs]))
+                pairs = [(sign, Counter((idx(s, i), idx(mate, j))))
+                         for s, (mate, sign) in form.items()]
+                delta = make_operator(f"D{tag}[{ci},{cj}]", "delta",
+                                      [(sign, {}, pair) for sign, pair in pairs])
+                if delta.terms:
+                    deltas.append(delta)
+                    r2s.append(make_operator(f"{r2_prefix}{tag}[{ci},{cj}]", "r2",
+                                             [(sign, pair, {}) for sign, pair in pairs]))
         eulers += _gl_eulers(tag, cols, idx, rows, Fraction(n, 2))
         gl_raise += _gl_raisings(tag, cols, idx, rows)
 
@@ -283,65 +309,7 @@ def _case_a_printed_eulers(config: SpaceConfig, n: int, m: int) -> SpaceConfig:
             if i == j:
                 terms.append((Fraction(n, 2), {}, {}))
             eulers.append(make_operator(f"Etw[{i},{j}]", "euler", terms))
-    return SpaceConfig(config.descriptor + " (printed E)", config.var_count,
-                       config.var_names, config.factors, config.var_weights,
-                       config.deltas, config.r2s, tuple(eulers),
-                       config.k_raisings, config.gl_raisings)
-
-
-def _case_b(n: int, m: int) -> SpaceConfig:
-    def idx(s, j):
-        return (s - 1) * m + (j - 1)
-
-    rows = list(range(1, 2 * n + 1))
-    var_count = 2 * n * m
-    var_names = tuple(f"x[{s},{j}]" for s in rows for j in range(1, m + 1))
-    sp_weights = []
-    for s in rows:
-        w = [0] * n
-        if s <= n:
-            w[s - 1] = 1
-        else:
-            w[s - n - 1] = -1
-        sp_weights.extend([tuple(w)] * m)
-    gl_weights = tuple(_unit(m, j) for s in rows for j in range(1, m + 1))
-    factors = (TorusFactor("Sp", 2 * n, n), TorusFactor("GL", m, m))
-
-    deltas, r2s = [], []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            dterms, rterms = [], []
-            for s in range(1, n + 1):
-                dterms.append((1, {}, {idx(s, i): 1, idx(n + s, j): 1}))
-                dterms.append((-1, {}, {idx(n + s, i): 1, idx(s, j): 1}))
-                rterms.append((1, {idx(s, i): 1, idx(n + s, j): 1}, {}))
-                rterms.append((-1, {idx(n + s, i): 1, idx(s, j): 1}, {}))
-            deltas.append(make_operator(f"D[{i},{j}]", "delta", dterms))
-            r2s.append(make_operator(f"S2[{i},{j}]", "r2", rterms))
-
-    eulers = _gl_eulers("", list(range(1, m + 1)), idx, rows, Fraction(n))
-    gl_raise = _gl_raisings("", list(range(1, m + 1)), idx, rows)
-
-    k_raise = []
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            if a < b:
-                terms = []
-                for j in range(1, m + 1):
-                    terms.append((1, {idx(a, j): 1}, {idx(b, j): 1}))
-                    terms.append((-1, {idx(n + b, j): 1}, {idx(n + a, j): 1}))
-                k_raise.append(make_operator(f"Za[{a},{b}]", "raising", terms))
-            terms = []
-            for j in range(1, m + 1):
-                terms.append((1, {idx(a, j): 1}, {idx(n + b, j): 1}))
-                if a < b:
-                    terms.append((1, {idx(b, j): 1}, {idx(n + a, j): 1}))
-            k_raise.append(make_operator(f"Zb[{a},{b}]", "raising", terms))
-
-    return SpaceConfig(f"B(n={n},m={m})", var_count, var_names, factors,
-                       (tuple(sp_weights), gl_weights),
-                       tuple(deltas), tuple(r2s), tuple(eulers),
-                       tuple(k_raise), tuple(gl_raise))
+    return replace(config, descriptor=config.descriptor + " (printed E)", eulers=tuple(eulers))
 
 
 def _case_c(n: int, m: int, l: int) -> SpaceConfig:
@@ -405,54 +373,24 @@ def _case_c(n: int, m: int, l: int) -> SpaceConfig:
                        tuple(k_raise), tuple(gl_raise))
 
 
-def _case_c_stacked(n: int, m: int, l: int) -> SpaceConfig:
-    """P(M_{n,m} + M_{n,l}) with both blocks polynomial; GL_n acts across all columns."""
-    total_cols = m + l
-
-    def idx(s, j):
-        return (s - 1) * total_cols + (j - 1)
-
-    rows = list(range(1, n + 1))
-    var_count = n * total_cols
-    var_names = tuple(f"x[{s},{j}]" for s in rows for j in range(1, total_cols + 1))
-    gn = tuple(_unit(n, s) for s in rows for _ in range(total_cols))
-    gm = tuple(_unit(m, j) if j <= m else _zero(m) for s in rows for j in range(1, total_cols + 1))
-    gl = tuple(_unit(l, j - m) if j > m else _zero(l)
-               for s in rows for j in range(1, total_cols + 1))
-    factors = (TorusFactor("GL", n, n), TorusFactor("GL", m, m), TorusFactor("GL", l, l))
-
-    k_raise = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            terms = [(1, {idx(a, j): 1}, {idx(b, j): 1}) for j in range(1, total_cols + 1)]
-            k_raise.append(make_operator(f"Z[{a},{b}]", "raising", terms))
-    gl_raise = _gl_raisings("a", list(range(1, m + 1)), idx, rows)
-    gl_raise += _gl_raisings("b", list(range(m + 1, total_cols + 1)), idx, rows)
-    eulers = _gl_eulers("a", list(range(1, m + 1)), idx, rows, Fraction(n, 2))
-    eulers += _gl_eulers("b", list(range(m + 1, total_cols + 1)), idx, rows, Fraction(n, 2))
-
-    return SpaceConfig(f"C(n={n},m={m}+{l} stacked)", var_count, var_names, factors,
-                       (gn, gm, gl), (), (), tuple(eulers),
-                       tuple(k_raise), tuple(gl_raise))
-
-
 def build_config(shape: MatrixSpaceShape, printed_euler_variant: bool = False) -> SpaceConfig:
     if printed_euler_variant and shape.case != "A":
         raise UsageError("the row-reversed Euler variant exists only in case A")
+    n, m, l, split = shape.n, shape.m, shape.l, shape.split_columns
     if shape.case == "A":
-        blocks = [shape.m, shape.l] if shape.split_columns else [shape.m]
-        tag = f"A(n={shape.n},m={shape.m}" + (f"+{shape.l} split)" if shape.split_columns else ")")
-        config = _o_gl(tag, [shape.n], blocks)
-        if printed_euler_variant:
-            if shape.split_columns:
-                raise UsageError("the row-reversed Euler variant applies to one column block")
-            config = _case_a_printed_eulers(config, shape.n, shape.m)
-        return config
-    if shape.case == "B":
-        return _case_b(shape.n, shape.m)
-    if shape.split_columns:
-        return _case_c_stacked(shape.n, shape.m, shape.l)
-    return _case_c(shape.n, shape.m, shape.l)
+        descriptor, rows = f"A(n={n},m={m}" + (f"+{l} split)" if split else ")"), ("O", n)
+    elif shape.case == "B":
+        descriptor, rows = f"B(n={n},m={m})", ("Sp", 2 * n)
+    elif split:
+        descriptor, rows = f"C(n={n},m={m}+{l} stacked)", ("GL", n)
+    else:
+        return _case_c(n, m, l)
+    config = _matrix_space(descriptor, [rows], [m, l] if split else [m])
+    if printed_euler_variant:
+        if split:
+            raise UsageError("the row-reversed Euler variant applies to one column block")
+        config = _case_a_printed_eulers(config, n, m)
+    return config
 
 
 def build_product_config(product: ProductO, m: int) -> SpaceConfig:
@@ -463,4 +401,4 @@ def build_product_config(product: ProductO, m: int) -> SpaceConfig:
     harmonic quotient models restriction from the big group.
     """
     n1, n2 = product.n1, product.n2
-    return _o_gl(f"O({n1})xO({n2}) on M({n1 + n2},{m})", [n1, n2], [m])
+    return _matrix_space(f"O({n1})xO({n2}) on M({n1 + n2},{m})", [("O", n1), ("O", n2)], [m])

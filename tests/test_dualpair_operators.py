@@ -343,6 +343,22 @@ CONFIG_DIGESTS = [
     ("ProductO", 1, "6d9947f031f0a164263d667321d845511c28cf25200f648fd8b148667fd3c876"),
     ("ProductO", 2, "db850344d85c44ca2d270bc501344826e20e3cf6579f8346b08d02ed40753836"),
     ("ProductO", 3, "b2bc2f760bd3fab2884bcc5cc201dc733243d1b638fb71c44b45299a50ae2ffc"),
+    # recorded while cases B and stacked C had builders of their own: case B
+    # over n 1..5 with m given, stacked C over n 1..5 with column blocks
+    # (m, l), plain C over n 1..5 and m 1..3 with l given
+    ("B", 1, "5a0b7127a6e111e8b72cf0b18da0dd6d0e0a9704158f586a8b114a9936d195c2"),
+    ("B", 2, "6135ebdf6edf5d69509abaf75d61515f1a7dcc2410d1c05a27e771ef9db0fa6a"),
+    ("B", 3, "a0a5ef0a5d032c38b8baf53075af6de4c89120ede6a4bdb779186a382dff598e"),
+    ("B", 4, "f04f2d5af8c43728566bd421f232367ed969b857f5744aafbc7078e97a699ee3"),
+    ("C split", (1, 1), "43ec0a623b9de5b962a1fb3659a74f68ea7de6c6ebe25b2b1653562778610035"),
+    ("C split", (1, 2), "abab3feef92b64db1a4fac0e8c83802ea3aee83017c655b602927b195f9f4fc8"),
+    ("C split", (2, 1), "c9e3a9f914d96630b80393427180e981eb6d489d0dfea099a20c8430530624f0"),
+    ("C split", (2, 2), "eb0d10c5c9d36c278897c6403dc7f353b8441d60d168a26d9faee4c7bfb18cd5"),
+    ("C split", (3, 1), "9861552f52fa637e48dedc28526af78cbe12a021a827c82741885282121b2949"),
+    ("C split", (3, 2), "62f8602745c543d5ef2fb0381c50cd6ad2fa170c6f7615b24b42af3d5bf6340f"),
+    ("C", 0, "88b080392807444f8a0afb865c97889d797a39e5c9a3877825ef9a0dd0685d76"),
+    ("C", 1, "2b86192814292d6b6e30929ba9d50b853678c66a005fbb4c6fabe6b44788cc25"),
+    ("C", 2, "ec60fc38f47181b87e74f183bc80d26d329237cb7464b7019c860a0e5bbb7f1a"),
 ]
 
 
@@ -353,6 +369,14 @@ def _config_grid(kind, cols):
     if kind == "A split":
         return [build_config(MatrixSpaceShape("A", n, *cols, split_columns=True))
                 for n in range(1, 9)]
+    if kind == "B":
+        return [build_config(MatrixSpaceShape("B", n, cols)) for n in range(1, 6)]
+    if kind == "C split":
+        return [build_config(MatrixSpaceShape("C", n, *cols, split_columns=True))
+                for n in range(1, 6)]
+    if kind == "C":
+        return [build_config(MatrixSpaceShape("C", n, m, cols))
+                for n in range(1, 6) for m in range(1, 4)]
     return [build_config(MatrixSpaceShape("A", n, cols), printed_euler_variant=kind != "A")
             for n in range(1, 9)]
 
