@@ -3,8 +3,10 @@
 
 The oracle cases are six certification sizes: every mode, and cases A, B
 and stacked C.  The CLI cases are two `restrict o` tables larger than the
-benchmark's, a `tensor sp` and a `tensor o` table, one large `lr` value and
-the bracket check on A(6,3).
+benchmark's, a `tensor sp` and a `tensor o` table, one large `lr` value,
+the bracket check on A(6,3) and a `verify seesaw-a` on the 900 variables of
+A(30,30) at degree 1, whose config build dominates and whose packed weight
+code is the widest of any case (90 digits).
 
     PYTHONPATH=src python3 scripts/oracle_ladder.py [REPEAT]
 
@@ -46,6 +48,8 @@ TABLE_CASES = [
     ("lr 8..1 / 5..1 x 6..1", ["lr", "--lam", "8,7,6,5,4,3,2,1", "--mu", "5,4,3,2,1",
                               "--nu", "6,5,4,3,2,1"]),
     ("verify brackets A(6,3)", ["verify", "brackets", "--case", "a", "--n", "6", "--m", "3"]),
+    ("verify seesaw-a n=m=30 deg 1",
+     ["verify", "seesaw-a", "--n", "30", "--m", "30", "--max-degree", "1"]),
 ]
 
 

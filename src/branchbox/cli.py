@@ -329,9 +329,10 @@ def _cmd_hilbert(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output-format", choices=("json", "csv"), default="json")
-    common = argparse.ArgumentParser(add_help=False, parents=[output])
-    common.add_argument("--stable-policy", choices=("enforce", "warn"), default="enforce")
-    common.add_argument("--max-degree", type=int, default=6,
+    policy = argparse.ArgumentParser(add_help=False, parents=[output])
+    policy.add_argument("--stable-policy", choices=("enforce", "warn"), default="enforce")
+    oracle = argparse.ArgumentParser(add_help=False, parents=[policy])
+    oracle.add_argument("--max-degree", type=int, default=6,
                         help="degree bound for oracle computations (default 6)")
 
     parser = argparse.ArgumentParser(
@@ -339,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact stable-range branching multiplicities with brute-force verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lr", parents=[common],
+    p = sub.add_parser("lr", parents=[output],
                        help="single Littlewood-Richardson coefficient")
     p.add_argument("--lam", required=True, help="partition, e.g. 3,2,1 (empty string = empty)")
     p.add_argument("--mu", required=True)
@@ -349,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("branch", help="stable branching multiplicity GL to O/Sp")
     pair_sub = p.add_subparsers(dest="pair", required=True)
     for pair in ("gl-o", "gl-sp"):
-        q = pair_sub.add_parser(pair, parents=[common])
+        q = pair_sub.add_parser(pair, parents=[policy])
         q.add_argument("--lam", required=True, help="GL highest weight (partition)")
         q.add_argument("--mu", required=True, help="O/Sp highest weight (partition)")
         q.add_argument("--n", type=int, required=True)
@@ -358,14 +359,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tensor", help="stable tensor product multiplicities")
     fam_sub = p.add_subparsers(dest="family", required=True)
     for family in ("o", "sp"):
-        q = fam_sub.add_parser(family, parents=[common])
+        q = fam_sub.add_parser(family, parents=[policy])
         q.add_argument("--mu", required=True)
         q.add_argument("--nu", required=True)
         q.add_argument("--lam", default=None,
                        help="target label; omit for the full table")
         q.add_argument("--n", type=int, required=True)
         q.set_defaults(handler=_cmd_tensor, family=family)
-    q = fam_sub.add_parser("gl-rational", parents=[common])
+    q = fam_sub.add_parser("gl-rational", parents=[output])
     q.add_argument("--mu", required=True, help="signature plus;minus, e.g. 2,1;1")
     q.add_argument("--nu", required=True)
     q.add_argument("--lam", required=True)
@@ -374,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("restrict", help="stable restriction O_{n+m} to O_n x O_m")
     r_sub = p.add_subparsers(dest="target", required=True)
-    q = r_sub.add_parser("o", parents=[common])
+    q = r_sub.add_parser("o", parents=[policy])
     q.add_argument("--lam", required=True, help="O_{n+m} highest weight")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
@@ -385,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="formula vs. brute-force oracle suites")
     v_sub = p.add_subparsers(dest="suite", required=True)
     for name, suite in SUITES.items():
-        q = v_sub.add_parser(name, parents=[common], help=suite.help)
+        q = v_sub.add_parser(name, parents=[oracle], help=suite.help)
         for flag, default, text in suite.flags:
             q.add_argument(f"--{flag}", type=int, required=default is None, default=default,
                            help=text)
@@ -398,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--l", type=int, default=0)
     q.set_defaults(handler=_cmd_verify_brackets)
 
-    p = sub.add_parser("hilbert", parents=[common],
+    p = sub.add_parser("hilbert", parents=[oracle],
                        help="graded dimension identity for the harmonic decomposition")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -410,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "max_degree", 0) < 0:  # `verify brackets` has no --max-degree
+        if getattr(args, "max_degree", 0) < 0:  # only `verify <suite>` and `hilbert` have it
             raise UsageError("--max-degree must be nonnegative")
         return args.handler(args)
     except (UsageError, StableRangeError, BudgetError) as exc:

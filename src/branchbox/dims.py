@@ -30,6 +30,21 @@ def dim_gl(lam, n: int) -> int:
     return num // den
 
 
+def _weyl_product(a: list[int], b: list[int], linear: bool) -> Fraction:
+    """prod_i a_i/b_i (only if `linear`) * prod_{i<j} (a_i^2 - a_j^2)/(b_i^2 - b_j^2).
+
+    The Weyl dimension of types B, C (`linear`) and D, with a the shifted
+    highest weight mu + rho and b = rho, both scaled to integers.
+    """
+    total = Fraction(1)
+    for i in range(len(a)):
+        if linear:
+            total *= Fraction(a[i], b[i])
+        for j in range(i + 1, len(a)):
+            total *= Fraction(a[i] ** 2 - a[j] ** 2, b[i] ** 2 - b[j] ** 2)
+    return total
+
+
 def dim_so(mu, n: int) -> int:
     """Dimension of the SO_n irrep with integral highest weight mu."""
     mu = as_partition(mu)
@@ -39,20 +54,12 @@ def dim_so(mu, n: int) -> int:
     if len(mu) > k:
         raise UsageError(f"{mu} has more than {k} rows")
     w = list(mu) + [0] * (k - len(mu))
-    total = Fraction(1)
-    if n % 2:  # type B_k: roots e_i +- e_j and e_i
-        a = [2 * w[i] + 2 * (k - i) - 1 for i in range(k)]  # 2*(mu_i + rho_i), rho_i = k - i - 1/2
-        b = [2 * (k - i) - 1 for i in range(k)]
-        for i in range(k):
-            total *= Fraction(a[i], b[i])
-            for j in range(i + 1, k):
-                total *= Fraction(a[i] ** 2 - a[j] ** 2, b[i] ** 2 - b[j] ** 2)
+    if n % 2:  # type B_k: roots e_i +- e_j and e_i, 2*(mu_i + rho_i) with rho_i = k - i - 1/2
+        total = _weyl_product([2 * w[i] + 2 * (k - i) - 1 for i in range(k)],
+                              [2 * (k - i) - 1 for i in range(k)], linear=True)
     else:  # type D_k: roots e_i +- e_j
-        a = [w[i] + k - i - 1 for i in range(k)]
-        b = [k - i - 1 for i in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                total *= Fraction(a[i] ** 2 - a[j] ** 2, b[i] ** 2 - b[j] ** 2)
+        total = _weyl_product([w[i] + k - i - 1 for i in range(k)],
+                              [k - i - 1 for i in range(k)], linear=False)
     if total.denominator != 1:
         raise InternalInvariantError(f"dim_so({mu}, n={n}): Weyl dimension is not an integer")
     return int(total)
@@ -66,13 +73,8 @@ def dim_sp(mu, n: int) -> int:
     if len(mu) > n:
         raise UsageError(f"{mu} has more than {n} rows")
     w = list(mu) + [0] * (n - len(mu))
-    a = [w[i] + n - i for i in range(n)]  # mu_i + rho_i with rho_i = n - i
-    b = [n - i for i in range(n)]
-    total = Fraction(1)
-    for i in range(n):
-        total *= Fraction(a[i], b[i])
-        for j in range(i + 1, n):
-            total *= Fraction(a[i] ** 2 - a[j] ** 2, b[i] ** 2 - b[j] ** 2)
+    total = _weyl_product([w[i] + n - i for i in range(n)],  # mu_i + rho_i, rho_i = n - i
+                          [n - i for i in range(n)], linear=True)
     if total.denominator != 1:
         raise InternalInvariantError(f"dim_sp({mu}, n={n}): Weyl dimension is not an integer")
     return int(total)

@@ -16,15 +16,16 @@ Raising-operator kernels are only computed at dominant weights, and only
 those blocks are built; a kernel vector generates a highest weight module,
 so nothing is lost, and a nonzero kernel at a weight that is not a partition
 on an orthogonal factor is reported as an internal error rather than
-silently dropped.  Monomials are grouped by a packed integer code of their
-weight (`_weight_codes`), a second packed code tests dominance before any
-weight is decoded (`_dominance_codes`), and every row handed to the
-multiplicity eliminations is made of `int`s; `linalg.echelon` eliminates
-them sparsely.  One builder, `_stacked_rows`, turns per-operator images of a
-block's columns into annihilator rows: for the kernel dimensions and for the
-ideal's rank in `harmonic_report`.  The bracket check multiplies the
-operators' normal-ordered terms c*x^a*d^b, a basis of the Weyl algebra, so
-each relation it certifies is an operator identity, true on every polynomial.
+silently dropped.  Monomials are grouped by one packed integer code
+(`_weight_codes`) whose digits hold their weight and then its dominance
+functionals, so one mask tests dominance before any weight is decoded.
+Every row handed to the multiplicity eliminations is made of `int`s, and
+`linalg.echelon` eliminates them sparsely.  One builder, `_stacked_rows`,
+turns per-operator images of a block's columns into annihilator rows: for
+the kernel dimensions and for the ideal's rank in `harmonic_report`.  The
+bracket check multiplies the operators' normal-ordered terms c*x^a*d^b, a
+basis of the Weyl algebra, so each relation it certifies is an operator
+identity, true on every polynomial.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ..errors import BudgetError, InternalInvariantError, UsageError
 from ..partitions import IrrepLabel, as_partition, weight_to_signature
 from ..reports import MultiplicityEntry
 from .configs import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig,
-                      TorusFactor, balanced_code, build_config, build_product_config)
+                      TorusFactor, _packed, build_config, build_product_config)
 from .linalg import rank, solve_columns
 # Nothing here calls nullspace: the benchmark's tracer (perfbench/tracer.py) wraps
 # the binding `branchbox.dualpair.analysis.nullspace`, and its tests need the name
@@ -88,73 +89,38 @@ class BucketTable:
     by_degree: dict[int, list[tuple]]
 
 
-def _flat_weights(config: SpaceConfig) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Each factor's coordinate count, and each variable's weight as one flat row."""
-    sizes = [len(weights[0]) for weights in config.var_weights]
-    flat = [tuple(c for weights in config.var_weights for c in weights[v])
-            for v in range(config.var_count)]
-    return sizes, flat
-
-
 def _weight_codes(config: SpaceConfig, max_degree: int):
-    """Each variable's torus weight packed into one integer, and the decoder of sums.
+    """Each variable's code, the decoder of sums of codes, and the dominance test on them.
 
-    The flat weight (all factors' coordinates in a row) is read as the digits
-    of a balanced base B = 2*h + 1 number, h = max|coord| * max_degree.  Every
-    coordinate of a monomial of degree <= max_degree lies in [-h, h], so the
-    digits of a sum of codes never carry: the code of a monomial is the sum
-    of its variables' codes, and it decodes back to the monomial's weight.
+    A variable's row is its flat weight (all factors' coordinates) and then
+    its value on each dominance functional (`_dominance_functionals`), packed
+    by `_packed` for b = 2 * max|coord| * max_degree.  On a monomial of degree
+    <= max_degree every coordinate lies in [-b/2, b/2] and every functional,
+    two terms of coefficient +-1, in [-b, b].  So a monomial's code is the sum
+    of its variables' codes, it fixes the weight, and after adding the offset
+    2^(k-1) in every digit the coordinate digits read back as the weight and
+    the monomial is dominant iff every functional digit has its top bit set.
     """
-    sizes, flat = _flat_weights(config)
-    coords = sum(sizes)
-    half = max((abs(c) for w in flat for c in w), default=0) * max_degree
-    base = 2 * half + 1
-    codes = [balanced_code(w, base) for w in flat]
+    sizes = [len(weights[0]) for weights in config.var_weights]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    functionals = [tuple((start + i, c) for i, c in f)  # (flat coordinate, coefficient) pairs
+                   for factor, size, start in zip(config.factors, sizes, starts)
+                   for f in _dominance_functionals(factor, size)]
+    flat = [[c for weights in config.var_weights for c in weights[v]]
+            for v in range(config.var_count)]
+    bound = 2 * max((abs(c) for w in flat for c in w), default=0) * max_degree
+    codes, k = _packed([w + [sum(c * w[i] for i, c in f) for f in functionals]
+                        for w in flat], bound)
+    half, low, coords = 1 << (k - 1), (1 << k) - 1, starts[-1]
+    offset = sum(half << (k * j) for j in range(coords + len(functionals)))
+    mask = sum(half << (k * j) for j in range(coords, coords + len(functionals)))
 
     def decode(code: int) -> tuple[tuple[int, ...], ...]:
-        digits = []
-        for _ in range(coords):
-            digit = (code + half) % base - half
-            digits.append(digit)
-            code = (code - digit) // base
-        key, start = [], 0
-        for size in sizes:
-            key.append(tuple(digits[start:start + size]))
-            start += size
-        return tuple(key)
+        code += offset
+        digits = [(code >> (k * i) & low) - half for i in range(coords)]
+        return tuple(tuple(digits[a:b]) for a, b in zip(starts, starts[1:]))
 
-    return codes, decode
-
-
-def _dominance_codes(config: SpaceConfig, max_degree: int) -> tuple[list[int], int]:
-    """Each variable's dominance functionals packed into one integer, and the sign mask.
-
-    Every dominance condition of every factor is a functional f(w) >= 0 with
-    two terms of coefficient +-1 (`_dominance_functionals`), so on a monomial
-    of degree <= max_degree it lies in [-b, b], b = 2 * max|coord| * max_degree.
-    A variable's code holds f(weight) in the k-bit digit of each functional,
-    2^(k-1) > b.  Adding mask = 2^(k-1) in every digit turns the digits of a
-    sum of codes into f + 2^(k-1), inside [0, 2^k) so nothing carries, and
-    each digit's top bit is set iff its f >= 0: a monomial is dominant iff
-    (sum of its variables' codes + mask) & mask == mask.
-    """
-    sizes, flat = _flat_weights(config)
-    functionals = []  # (flat coordinate, coefficient) pairs
-    start = 0
-    for factor, size in zip(config.factors, sizes):
-        functionals += [tuple((start + i, c) for i, c in f)
-                        for f in _dominance_functionals(factor, size)]
-        start += size
-    bound = 2 * max((abs(c) for w in flat for c in w), default=0) * max_degree
-    k = bound.bit_length() + 1
-    codes = []
-    for w in flat:
-        code = 0
-        for f in reversed(functionals):
-            code = (code << k) + sum(c * w[i] for i, c in f)
-        codes.append(code)
-    mask = sum(1 << (k * j + k - 1) for j in range(len(functionals)))
-    return codes, mask
+    return codes, decode, lambda code: (code + offset) & mask == mask
 
 
 def _dominance_functionals(factor: TorusFactor, coords: int) -> list[tuple[tuple[int, int], ...]]:
@@ -177,12 +143,13 @@ def build_buckets(config: SpaceConfig, max_degree: int,
     degrees in one block is a UsageError.  More than MAX_MONOMIALS monomials
     in all is a BudgetError, raised before any is enumerated.
 
-    With `dominant_only`, only dominant weights get a block, tested on the
-    packed code (`_dominance_codes`) before the weight is decoded; the budget
-    still covers every block.
+    Monomials are grouped by one packed code (`_weight_codes`), the sum of
+    their variables' codes.  With `dominant_only`, only dominant weights get
+    a block, tested with one mask on that code before the weight is decoded;
+    the budget still covers every block.
     """
     check_monomial_count(config.var_count, max_degree)
-    codes, decode = _weight_codes(config, max_degree)
+    codes, decode, dominant = _weight_codes(config, max_degree)
     groups: dict[int, list[tuple[int, ...]]] = {}  # code -> variable multisets
     for d in range(max_degree + 1):
         for combo in itertools.combinations_with_replacement(range(config.var_count), d):
@@ -191,8 +158,6 @@ def build_buckets(config: SpaceConfig, max_degree: int,
             if group is None:
                 groups[code] = group = []
             group.append(combo)
-    if dominant_only:
-        dominance, mask = _dominance_codes(config, max_degree)
     table = BucketTable({}, {}, {d: [] for d in range(max_degree + 1)})
     for code, combos in groups.items():
         if len(combos) > DEFAULT_BUDGET:
@@ -201,7 +166,7 @@ def build_buckets(config: SpaceConfig, max_degree: int,
         if len(combos[0]) != len(combos[-1]):  # combos come in increasing degree
             raise UsageError(f"weight {decode(code)} holds monomials of degrees "
                              f"{len(combos[0])} and {len(combos[-1])}")
-        if dominant_only and (sum(map(dominance.__getitem__, combos[0])) + mask) & mask != mask:
+        if dominant_only and not dominant(code):
             continue
         key = decode(code)
         monos = []

@@ -67,16 +67,23 @@ class ProductO:
             raise UsageError("ProductO needs positive block sizes")
 
 
-def balanced_code(digits: tuple[int, ...], base: int) -> int:
-    """The integer with these balanced base-`base` digits, the first one lowest.
+def _packed(rows, bound: int) -> tuple[list[int], int]:
+    """Each row as one integer of k-bit signed digits, the first entry lowest, and k.
 
-    Codes add like the vectors they pack as long as every coordinate of the
-    sum stays within +-(base - 1) / 2.
+    k is the least width with 2^(k-1) > bound.  Codes add like the rows, and
+    two rows or sums of rows with entries in [-bound, bound] have the same
+    code only if they are equal.  Adding 2^(k-1) in every digit turns each
+    such entry e into e + 2^(k-1), inside [1, 2^k): no digit carries, and its
+    top bit is set iff e >= 0.
     """
-    code = 0
-    for c in reversed(digits):
-        code = code * base + c
-    return code
+    k = bound.bit_length() + 1
+    codes = []
+    for row in rows:
+        code = 0
+        for c in reversed(row):
+            code = (code << k) + c
+        codes.append(code)
+    return codes, k
 
 
 FULL = "full"
@@ -138,16 +145,14 @@ class SpaceConfig:
         so these raisings have the joint kernel of all of them.  The rule
         reads only the weight shifts, so it holds for every builder.
 
-        Each shift (all factors' coordinates in a row) is packed into one
-        integer by `balanced_code` in base B = 2*h + 1, h = 2 * max|coord|.
-        A difference of two shifts has its coordinates in [-h, h], so its
-        code is the difference of their codes, and s is a sum a + b of two
-        raisings' shifts iff code(s) - code(a) is the code of a raising
-        other than a's.
+        Each shift (all factors' coordinates in a row) is packed by `_packed`
+        with digits for +-2 * max|coord|.  A difference of two shifts has its
+        coordinates in that range, so its code is the difference of their
+        codes, and s is a sum a + b of two raisings' shifts iff code(s) -
+        code(a) is the code of a raising other than a's.
         """
         flats = [tuple(c for w in self.op_weight_shift(op) for c in w) for op in self.raisings]
-        base = 4 * max((abs(c) for w in flats for c in w), default=0) + 1
-        codes = [balanced_code(w, base) for w in flats]
+        codes, _ = _packed(flats, 2 * max((abs(c) for w in flats for c in w), default=0))
         count = Counter(codes)
         sums = {s for s in count for a in count
                 if s - a in count and (s - a != a or count[a] > 1)}

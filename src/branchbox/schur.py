@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, starmap
 
 from .errors import InternalInvariantError, UsageError
-from .partitions import Partition, as_partition, grevlex_key
+from .partitions import Partition, as_partition
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,6 @@ class SchurVector:
 
     def coefficient(self, lam) -> int:
         return self.coeffs.get(as_partition(lam), 0)
-
-    def sorted_items(self) -> list[tuple[Partition, int]]:
-        return sorted(self.coeffs.items(), key=lambda kv: grevlex_key(kv[0]))
 
 
 _kostka_memo: dict[tuple[Partition, Partition], int] = {}

@@ -675,6 +675,51 @@ def test_verify_brackets_refuses_options_it_would_ignore(capsys, option):
     assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
+REQUESTS_WITHOUT_ORACLE = [
+    ("lr", "--lam", "2,1", "--mu", "1", "--nu", "1"),
+    ("branch", "gl-o", "--lam", "2", "--mu", "", "--n", "5"),
+    ("branch", "gl-sp", "--lam", "2", "--mu", "", "--n", "5"),
+    ("tensor", "o", "--mu", "1", "--nu", "1", "--n", "5"),
+    ("tensor", "sp", "--mu", "1", "--nu", "1", "--n", "5"),
+    ("tensor", "gl-rational", "--mu", "1", "--nu", "1", "--lam", "2", "--n", "3"),
+    ("restrict", "o", "--lam", "2", "--n", "5", "--m", "5"),
+]
+
+
+IGNORED_OPTIONS = [
+    *(pytest.param(argv, ("--max-degree", d), id=f"{argv[0]} {argv[1]} --max-degree {d}")
+      for argv in REQUESTS_WITHOUT_ORACLE for d in ("3", "-3")),
+    *(pytest.param(argv, ("--stable-policy", "warn"), id=f"{argv[0]} {argv[1]} --stable-policy")
+      for argv in REQUESTS_WITHOUT_ORACLE if "lr" in argv or "gl-rational" in argv),
+]
+
+
+@pytest.mark.parametrize("request_argv,option", IGNORED_OPTIONS)
+def test_requests_refuse_options_they_would_ignore(capsys, request_argv, option):
+    # only oracle requests read a degree bound, and lr and gl-rational have
+    # no stable range; `lr --max-degree -3` used to exit 2 with "--max-degree
+    # must be nonnegative", for a flag lr ignores
+    assert run(capsys, *request_argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*request_argv, *option])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+@pytest.mark.parametrize("request_argv", [
+    ("verify", "seesaw-a", "--n", "5", "--m", "1"),
+    ("hilbert", "--n", "5", "--m", "1"),
+])
+def test_oracle_requests_keep_max_degree(capsys, request_argv):
+    # `hilbert --stable-policy warn` is still accepted and refused like
+    # `enforce`: test_hilbert_refuses_outside_its_range_under_either_policy
+    assert run(capsys, *request_argv, "--max-degree", "2")[0] == 0
+    assert run(capsys, *request_argv, "--max-degree", "-1") == (
+        2, "", "error: --max-degree must be nonnegative\n")
+
+
 def test_hilbert_ok(capsys):
     rc, out, _ = run(capsys, "hilbert", "--n", "5", "--m", "1", "--max-degree", "4")
     assert rc == 0

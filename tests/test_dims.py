@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,18 @@ def test_dim_sp_examples():
     assert dim_sp((1, 1), 2) == 5
     assert dim_sp((1,), 2) == 4
     assert dim_sp((2,), 2) == 10
+
+
+def test_weyl_products_of_types_b_c_d_are_pinned():
+    # one shared product serves dim_so (types B and D) and dim_sp (type C);
+    # the digest was taken before it was shared
+    values = [("so", n, mu, dim_so(mu, n))
+              for n in range(1, 14) for mu in enumerate_partitions(9, max_length=n // 2)]
+    values += [("sp", n, mu, dim_sp(mu, n))
+               for n in range(7) for mu in enumerate_partitions(9, max_length=n)]
+    assert len(values) == 1013
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "2d6461d2f2a7aadf38115c7e6a90f65314c3999c5ad2b1058d63deb25bf77f50")
 
 
 def test_dim_length_bounds():

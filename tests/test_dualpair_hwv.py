@@ -291,6 +291,18 @@ def test_simple_raisings_match_the_pair_sum_rule_on_repeated_shifts():
         assert config.simple_raisings == _pair_sum_simple_raisings(config), seed
 
 
+def test_simple_raisings_read_shift_differences_up_to_twice_the_largest_coordinate():
+    # (3, 0) - (-2, 1) = (5, -1) is no shift here.  The shift digit must hold
+    # +-6; a 3-bit digit would wrap it to (-3, 0), the third shift, and drop
+    # (3, 0), which is no sum of two shifts
+    weights = ((3, 0), (-2, 1), (-3, 0))
+    raisings = tuple(make_operator(f"X{i}", "raising", [(1, {i: 1}, {})]) for i in range(3))
+    config = SpaceConfig("three shifts", 3, ("a", "b", "c"),
+                         (TorusFactor("GL", 2, 2, signed=True),), (weights,),
+                         (), (), (), raisings, ())
+    assert config.simple_raisings == raisings == _pair_sum_simple_raisings(config)
+
+
 def test_product_o_requires_matching_block_sizes():
     with pytest.raises(UsageError):
         hwv_multiplicities(MatrixSpaceShape("A", 5, 1), 3, ProductO(3, 3))
