@@ -16,9 +16,11 @@ Raising-operator kernels are only computed at dominant weights, and only
 those blocks are built; a kernel vector generates a highest weight module,
 so nothing is lost, and a nonzero kernel at a weight that is not a partition
 on an orthogonal factor is reported as an internal error rather than
-silently dropped.  Monomials are grouped by one packed integer code
-(`_weight_codes`) whose digits hold their weight and then its dominance
-functionals, so one mask tests dominance before any weight is decoded.
+silently dropped.  Each `TorusFactor` owns its dominance conditions and
+labels; this module reads them and compares no family.  Monomials are
+grouped by one packed integer code (`_weight_codes`) whose digits hold
+their weight and then its dominance functionals, so one mask tests
+dominance before any weight is decoded.
 Every row handed to the multiplicity eliminations is made of `int`s, and
 `linalg.echelon` eliminates them sparsely.  One builder, `_stacked_rows`,
 turns per-operator images of a block's columns into annihilator rows: for
@@ -36,10 +38,10 @@ from fractions import Fraction
 from math import comb, perm
 
 from ..errors import BudgetError, InternalInvariantError, UsageError
-from ..partitions import IrrepLabel, as_partition, weight_to_signature
+from ..partitions import IrrepLabel, as_partition
 from ..reports import MultiplicityEntry
-from .configs import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig,
-                      TorusFactor, _packed, build_config, build_product_config)
+from .configs import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig, _packed,
+                      build_config, build_product_config)
 from .linalg import rank, solve_columns
 # Nothing here calls nullspace: the benchmark's tracer (perfbench/tracer.py) wraps
 # the binding `branchbox.dualpair.analysis.nullspace`, and its tests need the name
@@ -92,20 +94,19 @@ class BucketTable:
 def _weight_codes(config: SpaceConfig, max_degree: int):
     """Each variable's code, the decoder of sums of codes, and the dominance test on them.
 
-    A variable's row is its flat weight (all factors' coordinates) and then
-    its value on each dominance functional (`_dominance_functionals`), packed
-    by `_packed` for b = 2 * max|coord| * max_degree.  On a monomial of degree
-    <= max_degree every coordinate lies in [-b/2, b/2] and every functional,
-    two terms of coefficient +-1, in [-b, b].  So a monomial's code is the sum
+    A variable's row is its flat weight (each factor's `coords` coordinates)
+    and then its value on each factor's dominance functionals (`dominance`),
+    packed by `_packed` for b = 2 * max|coord| * max_degree.  On a monomial
+    of degree <= max_degree every coordinate lies in [-b/2, b/2] and every
+    functional, two terms of coefficient +-1, in [-b, b].  So a monomial's code is the sum
     of its variables' codes, it fixes the weight, and after adding the offset
     2^(k-1) in every digit the coordinate digits read back as the weight and
     the monomial is dominant iff every functional digit has its top bit set.
     """
-    sizes = [len(weights[0]) for weights in config.var_weights]
-    starts = list(itertools.accumulate(sizes, initial=0))
+    starts = list(itertools.accumulate((factor.coords for factor in config.factors), initial=0))
     functionals = [tuple((start + i, c) for i, c in f)  # (flat coordinate, coefficient) pairs
-                   for factor, size, start in zip(config.factors, sizes, starts)
-                   for f in _dominance_functionals(factor, size)]
+                   for factor, start in zip(config.factors, starts)
+                   for f in factor.dominance()]
     flat = [[c for weights in config.var_weights for c in weights[v]]
             for v in range(config.var_count)]
     bound = 2 * max((abs(c) for w in flat for c in w), default=0) * max_degree
@@ -121,18 +122,6 @@ def _weight_codes(config: SpaceConfig, max_degree: int):
         return tuple(tuple(digits[a:b]) for a, b in zip(starts, starts[1:]))
 
     return codes, decode, lambda code: (code + offset) & mask == mask
-
-
-def _dominance_functionals(factor: TorusFactor, coords: int) -> list[tuple[tuple[int, int], ...]]:
-    """A factor's dominance conditions, each sum(c * w[i]) >= 0 as (i, c) pairs."""
-    if not coords:
-        return []
-    out = [((i, 1), (i + 1, -1)) for i in range(coords - 1)]
-    if factor.family == "O" and factor.rank % 2 == 0 and coords >= 2:
-        out.append(((coords - 2, 1), (coords - 1, 1)))  # type D allows one sign flip in the last slot
-    elif factor.family != "GL" or not factor.signed:
-        out.append(((coords - 1, 1),))
-    return out
 
 
 def build_buckets(config: SpaceConfig, max_degree: int,
@@ -184,11 +173,6 @@ def build_buckets(config: SpaceConfig, max_degree: int,
     return table
 
 
-def _images(ops, basis: list[Monomial]) -> list[list[Poly]]:
-    """Each operator's image of each basis monomial."""
-    return [[apply_to_monomial(op, mono) for mono in basis] for op in ops]
-
-
 def _stacked_rows(images: list[list[Poly]]) -> list[list[int]]:
     """The one builder of annihilator rows: per-operator column images, stacked.
 
@@ -211,21 +195,13 @@ def _stacked_rows(images: list[list[Poly]]) -> list[list[int]]:
 
 
 def _kernel_dim(ops, basis: list[Monomial]) -> int:
-    return len(basis) - rank(_stacked_rows(_images(ops, basis)))
+    images = [[apply_to_monomial(op, mono) for mono in basis] for op in ops]
+    return len(basis) - rank(_stacked_rows(images))
 
 
 def _labels_for(config: SpaceConfig, key: tuple) -> tuple[IrrepLabel, ...] | None:
-    labels = []
-    for factor, w in zip(config.factors, key):
-        if factor.family in ("O", "Sp"):
-            if any(a < 0 for a in w):
-                return None
-            labels.append(IrrepLabel(factor.family, factor.rank, as_partition(w)))
-        elif factor.signed:
-            labels.append(IrrepLabel("GL", factor.rank, weight_to_signature(w)))
-        else:
-            labels.append(IrrepLabel("GL", factor.rank, as_partition(w)))
-    return tuple(labels)
+    labels = tuple(factor.label(w) for factor, w in zip(config.factors, key))
+    return None if None in labels else labels
 
 
 def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
@@ -581,10 +557,11 @@ def harmonic_isotypic_dims(shape: MatrixSpaceShape,
     if shape.split_columns or shape.case == "C":
         raise UsageError("isotypic dimensions apply to the two-factor cases A and B")
     config = build_config(shape)
+    dominance = config.factors[1].dominance()  # the GL side's
     groups: dict[tuple[int, ...], list[Monomial]] = {}
     for key, basis in build_buckets(config, max_degree).buckets.items():
         w = key[1]
-        if all(w[i] >= w[i + 1] for i in range(len(w) - 1)):
+        if all(sum(c * w[i] for i, c in f) >= 0 for f in dominance):
             groups.setdefault(w, []).extend(basis)
     for basis in groups.values():
         if len(basis) > DEFAULT_BUDGET:

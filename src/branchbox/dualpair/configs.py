@@ -13,7 +13,9 @@ group per row block (O, Sp or GL, each given by one row-family function)
 and a GL factor per column block, on the block sum of the row groups'
 forms.  Cases A, B and stacked C have one row block; ProductO(n1, n2) has
 O row blocks n1 and n2, which realizes O_{n1} x O_{n2} inside O_{n1+n2}
-with each factor acting on its own rows.
+with each factor acting on its own rows.  Every Euler family, the printed
+case A variant's row-reversed one too, comes from `_gl_eulers`.  Each
+`TorusFactor` owns its dominance conditions and its labels.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ..errors import UsageError
+from ..partitions import IrrepLabel, as_partition, weight_to_signature
 from .poly import Monomial, Operator, make_operator
 
 
@@ -92,10 +95,33 @@ MOD_IDEAL = "mod_ideal"
 
 @dataclass(frozen=True)
 class TorusFactor:
+    """A torus factor, owner of its family's dominance conditions (`dominance`) and labels."""
+
     family: str  # "O" | "Sp" | "GL"
     rank: int  # matrix size: O_n -> n, Sp_2n -> 2n, GL_k -> k
     coords: int  # torus coordinates carried by weight vectors
     signed: bool = False  # weights may go negative (rational GL labels)
+
+    def dominance(self) -> list[tuple[tuple[int, int], ...]]:
+        """The dominance conditions, each sum(c * w[i]) >= 0 as (i, c) pairs."""
+        k = self.coords
+        if not k:
+            return []
+        out = [((i, 1), (i + 1, -1)) for i in range(k - 1)]
+        if self.family == "O" and self.rank % 2 == 0 and k >= 2:
+            out.append(((k - 2, 1), (k - 1, 1)))  # type D allows one sign flip in the last slot
+        elif self.family != "GL" or not self.signed:
+            out.append(((k - 1, 1),))
+        return out
+
+    def label(self, w: tuple[int, ...]) -> IrrepLabel | None:
+        """The irreducible a dominant weight w names; None for a negative weight on O or Sp."""
+        if self.family == "GL":
+            return IrrepLabel("GL", self.rank,
+                              weight_to_signature(w) if self.signed else as_partition(w))
+        if any(a < 0 for a in w):
+            return None
+        return IrrepLabel(self.family, self.rank, as_partition(w))
 
 
 @dataclass(frozen=True)
@@ -114,12 +140,11 @@ class SpaceConfig:
     def _weight_sum(self, pairs) -> tuple[tuple[int, ...], ...]:
         """Per factor, the sum of e times the weight of v over the (v, e) pairs."""
         out = []
-        for weights in self.var_weights:
-            coords = len(weights[0]) if weights else 0
-            acc = [0] * coords
+        for factor, weights in zip(self.factors, self.var_weights):
+            acc = [0] * factor.coords
             for v, e in pairs:
                 w = weights[v]
-                for i in range(coords):
+                for i in range(factor.coords):
                     acc[i] += e * w[i]
             out.append(tuple(acc))
         return tuple(out)
@@ -169,11 +194,14 @@ def _zero(k: int) -> tuple[int, ...]:
     return (0,) * k
 
 
-def _gl_eulers(tag: str, cols: list[int], idx, rows: list[int], shift: Fraction) -> list[Operator]:
+def _gl_eulers(tag: str, cols: list[int], idx, rows: list[int], shift: Fraction,
+               mates: list[int] | None = None) -> list[Operator]:
+    """E{tag}[i,j] = sum_s x_{s,i} d/dx_{t,j} (+ shift if i = j), t the mate of s (default s)."""
     ops = []
+    pairs = list(zip(rows, rows if mates is None else mates))
     for ci, i in enumerate(cols, start=1):
         for cj, j in enumerate(cols, start=1):
-            terms = [(1, {idx(s, i): 1}, {idx(s, j): 1}) for s in rows]
+            terms = [(1, {idx(s, i): 1}, {idx(t, j): 1}) for s, t in pairs]
             if i == j:
                 terms.append((shift, {}, {}))
             ops.append(make_operator(f"E{tag}[{ci},{cj}]", "euler", terms))
@@ -301,22 +329,6 @@ def _matrix_space(descriptor: str, row_blocks: list[tuple[str, int]],
                        tuple(k_raise), tuple(gl_raise))
 
 
-def _case_a_printed_eulers(config: SpaceConfig, n: int, m: int) -> SpaceConfig:
-    """Variant family with the row-reversed Euler operators, for bracket arbitration."""
-
-    def idx(s, j):
-        return (s - 1) * m + (j - 1)
-
-    eulers = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            terms = [(1, {idx(s, i): 1}, {idx(n + 1 - s, j): 1}) for s in range(1, n + 1)]
-            if i == j:
-                terms.append((Fraction(n, 2), {}, {}))
-            eulers.append(make_operator(f"Etw[{i},{j}]", "euler", terms))
-    return replace(config, descriptor=config.descriptor + " (printed E)", eulers=tuple(eulers))
-
-
 def _case_c(n: int, m: int, l: int) -> SpaceConfig:
     def xidx(a, i):
         return (a - 1) * m + (i - 1)
@@ -394,7 +406,10 @@ def build_config(shape: MatrixSpaceShape, printed_euler_variant: bool = False) -
     if printed_euler_variant:
         if split:
             raise UsageError("the row-reversed Euler variant applies to one column block")
-        config = _case_a_printed_eulers(config, n, m)
+        order = list(range(1, n + 1))
+        eulers = _gl_eulers("tw", list(range(1, m + 1)), lambda s, j: (s - 1) * m + (j - 1),
+                            order, Fraction(n, 2), order[::-1])
+        return replace(config, descriptor=config.descriptor + " (printed E)", eulers=tuple(eulers))
     return config
 
 

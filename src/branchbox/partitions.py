@@ -65,8 +65,7 @@ def grevlex_key(p: Partition):
     return (sum(p), tuple(-a for a in p))
 
 
-def partitions_of(size: int, max_length: int | None = None,
-                  max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(size: int, max_length: int | None = None) -> Iterator[Partition]:
     """Partitions of `size`, largest leading part first."""
     if size < 0:
         return
@@ -74,7 +73,6 @@ def partitions_of(size: int, max_length: int | None = None,
         yield EMPTY
         return
     maxlen = size if max_length is None else min(max_length, size)
-    cap0 = size if max_part is None else min(max_part, size)
 
     def rec(remaining: int, cap: int, slots: int) -> Iterator[Partition]:
         if remaining == 0:
@@ -88,7 +86,7 @@ def partitions_of(size: int, max_length: int | None = None,
             for rest in rec(remaining - part, part, slots - 1):
                 yield (part,) + rest
 
-    yield from rec(size, cap0, maxlen)
+    yield from rec(size, size, maxlen)
 
 
 def enumerate_partitions(max_size: int, max_length: int | None = None) -> list[Partition]:

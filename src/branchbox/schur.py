@@ -58,7 +58,6 @@ class SchurVector:
 _kostka_memo: dict[tuple[Partition, Partition], int] = {}
 _expand_memo: dict[tuple[Partition, int], DominantMonomialPoly] = {}
 _orbit_memo: dict[tuple[Partition, int], list[tuple[int, ...]]] = {}
-_product_memo: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
 
 
 def kostka(lam: Partition, content: Partition) -> int:
@@ -237,12 +236,8 @@ def monomial_product(a: Partition, b: Partition, m: int) -> dict[Partition, int]
     """
     if len(a) > m or len(b) > m:
         raise UsageError(f"key {max(a, b, key=len)} does not fit in {m} variables")
-    if a > b:
+    if a > b:  # one pass, and one order of the result, for (a, b) and (b, a)
         a, b = b, a
-    key = (a, b, m)
-    hit = _product_memo.get(key)
-    if hit is not None:
-        return hit
     size_a, size_b = _orbit_size(a, m), _orbit_size(b, m)
     small, big, size_big = (a, b, size_b) if size_a <= size_b else (b, a, size_a)
     big_padded = big + (0,) * (m - len(big))
@@ -260,7 +255,6 @@ def monomial_product(a: Partition, b: Partition, m: int) -> dict[Partition, int]
             raise InternalInvariantError(
                 f"orbit count of {gamma} in m_{a} * m_{b} is not divisible by its orbit size")
         out[gamma] = coeff
-    _product_memo[key] = out
     return out
 
 

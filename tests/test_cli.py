@@ -655,6 +655,31 @@ def test_verify_all_passes_and_covers_every_suite(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_stability_scan_marks_the_first_n_the_range_rule_calls_stable(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "stability_scan.py"
+    spec = importlib.util.spec_from_file_location("stability_scan", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    window = 6
+    assert script.main(["--max-size", "2", "--window", str(window)]) == 0
+    gl_to_o, o_tensor = capsys.readouterr().out.split("\n\n")
+    sections = [(gl_to_o, (8, 8), lambda lam, mu: partial(branch.gl_to_o_range, lam)),
+                (o_tensor, (6, 6, 8), lambda mu, nu, lam: partial(branch.o_tensor_range, mu, nu))]
+    marks = 0
+    for text, widths, rule in sections:
+        for row in text.splitlines()[2:]:  # below the title and the column header
+            labels, start = [], 0
+            for width in widths:
+                cell = row[start:start + width].strip()
+                labels.append(tuple(map(int, cell.split(","))) if cell else ())
+                start += width
+            cells = [row[start + 4 * i:start + 4 * i + 4] for i in range(window)]
+            stable = [n for n in range(1, window + 1) if rule(*labels)(n) is None]
+            assert [n for n, cell in enumerate(cells, 1) if cell[0] == "|"] == stable[:1], row
+            marks += bool(stable)
+    assert marks == 18
+
+
 def test_verify_brackets_case_a(capsys):
     rc, out, err = run(capsys, "verify", "brackets", "--case", "a",
                        "--n", "4", "--m", "2")

@@ -198,7 +198,6 @@ def test_enumerate_partitions_sorted_unique():
 
 def test_partitions_of_respects_bounds():
     assert list(partitions_of(4, max_length=2)) == [(4,), (3, 1), (2, 2)]
-    assert list(partitions_of(3, max_part=2)) == [(2, 1), (1, 1, 1)]
     assert list(partitions_of(0)) == [()]
 
 
