@@ -14,7 +14,7 @@ each side's median and quartiles, the change's relative shift, the parent's
 interquartile range and the number of pairs the change wins (strictly
 better, in the direction BENCHMARK.json gives).  `--trace-seed` adds one
 `--trace 1` run per side for the per-layer metrics, `--tier1 N` times the
-tier-1 test command N times per side.
+tier-1 test command N times per side, with a fixed `--hypothesis-seed`.
 
 With `--log FILE`, every finished run is appended to FILE as one JSON line,
 and runs already in FILE are reused, so an interrupted session resumes.
@@ -34,8 +34,9 @@ import subprocess
 import sys
 import time
 
+# a fixed hypothesis seed, so both sides time the same drawn sizes
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", "--hypothesis-seed=1"]
 
 
 def _git_sha(root: str) -> str:
@@ -129,7 +130,8 @@ def _tier1(roots: dict[str, str], count: int) -> dict:
             out[side].append({"passed": int(passed.group(1)) if passed else 0,
                               "pytest_s": float(took.group(1)) if took else None,
                               "wall_s": round(wall, 2)})
-    return {"command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors",
+    return {"command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors "
+                       "--hypothesis-seed=1",
             **out}
 
 

@@ -18,9 +18,15 @@ labels too, and compares entry by entry.  The `verify` subparsers are built
 from the same table.
 
 No refusal is decided here: `branch` owns the stable range (handlers read
-the `stable` flag from its rules and table checks) and `dualpair` the size
-budgets.  The argument parser is built once per process, on the first
-`main` call.  A `restrict o` or `tensor sp` table is gated once, by
+the `stable` flag from its rules and table checks), and `dualpair` and
+`dims.hilbert_check` the size budgets.  The argument parser is built once
+per process, on the first `main` call, and records each leaf parser (`lr`,
+`hilbert`, `branch gl-o`, ..., `verify <suite>`) under its command path.
+A request is parsed once, by the leaf parser its leading tokens name; the
+root parses only what no leaf takes whole (no command or an unknown one,
+help above a leaf, or arguments the leaf leaves over), so help, usage
+errors and "unrecognized arguments" read as they do from the root.  A
+`restrict o` or `tensor sp` table is gated once, by
 `branch.check_o_restrict` or `branch.check_sp_tensor`, so under `warn` it
 emits one StableRangeWarning.  A `tensor sp` table then maps the trusted
 kernel over keys that are canonical and admissible by construction.  A
@@ -326,7 +332,9 @@ def _cmd_hilbert(args) -> int:
 # argument parsing
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The root parser, and each leaf parser under its command path."""
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output-format", choices=("json", "csv"), default="json")
     policy = argparse.ArgumentParser(add_help=False, parents=[output])
@@ -339,9 +347,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="branchbox",
         description="Exact stable-range branching multiplicities with brute-force verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves: dict[tuple[str, ...], argparse.ArgumentParser] = {}
 
-    p = sub.add_parser("lr", parents=[output],
-                       help="single Littlewood-Richardson coefficient")
+    def leaf(subparsers, *path: str, **kwargs) -> argparse.ArgumentParser:
+        leaves[path] = subparsers.add_parser(path[-1], **kwargs)
+        return leaves[path]
+
+    p = leaf(sub, "lr", parents=[output], help="single Littlewood-Richardson coefficient")
     p.add_argument("--lam", required=True, help="partition, e.g. 3,2,1 (empty string = empty)")
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
@@ -350,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("branch", help="stable branching multiplicity GL to O/Sp")
     pair_sub = p.add_subparsers(dest="pair", required=True)
     for pair in ("gl-o", "gl-sp"):
-        q = pair_sub.add_parser(pair, parents=[policy])
+        q = leaf(pair_sub, "branch", pair, parents=[policy])
         q.add_argument("--lam", required=True, help="GL highest weight (partition)")
         q.add_argument("--mu", required=True, help="O/Sp highest weight (partition)")
         q.add_argument("--n", type=int, required=True)
@@ -359,14 +371,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tensor", help="stable tensor product multiplicities")
     fam_sub = p.add_subparsers(dest="family", required=True)
     for family in ("o", "sp"):
-        q = fam_sub.add_parser(family, parents=[policy])
+        q = leaf(fam_sub, "tensor", family, parents=[policy])
         q.add_argument("--mu", required=True)
         q.add_argument("--nu", required=True)
         q.add_argument("--lam", default=None,
                        help="target label; omit for the full table")
         q.add_argument("--n", type=int, required=True)
         q.set_defaults(handler=_cmd_tensor, family=family)
-    q = fam_sub.add_parser("gl-rational", parents=[output])
+    q = leaf(fam_sub, "tensor", "gl-rational", parents=[output])
     q.add_argument("--mu", required=True, help="signature plus;minus, e.g. 2,1;1")
     q.add_argument("--nu", required=True)
     q.add_argument("--lam", required=True)
@@ -375,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("restrict", help="stable restriction O_{n+m} to O_n x O_m")
     r_sub = p.add_subparsers(dest="target", required=True)
-    q = r_sub.add_parser("o", parents=[policy])
+    q = leaf(r_sub, "restrict", "o", parents=[policy])
     q.add_argument("--lam", required=True, help="O_{n+m} highest weight")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
@@ -386,30 +398,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="formula vs. brute-force oracle suites")
     v_sub = p.add_subparsers(dest="suite", required=True)
     for name, suite in SUITES.items():
-        q = v_sub.add_parser(name, parents=[oracle], help=suite.help)
+        q = leaf(v_sub, "verify", name, parents=[oracle], help=suite.help)
         for flag, default, text in suite.flags:
             q.add_argument(f"--{flag}", type=int, required=default is None, default=default,
                            help=text)
-        q.set_defaults(handler=_cmd_verify)
-    q = v_sub.add_parser("brackets", parents=[output],
-                         help="commutation relations of the model operators")
+        q.set_defaults(handler=_cmd_verify, suite=name)
+    q = leaf(v_sub, "verify", "brackets", parents=[output],
+             help="commutation relations of the model operators")
     q.add_argument("--case", choices=("a", "b", "c"), required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--l", type=int, default=0)
     q.set_defaults(handler=_cmd_verify_brackets)
 
-    p = sub.add_parser("hilbert", parents=[oracle],
-                       help="graded dimension identity for the harmonic decomposition")
+    p = leaf(sub, "hilbert", parents=[oracle],
+             help="graded dimension identity for the harmonic decomposition")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(handler=_cmd_hilbert)
 
-    return parser
+    return parser, leaves
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the leaf parser its leading tokens name, or with the
+    root when no leaf takes the rest whole (the root then reports the usage
+    error, or the leftovers as unrecognized arguments)."""
+    parser, leaves = _build_parser()
+    for depth in (1, 2):
+        leaf = leaves.get(tuple(argv[:depth]))
+        if leaf is not None:
+            args, extras = leaf.parse_known_args(argv[depth:])
+            if not extras:
+                return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         if getattr(args, "max_degree", 0) < 0:  # only `verify <suite>` and `hilbert` have it
             raise UsageError("--max-degree must be nonnegative")

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb
 
 from .branch import ENFORCE, hilbert_range, refuse
-from .errors import InternalInvariantError, UsageError
+from .errors import BudgetError, InternalInvariantError, UsageError
 from .partitions import Partition, as_partition, partitions_of
 
 
@@ -142,6 +142,28 @@ class PowerSeriesTruncated:
         return PowerSeriesTruncated(max_degree, tuple(coeffs))
 
 
+MAX_HILBERT_PRODUCTS = 250_000
+
+
+def _hilbert_products(n: int, m: int, max_degree: int) -> int:
+    """An estimate of the multiplications `hilbert_check` makes: (d+1)^2 in
+    its series products, and per label (a partition of at most d into at
+    most m parts) one per factor of its Weyl dimensions dim_o(lam, n) and
+    dim_gl(lam, m).  When the series products alone exceed
+    MAX_HILBERT_PRODUCTS, they are the count, so the labels are counted only
+    for d < 500."""
+    d = max_degree
+    series = (d + 1) ** 2
+    if series > MAX_HILBERT_PRODUCTS:
+        return series
+    counts = [1] + [0] * d  # counts[j]: partitions of j into parts <= m, i.e. at most m parts
+    for part in range(1, min(m, d) + 1):
+        for j in range(part, d + 1):
+            counts[j] += counts[j - part]
+    k = n // 2
+    return series + sum(counts) * (k * (k + 1) // 2 + m * (m - 1) // 2)
+
+
 def hilbert_check(n: int, m: int, max_degree: int):
     """Check the graded dimension identity of the orthogonal harmonic model.
 
@@ -151,9 +173,15 @@ def hilbert_check(n: int, m: int, max_degree: int):
     so every label in range has a well-defined O_n dimension, and raises
     StableRangeError otherwise.  The bound is always enforced: the CLI's
     `hilbert --stable-policy warn` is accepted and ignored, and exits 2
-    exactly as under `enforce`.
+    exactly as under `enforce`.  A request of more than MAX_HILBERT_PRODUCTS
+    multiplications (`_hilbert_products`) is a BudgetError, raised before
+    any label or series is built.
     """
     refuse(hilbert_range(n, m), ENFORCE)
+    count = _hilbert_products(n, m, max_degree)
+    if count > MAX_HILBERT_PRODUCTS:
+        raise BudgetError(f"{count} products for the Hilbert series of degree <= {max_degree} "
+                          f"at n = {n}, m = {m} exceed {MAX_HILBERT_PRODUCTS}")
     d = max_degree
     harm = [0] * (d + 1)
     for lam in [p for k in range(d + 1) for p in partitions_of(k, max_length=m)]:

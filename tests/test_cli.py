@@ -478,11 +478,91 @@ def test_help_is_the_same_from_the_cached_parser(capsys, monkeypatch, argv):
         assert exc.value.code == 0
         texts.append(capsys.readouterr().out)
     with pytest.raises(SystemExit):
-        cli._build_parser.__wrapped__().parse_args(list(argv))
+        cli._build_parser.__wrapped__()[0].parse_args(list(argv))
     assert texts[0] == texts[1] == capsys.readouterr().out
     if argv == ("--help",):  # recorded before the parser was cached
         digest = "3fbcca4d06a47d3079cbf2d0d23c2f08182c45df8e13078a2565c527cdb174ba"
         assert hashlib.sha256(texts[0].encode()).hexdigest() == digest
+
+
+VALID_LEAF_REQUESTS = {
+    ("lr",): ("--lam", "3,2,1", "--mu", "2,1", "--nu", "2,1"),
+    ("hilbert",): ("--n", "5", "--m", "1", "--max-degree", "4"),
+    ("branch", "gl-o"): ("--lam", "2", "--mu", "", "--n", "5"),
+    ("branch", "gl-sp"): ("--lam", "2,1", "--mu", "1", "--n", "6"),
+    ("tensor", "o"): ("--mu", "1", "--nu", "1", "--n", "5"),
+    ("tensor", "sp"): ("--mu", "2", "--nu", "1,1", "--lam", "3,1", "--n", "4"),
+    ("tensor", "gl-rational"): ("--mu", "1;", "--nu", ";1", "--lam", ";", "--n", "3"),
+    ("restrict", "o"): ("--lam", "2", "--n", "5", "--m", "5"),
+    ("verify", "seesaw-a"): ("--n", "5", "--m", "1", "--max-degree", "2"),
+    ("verify", "seesaw-c"): ("--n", "2", "--m", "1", "--max-degree", "2"),
+    ("verify", "tensor-o"): ("--n", "5", "--m", "1", "--l", "1", "--max-degree", "2"),
+    ("verify", "restrict-o"): ("--n", "3", "--l", "3", "--m", "1", "--max-degree", "2"),
+    ("verify", "brackets"): ("--case", "a", "--n", "2", "--m", "1"),
+}
+# a flag each leaf does not take: today's --max-degree and --stable-policy refusals,
+# and for the oracle leaves, which take both, the removed --jobs
+_EXTRA = {("lr",): ("--stable-policy", "warn"),
+          ("tensor", "gl-rational"): ("--stable-policy", "warn"),
+          ("verify", "brackets"): ("--max-degree", "3"), ("hilbert",): ("--jobs", "2"),
+          **{("verify", s): ("--jobs", "2") for s in cli.SUITES}}
+
+DISPATCH_CORPUS = [
+    *((*path, *rest, *fmt) for path, rest in VALID_LEAF_REQUESTS.items()
+      for fmt in ((), ("--output-format", "csv"))),
+    ("-h",), ("--help",), ("tensor", "-h"), ("verify", "--help"),
+    *((*path, "-h") for path in VALID_LEAF_REQUESTS),
+    (), ("nope",), ("tensor", "xx"), ("verify",), ("-h", "lr"), ("--output-format", "csv", "lr"),
+    *((*path, *rest, *_EXTRA.get(path, ("--max-degree", "3")))
+      for path, rest in VALID_LEAF_REQUESTS.items()),
+    ("lr", "--lam", "2", "--mu", "1", "--nu", "1", "extra"),
+    ("branch", "gl-o", "--lam", "2", "--mu", ""),  # missing --n
+    ("branch", "gl-o", "--lam", "2", "--mu", "", "--n", "x"),
+    ("branch", "gl-o", "--lam", "2", "--mu", "", "--n", "-3"),
+    ("branch", "gl-o", "--la", "2", "--mu", "", "--n", "5"),
+    ("branch", "gl-o", "--lam=2", "--mu=", "--n=5"),
+    ("branch", "gl-o", "--lam", "2", "--mu", "", "--n", "5", "--stable-policy", "bad"),
+    ("branch", "gl-o", "--lam", "2", "--mu", "", "--n", "2"),
+    ("lr", "--", "--lam", "2"),
+    ("hilbert", "--n", "5", "--m", "1", "--max-degree", "-1"),
+    ("restrict", "o", "--lam", "2", "--n", "5", "--m", "5", "--mu", "1"),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_dispatch_corpus_reaches_every_leaf():
+    assert set(VALID_LEAF_REQUESTS) == set(cli._build_parser()[1])
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+def test_leaf_dispatch_equals_the_root_parse(capsys, monkeypatch, argv):
+    # the reference is today's path: the root parser hands argv down the subparsers
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, _ = cli._build_parser()
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert got == _outcome(capsys, argv)
+
+
+def test_a_whole_leaf_request_never_reaches_the_root_parser(capsys, monkeypatch):
+    parser, _ = cli._build_parser()
+    calls = []
+    monkeypatch.setattr(parser, "parse_known_args",
+                        lambda *a, _real=parser.parse_known_args: calls.append(a) or _real(*a))
+    for path, rest in VALID_LEAF_REQUESTS.items():
+        assert _outcome(capsys, (*path, *rest))[0] == 0
+    assert calls == []
+    assert _outcome(capsys, ("lr", "--lam", "2", "--mu", "1", "--nu", "1", "--jobs", "2"))[0] == (
+        "SystemExit", 2)
+    assert len(calls) == 1
 
 
 def test_verify_seesaw_a_passes(capsys):
@@ -764,6 +844,12 @@ def test_hilbert_refuses_outside_its_range_under_either_policy(capsys, policy):
     rc, out, err = run(capsys, "hilbert", "--n", "6", "--m", "3", "--stable-policy", policy)
     assert (rc, out) == (2, "")
     assert err == "error: outside the stable range: requires n > 2*m = 6\n"
+
+
+def test_oversized_hilbert_exits_2(capsys):
+    assert run(capsys, "hilbert", "--n", "5", "--m", "2", "--max-degree", "1000") == (
+        2, "", "error: 1002001 products for the Hilbert series of degree <= 1000 "
+               "at n = 5, m = 2 exceed 250000\n")
 
 
 def test_cache_option_is_refused(capsys):

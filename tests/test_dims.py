@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 
 import branchbox
-from branchbox.dims import (PowerSeriesTruncated, dim_gl, dim_o, dim_so,
+from branchbox import dims
+from branchbox.dims import (MAX_HILBERT_PRODUCTS, PowerSeriesTruncated, dim_gl, dim_o, dim_so,
                             dim_sp, hilbert_check)
-from branchbox.errors import StableRangeError, UsageError
-from branchbox.partitions import enumerate_partitions
+from branchbox.errors import BudgetError, StableRangeError, UsageError
+from branchbox.partitions import enumerate_partitions, partitions_of
 from branchbox.schur import eval_ones, schur_expand
 
 from .oracles import ssyt_count
@@ -96,6 +97,30 @@ def test_hilbert_check_acceptance_pairs():
 def test_hilbert_check_range_error():
     with pytest.raises(StableRangeError, match="n > 2"):
         hilbert_check(4, 2, 4)
+
+
+@pytest.mark.parametrize("n,m,d", [(5, 2, 1000), (3, 1, 3000), (5, 2, 10**8), (3, 1, 499),
+                                   (100001, 1, 0), (201, 100, 12)])
+def test_hilbert_check_refuses_an_oversized_request_before_any_work(monkeypatch, n, m, d):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a label or series was built before the budget check")
+    monkeypatch.setattr(dims, "partitions_of", no_work)
+    monkeypatch.setattr(dims.PowerSeriesTruncated, "from_list", no_work)
+    with pytest.raises(BudgetError, match=f"at n = {n}, m = {m} exceed {MAX_HILBERT_PRODUCTS}$"):
+        hilbert_check(n, m, d)
+
+
+def test_hilbert_budget_admits_the_largest_series_it_counts():
+    # (498+1)^2 series products and 499 labels of one Weyl factor: 249,500
+    assert hilbert_check(3, 1, 498)[0]
+
+
+@pytest.mark.parametrize("n,m,d", [(5, 1, 4), (7, 3, 12), (10, 3, 12), (9, 4, 7), (11, 5, 3)])
+def test_hilbert_products_count_every_label(n, m, d):
+    labels = sum(1 for j in range(d + 1) for _ in partitions_of(j, max_length=m))
+    k = n // 2
+    assert dims._hilbert_products(n, m, d) == (
+        (d + 1) ** 2 + labels * (k * (k + 1) // 2 + m * (m - 1) // 2))
 
 
 def test_library_has_no_assert_statements():
