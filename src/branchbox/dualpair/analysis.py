@@ -408,8 +408,7 @@ def _connected_span(comm: WeylElement, names: list[str], coeffs: dict,
     return sorted(cols), sorted(keys)
 
 
-def verify_brackets(shape: MatrixSpaceShape,
-                    printed_euler_variant: bool = False) -> BracketReport:
+def verify_brackets(shape: MatrixSpaceShape) -> BracketReport:
     """Certify the oscillator-algebra bracket relations as Weyl-algebra identities.
 
     Every commutator of built operators must lie exactly in the expected
@@ -422,16 +421,18 @@ def verify_brackets(shape: MatrixSpaceShape,
     coefficients, so a relation that holds holds on every polynomial; each
     solve keeps only the span operators linked to the commutator's terms
     (`_connected_span`).  The report's `test_degree` is always
-    BRACKET_TEST_DEGREE.
-    The row-reversed case A Euler variant can be swapped in to let the
-    closure test arbitrate between the two conventions.  A BudgetError
+    BRACKET_TEST_DEGREE and its `euler_variant` "untwisted".  A BudgetError
     refuses a shape of more than MAX_BRACKET_VARIABLES variables before its
     config is built, and more than MAX_BRACKET_PRODUCTS term products before
     any product.
     """
     if shape.var_count > MAX_BRACKET_VARIABLES:
         raise BudgetError(f"{shape.var_count} variables exceed {MAX_BRACKET_VARIABLES}")
-    config = build_config(shape, printed_euler_variant=printed_euler_variant)
+    return _bracket_report(build_config(shape))
+
+
+def _bracket_report(config: SpaceConfig) -> BracketReport:
+    """`verify_brackets`' check on a built config, after its variable budget."""
     family = list(config.deltas + config.r2s + config.eulers + config.k_raisings)
     sizes = [len(op.terms) for op in family]
     products = (sum(sizes) ** 2 - sum(n * n for n in sizes)) // 2
@@ -470,8 +471,7 @@ def verify_brackets(shape: MatrixSpaceShape,
             expr = tuple((names[i], c) for i, c in zip(cols, sol) if c)
             entries.append(BracketEntry(a.name, b.name, rule, True, expr))
 
-    variant = "printed" if printed_euler_variant else "untwisted"
-    return BracketReport(config.descriptor, BRACKET_TEST_DEGREE, variant,
+    return BracketReport(config.descriptor, BRACKET_TEST_DEGREE, "untwisted",
                          all(e.ok for e in entries), tuple(entries))
 
 

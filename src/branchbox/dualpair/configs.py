@@ -13,15 +13,15 @@ group per row block (O, Sp or GL, each given by one row-family function)
 and a GL factor per column block, on the block sum of the row groups'
 forms.  Cases A, B and stacked C have one row block; ProductO(n1, n2) has
 O row blocks n1 and n2, which realizes O_{n1} x O_{n2} inside O_{n1+n2}
-with each factor acting on its own rows.  Every Euler family, the printed
-case A variant's row-reversed one too, comes from `_gl_eulers`.  Each
-`TorusFactor` owns its dominance conditions and its labels.
+with each factor acting on its own rows.  Every Euler family comes from
+`_gl_eulers`.  Each `TorusFactor` owns its dominance conditions and its
+labels.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import UsageError
@@ -194,14 +194,12 @@ def _zero(k: int) -> tuple[int, ...]:
     return (0,) * k
 
 
-def _gl_eulers(tag: str, cols: list[int], idx, rows: list[int], shift: Fraction,
-               mates: list[int] | None = None) -> list[Operator]:
-    """E{tag}[i,j] = sum_s x_{s,i} d/dx_{t,j} (+ shift if i = j), t the mate of s (default s)."""
+def _gl_eulers(tag: str, cols: list[int], idx, rows: list[int], shift: Fraction) -> list[Operator]:
+    """E{tag}[i,j] = sum_s x_{s,i} d/dx_{s,j} (+ shift if i = j)."""
     ops = []
-    pairs = list(zip(rows, rows if mates is None else mates))
     for ci, i in enumerate(cols, start=1):
         for cj, j in enumerate(cols, start=1):
-            terms = [(1, {idx(s, i): 1}, {idx(t, j): 1}) for s, t in pairs]
+            terms = [(1, {idx(s, i): 1}, {idx(s, j): 1}) for s in rows]
             if i == j:
                 terms.append((shift, {}, {}))
             ops.append(make_operator(f"E{tag}[{ci},{cj}]", "euler", terms))
@@ -390,9 +388,7 @@ def _case_c(n: int, m: int, l: int) -> SpaceConfig:
                        tuple(k_raise), tuple(gl_raise))
 
 
-def build_config(shape: MatrixSpaceShape, printed_euler_variant: bool = False) -> SpaceConfig:
-    if printed_euler_variant and shape.case != "A":
-        raise UsageError("the row-reversed Euler variant exists only in case A")
+def build_config(shape: MatrixSpaceShape) -> SpaceConfig:
     n, m, l, split = shape.n, shape.m, shape.l, shape.split_columns
     if shape.case == "A":
         descriptor, rows = f"A(n={n},m={m}" + (f"+{l} split)" if split else ")"), ("O", n)
@@ -402,15 +398,7 @@ def build_config(shape: MatrixSpaceShape, printed_euler_variant: bool = False) -
         descriptor, rows = f"C(n={n},m={m}+{l} stacked)", ("GL", n)
     else:
         return _case_c(n, m, l)
-    config = _matrix_space(descriptor, [rows], [m, l] if split else [m])
-    if printed_euler_variant:
-        if split:
-            raise UsageError("the row-reversed Euler variant applies to one column block")
-        order = list(range(1, n + 1))
-        eulers = _gl_eulers("tw", list(range(1, m + 1)), lambda s, j: (s - 1) * m + (j - 1),
-                            order, Fraction(n, 2), order[::-1])
-        return replace(config, descriptor=config.descriptor + " (printed E)", eulers=tuple(eulers))
-    return config
+    return _matrix_space(descriptor, [rows], [m, l] if split else [m])
 
 
 def build_product_config(product: ProductO, m: int) -> SpaceConfig:

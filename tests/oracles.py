@@ -7,6 +7,7 @@ used to check.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -14,7 +15,8 @@ from math import gcd, lcm
 
 from branchbox.dualpair import analysis, build_config
 from branchbox.dualpair.linalg import solve_columns
-from branchbox.dualpair.poly import apply_to_monomial, commutator_apply, monomials_of_degree
+from branchbox.dualpair.poly import (apply_to_monomial, commutator_apply, make_operator,
+                                     monomials_of_degree)
 from branchbox.lr import lr_coefficient
 from branchbox.partitions import contains, partitions_of
 
@@ -188,7 +190,35 @@ def solve_columns_gauss_jordan(columns: list[list], rhs: list) -> list[Fraction]
     return sol
 
 
-def brackets_by_application(shape, printed_euler_variant: bool = False,
+def printed_config(shape):
+    """A plain case A config with the printed, row-reversed Euler family in place of its own.
+
+    Etw[i,j] = sum_s x_{s,i} d/dx_{n+1-s,j} (+ n/2 if i = j) pairs each row
+    with its mate under the antidiagonal form.  The bracket check rejects
+    this convention: [D[1,1], r2[1,1]] leaves the span of these operators
+    and the identity.
+    """
+    assert shape.case == "A" and not shape.split_columns, shape
+    n, m = shape.n, shape.m
+
+    def idx(s, j):
+        return (s - 1) * m + (j - 1)
+
+    eulers = tuple(make_operator(f"Etw[{i},{j}]", "euler",
+                                 [(1, {idx(s, i): 1}, {idx(n + 1 - s, j): 1})
+                                  for s in range(1, n + 1)]
+                                 + ([(Fraction(n, 2), {}, {})] if i == j else []))
+                   for i in range(1, m + 1) for j in range(1, m + 1))
+    config = build_config(shape)
+    return replace(config, descriptor=config.descriptor + " (printed E)", eulers=eulers)
+
+
+def printed_bracket_report(shape) -> analysis.BracketReport:
+    """`verify_brackets`' check run on `printed_config(shape)`, reported as the printed variant."""
+    return replace(analysis._bracket_report(printed_config(shape)), euler_variant="printed")
+
+
+def brackets_by_application(shape, printed: bool = False,
                             test_degree: int = 2) -> analysis.BracketReport:
     """`verify_brackets`' report, each commutator applied to every monomial of degree <= test_degree.
 
@@ -199,9 +229,10 @@ def brackets_by_application(shape, printed_euler_variant: bool = False,
     module it shares library code, the configs, the span rules
     (`_bracket_rule`) and `solve_columns` (a Fraction Gauss-Jordan made the
     A(6,3) case about four times slower); what it checks is the commutator.  It
-    is evidence on low degrees, not an identity.
+    is evidence on low degrees, not an identity.  With `printed` it checks
+    `printed_config(shape)`, as `printed_bracket_report` does.
     """
-    config = build_config(shape, printed_euler_variant=printed_euler_variant)
+    config = printed_config(shape) if printed else build_config(shape)
     family = list(config.deltas + config.r2s + config.eulers + config.k_raisings)
     sources = [mono for d in range(test_degree + 1)
                for mono in monomials_of_degree(config.var_count, d)]
@@ -232,7 +263,7 @@ def brackets_by_application(shape, printed_euler_variant: bool = False,
         else:
             expr = tuple((name, c) for name, c in zip(names, sol) if c)
             entries.append(analysis.BracketEntry(a.name, b.name, rule, True, expr))
-    variant = "printed" if printed_euler_variant else "untwisted"
+    variant = "printed" if printed else "untwisted"
     return analysis.BracketReport(config.descriptor, test_degree, variant,
                                   all(e.ok for e in entries), tuple(entries))
 

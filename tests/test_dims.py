@@ -66,18 +66,28 @@ def test_dim_length_bounds():
 
 
 def test_power_series_arithmetic():
-    a = PowerSeriesTruncated.from_list([1, 1], 4)       # 1 + q
-    b = a.reciprocal()                                  # alternating signs
-    assert b.coeffs == (1, -1, 1, -1, 1)
-    assert (a * b).coeffs == (1, 0, 0, 0, 0)
+    a = PowerSeriesTruncated.from_list([1, -1], 4)      # 1 - q
     geom = PowerSeriesTruncated.binomial_inverse_power(1, 1, 4)
     assert geom.coeffs == (1, 1, 1, 1, 1)
+    assert (a * geom).coeffs == (1, 0, 0, 0, 0)         # (1 - q) (1 - q)^(-1) = 1
     sq = PowerSeriesTruncated.binomial_inverse_power(2, 3, 6)
     assert sq.coeffs == (1, 0, 3, 0, 6, 0, 10)
     with pytest.raises(UsageError):
-        PowerSeriesTruncated.from_list([2, 1], 3).reciprocal()
-    with pytest.raises(UsageError):
         a * PowerSeriesTruncated.from_list([1], 2)
+
+
+def test_invariant_series_inverts_its_generators_polynomial():
+    # hilbert_check's invariant series (1 - q^2)^(-g), times the expanded
+    # (1 - q^2)^g, is 1 up to the truncation degree
+    from math import comb
+    for g in range(8):
+        for d in range(15):
+            poly = [0] * (d + 1)
+            for b in range(min(g, d // 2) + 1):
+                poly[2 * b] = (-1) ** b * comb(g, b)
+            product = (PowerSeriesTruncated.from_list(poly, d)
+                       * PowerSeriesTruncated.binomial_inverse_power(2, g, d))
+            assert product.coeffs == (1,) + (0,) * d, (g, d)
 
 
 def test_hilbert_check_small_closed_form():

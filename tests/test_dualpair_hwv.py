@@ -22,7 +22,7 @@ from branchbox.lr import lr_coefficient
 from branchbox.partitions import Signature, as_partition, enumerate_partitions
 from branchbox.reports import sorted_entries
 
-from .oracles import dominant_weight
+from .oracles import dominant_weight, printed_config
 
 
 def weights_table(entries):
@@ -229,7 +229,7 @@ def test_shape_counts_the_variables_its_config_builds():
 
 SIMPLE_RAISING_CONFIGS = (
     [build_config(MatrixSpaceShape("A", n, m)) for n in range(1, 10) for m in (1, 3)]
-    + [build_config(MatrixSpaceShape("A", n, 2), printed_euler_variant=True) for n in (3, 4)]
+    + [printed_config(MatrixSpaceShape("A", n, 2)) for n in (3, 4)]
     + [build_config(MatrixSpaceShape("A", n, 2, 3, split_columns=True)) for n in (2, 5, 6)]
     + [build_config(MatrixSpaceShape("B", n, m)) for n in (1, 2, 3, 4) for m in (1, 3)]
     + [build_config(MatrixSpaceShape("C", n, 2, l)) for n in (1, 3, 4) for l in (0, 2)]

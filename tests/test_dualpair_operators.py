@@ -17,8 +17,8 @@ from branchbox.dualpair.poly import (apply_operator, apply_to_monomial,
                                      poly_degree)
 from branchbox.errors import BudgetError, UsageError
 
-from .oracles import (brackets_by_application, nullspace_gauss_jordan,
-                      solve_columns_gauss_jordan)
+from .oracles import (brackets_by_application, nullspace_gauss_jordan, printed_bracket_report,
+                      printed_config, solve_columns_gauss_jordan)
 
 
 def F(x):
@@ -325,7 +325,7 @@ def test_product_config_shares_form():
 
 # sha256 of repr() of every config in a grid (every SpaceConfig field, the
 # operators' terms included), recorded while ProductO had a builder of its
-# own: case A plain and printed-Euler over n 1..8, split over n 1..8 with
+# own: case A plain and printed-Euler (`printed_config`) over n 1..8, split over n 1..8 with
 # column blocks (m, l), ProductO over n1, n2 in 1..6
 CONFIG_DIGESTS = [
     ("A", 1, "9a646ca3fe5dbe68163378b2fd9aaa28d67b52400c8c10ad8ee331353a81aa2d"),
@@ -377,8 +377,8 @@ def _config_grid(kind, cols):
     if kind == "C":
         return [build_config(MatrixSpaceShape("C", n, m, cols))
                 for n in range(1, 6) for m in range(1, 4)]
-    return [build_config(MatrixSpaceShape("A", n, cols), printed_euler_variant=kind != "A")
-            for n in range(1, 9)]
+    build = build_config if kind == "A" else printed_config
+    return [build(MatrixSpaceShape("A", n, cols)) for n in range(1, 9)]
 
 
 @pytest.mark.parametrize("kind,cols,digest", CONFIG_DIGESTS,
@@ -474,8 +474,8 @@ def test_connected_span_follows_shared_keys():
     assert cols == [0, 2, 3] and keys == [x[0][0], x[1][0], x[2][0]]
 
 
-# sha256 of jsonio.dumps(bracket_report_json(verify_brackets(shape, printed_euler_variant=v)))
-# for the bench's bracket shapes, recorded before the bracket check cached
+# sha256 of jsonio.dumps(bracket_report_json(report)) for the bench's bracket
+# shapes, the report of `verify_brackets` or, printed, of `printed_bracket_report`, recorded before the bracket check cached
 # operator images and solved its spans by fraction-free elimination
 BRACKET_REPORT_DIGESTS = [
     (("A", 5, 1, 0), False, "d7aaad05a2647221920a4ac3f5e50d8343f7974f3938e79568ce40e547eebf2e"),
@@ -491,7 +491,8 @@ BRACKET_REPORT_DIGESTS = [
                          ids=[f"{s[0]}{s[1:]}{'-printed' if p else ''}"
                               for s, p, _ in BRACKET_REPORT_DIGESTS])
 def test_bracket_report_is_pinned(shape, printed, digest):
-    report = verify_brackets(MatrixSpaceShape(*shape), printed_euler_variant=printed)
+    shape = MatrixSpaceShape(*shape)
+    report = printed_bracket_report(shape) if printed else verify_brackets(shape)
     text = jsonio.dumps(jsonio.bracket_report_json(report))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -547,13 +548,12 @@ APPLICATION_SHAPES = ([(("A", n, m), printed) for n, m in ((2, 1), (4, 2), (5, 1
                               for s, p in APPLICATION_SHAPES])
 def test_bracket_report_equals_the_application_sweep(shape, printed):
     shape = MatrixSpaceShape(*shape)
-    assert (verify_brackets(shape, printed_euler_variant=printed) ==
-            brackets_by_application(shape, printed_euler_variant=printed))
+    report = printed_bracket_report(shape) if printed else verify_brackets(shape)
+    assert report == brackets_by_application(shape, printed=printed)
 
 
 def test_printed_euler_variant_fails_brackets():
-    report = verify_brackets(MatrixSpaceShape("A", 2, 1),
-                             printed_euler_variant=True)
+    report = printed_bracket_report(MatrixSpaceShape("A", 2, 1))
     assert not report.ok
     failing = {(e.left, e.right) for e in report.failures}
     assert ("D[1,1]", "r2[1,1]") in failing
