@@ -199,8 +199,10 @@ def _kernel_dim(ops, basis: list[Monomial]) -> int:
     return len(basis) - rank(_stacked_rows(images))
 
 
-def _labels_for(config: SpaceConfig, key: tuple) -> tuple[IrrepLabel, ...] | None:
-    labels = tuple(factor.label(w) for factor, w in zip(config.factors, key))
+def _labels_for(config: SpaceConfig, key: tuple,
+                parity: int | None = None) -> tuple[IrrepLabel, ...] | None:
+    """Each factor's label of the weight key; `parity` as `TorusFactor.label` reads it."""
+    labels = tuple(factor.label(w, parity) for factor, w in zip(config.factors, key))
     return None if None in labels else labels
 
 
@@ -211,9 +213,13 @@ def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
     FULL counts on all polynomials, MOD_IDEAL inside the joint kernel of the
     Delta family (the harmonic model of the quotient by the invariant ideal),
     ProductO(n1, n2) inside the harmonics of the block-sum form with two
-    orthogonal factors acting on row blocks.
+    orthogonal factors acting on row blocks.  In FULL and MOD_IDEAL the
+    group factor holds every row, so a block's degree is its degree in
+    that factor's rows and picks the O_n label at odd n (`TorusFactor.label`);
+    ProductO passes no parity and keeps SO_n labels.
     """
-    if isinstance(mode, ProductO):
+    product = isinstance(mode, ProductO)
+    if product:
         if shape.case != "A" or shape.split_columns or shape.l:
             raise UsageError("ProductO mode needs a plain case A shape")
         if mode.n1 + mode.n2 != shape.n:
@@ -232,7 +238,7 @@ def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
             mult = _kernel_dim(cutters, table.buckets[key])
             if not mult:
                 continue
-            labels = _labels_for(config, key)
+            labels = _labels_for(config, key, None if product else d % 2)
             if labels is None:
                 raise InternalInvariantError(
                     f"nonzero raising kernel at non-partition weight {key}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import UsageError
-from ..partitions import IrrepLabel, as_partition, weight_to_signature
+from ..partitions import IrrepLabel, as_partition, associate_o, weight_to_signature
 from .poly import Monomial, Operator, make_operator
 
 
@@ -114,14 +114,26 @@ class TorusFactor:
             out.append(((k - 1, 1),))
         return out
 
-    def label(self, w: tuple[int, ...]) -> IrrepLabel | None:
-        """The irreducible a dominant weight w names; None for a negative weight on O or Sp."""
+    def label(self, w: tuple[int, ...], parity: int | None = None) -> IrrepLabel | None:
+        """The irreducible a dominant weight w names; None for a negative weight on O or Sp.
+
+        `parity` is the degree mod 2 of a highest weight vector in this
+        factor's rows, or None where the weight does not fix it.  On O_n at
+        odd n, -I has det -1 and acts by (-1)^parity on the vector and by
+        (-1)^|w| on the O_n irreducible w, so a mismatched parity names the
+        associate label `associate_o(w, n)` (King 1971).  w has at most
+        (n-1)/2 parts and its associate more, so no two weights name one
+        label.  Even n keeps its SO_n weight.
+        """
         if self.family == "GL":
             return IrrepLabel("GL", self.rank,
                               weight_to_signature(w) if self.signed else as_partition(w))
         if any(a < 0 for a in w):
             return None
-        return IrrepLabel(self.family, self.rank, as_partition(w))
+        mu = as_partition(w)
+        if self.family == "O" and self.rank % 2 and parity not in (None, sum(mu) % 2):
+            mu = associate_o(mu, self.rank)
+        return IrrepLabel(self.family, self.rank, mu)
 
 
 @dataclass(frozen=True)

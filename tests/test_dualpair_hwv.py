@@ -19,7 +19,7 @@ from branchbox.dualpair.linalg import rank
 from branchbox.dualpair.poly import apply_to_monomial, grevlex_mono_key, make_operator
 from branchbox.errors import BudgetError, UsageError
 from branchbox.lr import lr_coefficient
-from branchbox.partitions import Signature, as_partition, enumerate_partitions
+from branchbox.partitions import Signature, as_partition, associate_o, enumerate_partitions
 from branchbox.reports import sorted_entries
 
 from .oracles import dominant_weight, printed_config
@@ -101,46 +101,94 @@ HARMONIC_CASES = [
 ]
 
 
+def _so_keyed_table(config, max_degree, ops):
+    """(dimension, degree) of the joint kernel of ops per dominant weight block where it
+    is nonzero, keyed by each factor's weight as a partition (SO_n weights on O factors)."""
+    table = build_buckets(config, max_degree, dominant_only=True)
+    out = {}
+    for key, basis in table.buckets.items():
+        dim = _joint_kernel_dim(ops, basis)
+        if dim:
+            out[tuple(as_partition(w) for w in key)] = (dim, table.degree[key])
+    return out
+
+
+def _o_labelled(so_table, n):
+    """so_table keyed by O_n labels: at odd n, a first weight w whose size has
+    the other parity than its block's degree moves to associate_o(w, n)."""
+    return {(associate_o(w, n) if n % 2 and (sum(w) - d) % 2 else w, *rest): dim
+            for (w, *rest), (dim, d) in so_table.items()}
+
+
 @pytest.mark.parametrize("name,shape,mode", HARMONIC_CASES, ids=[c[0] for c in HARMONIC_CASES])
 def test_harmonic_multiplicity_is_the_joint_kernel(name, shape, mode):
     # the oracle's count by the Deltas and the simple raisings is the joint
-    # kernel of the Deltas and every raising on the whole weight block
+    # kernel of the Deltas and every raising on the whole weight block, under
+    # O_n labels at odd n; ProductO keeps SO_n labels
     if isinstance(mode, ProductO):
         config = build_product_config(mode, shape.m)
     else:
         config = build_config(shape)
-    table = build_buckets(config, 4, dominant_only=True)
-    expected = {}
-    for key, basis in table.buckets.items():
-        dim = _joint_kernel_dim(config.deltas + config.raisings, basis)
-        if dim:
-            expected[tuple(as_partition(w) for w in key)] = dim
+    so_table = _so_keyed_table(config, 4, config.deltas + config.raisings)
+    if isinstance(mode, ProductO):
+        expected = {key: dim for key, (dim, _) in so_table.items()}
+    else:
+        expected = _o_labelled(so_table, shape.n)
     assert weights_table(hwv_multiplicities(shape, 4, mode)) == expected
+
+
+# Every table whose pin changed when odd n began to report O_n labels: ten
+# HARMONIC_DIGESTS rows, and the FULL and MOD_IDEAL models of the two
+# out-of-range PINNED_VERIFY rows of tests/test_cli.py (seesaw-a (3,2) and
+# tensor-o (3,1,1), degree 4)
+RELABELLED_SHAPES = [
+    ((1, 2, 0), 5, MOD_IDEAL), ((3, 2, 0), 4, MOD_IDEAL), ((3, 3, 0), 5, MOD_IDEAL),
+    ((5, 3, 0), 4, MOD_IDEAL), ((1, 1, 1), 5, MOD_IDEAL), ((3, 1, 1), 5, MOD_IDEAL),
+    ((3, 2, 1), 4, MOD_IDEAL), ((3, 1, 2), 5, MOD_IDEAL), ((5, 2, 1), 3, MOD_IDEAL),
+    ((5, 1, 2), 4, MOD_IDEAL), ((3, 2, 0), 4, FULL), ((3, 1, 1), 4, MOD_IDEAL),
+]
+
+
+@pytest.mark.parametrize("dims,degree,mode", RELABELLED_SHAPES,
+                         ids=[f"{d}-deg{g}-{m}" for d, g, m in RELABELLED_SHAPES])
+def test_odd_n_moves_exactly_the_parity_mismatched_keys(dims, degree, mode):
+    n, m, l = dims
+    shape = MatrixSpaceShape("A", n, m, l, split_columns=bool(l))
+    config = build_config(shape)
+    ops = config.raisings if mode == FULL else config.deltas + config.raisings
+    so_table = _so_keyed_table(config, degree, ops)
+    mismatched = [key for key, (_, d) in so_table.items() if (sum(key[0]) - d) % 2]
+    assert mismatched  # the old SO_n-keyed table differs
+    expected = _o_labelled(so_table, n)
+    assert len(expected) == len(so_table)  # no two keys relabel onto one label
+    assert weights_table(hwv_multiplicities(shape, degree, mode)) == expected
 
 
 # sha256 of the entries as the CLI emits them (JSON, label order), recorded
 # while the harmonic modes cut the raisings' kernel out of the Deltas'
-# nullspace; mode None is MOD_IDEAL, a pair is ProductO.  Shapes whose even-n
-# factor raises InternalInvariantError on an SO_n-only weight (ROADMAP item 1)
-# stay out.
+# nullspace; mode None is MOD_IDEAL, a pair is ProductO.  The rows of
+# RELABELLED_SHAPES were recorded again when odd n began to report O_n labels;
+# `test_odd_n_moves_exactly_the_parity_mismatched_keys` checks each against
+# its SO_n-keyed table.  Shapes whose even-n factor raises
+# InternalInvariantError on an SO_n-only weight (ROADMAP item 1) stay out.
 HARMONIC_DIGESTS = [
-    (("A", 1, 2, 0), None, 5, "bea44c5657101b12becff9f86c4fadc1d8a8867d76c7323acf82688e692480f0"),
+    (("A", 1, 2, 0), None, 5, "eb45c2c61c5d9b5dac9549058a05c97d2a52f2c6f47dee127e56494ce8535762"),
     (("A", 3, 1, 0), None, 5, "83942a5998328ba53175929590057c26bb69db20a322efdbcdcacb824bf1a3ed"),
-    (("A", 3, 2, 0), None, 4, "4a9c965f3a3b71dd581f0e7a09af5510750d159f384ccccd43b0a7d0380fd834"),
-    (("A", 3, 3, 0), None, 5, "de194b119bbcd29de442b56cc428528ff9d3b0a0d9a50b016218c786260a562f"),
+    (("A", 3, 2, 0), None, 4, "477cda81d5579bf11ba2a4e900435d501ef7c7a7e3493623895b345c0ea80ae5"),
+    (("A", 3, 3, 0), None, 5, "8c62850ad59110330d894b7143ac4fad4e16682736f1aaaf72b10ec63d2b950f"),
     (("A", 5, 1, 0), None, 3, "586569487b87763fd020e5168032ae67d62150ee50272baf75c8a514769a344d"),
     (("A", 5, 2, 0), None, 5, "d5d2be516a98a276391a81e1e1be6c5cfa4e7bf868812a9963f645a7e1d69c9a"),
-    (("A", 5, 3, 0), None, 4, "c0f90117dcc10bf4649be28b2917b4fc0007f4023fe83f429d55819660192e80"),
+    (("A", 5, 3, 0), None, 4, "3f713cc4f34132e3ce6e21782167988a5fda34bf9f7ab99293aa89fe75ea9f56"),
     (("A", 7, 1, 0), None, 5, "552c2bc79bd5ad519430e4796cc0d937bb2a07d1fe9d4f4facf6ab19a1c477b1"),
     (("A", 7, 2, 0), None, 4, "c4f640fb24b24bf32f2502a56503ac60552fb071da475b21ad6d36b81a65eff5"),
     (("A", 7, 3, 0), None, 3, "3ae3296878c9b4b4c5c9e319c0c2cd2a49b476d2a7eb49ac2f5cd6db1a34a15c"),
-    (("A", 1, 1, 1), None, 5, "6f2af7d1e771df70ce89ce73302b1ba4f0adad5b6578a52dd2240937ecd8785f"),
-    (("A", 3, 1, 1), None, 5, "f9ee54d73d50cf261604493f12cb6513560f8d4b72e34e2fbc4f0bba7d8f848d"),
-    (("A", 3, 2, 1), None, 4, "074fa722f2ea39f2a6396a8dfbee45a2939f40ece484d060838c9aa03bacdb4e"),
-    (("A", 3, 1, 2), None, 5, "f6f42343239eecdf20f5ee684e52301ea7369298271ecefff1c4a1a8eeffc4ec"),
+    (("A", 1, 1, 1), None, 5, "8207fd3c25f46da7ee2c4c5b388f12a96e7b4416943ff089582e3958c15beda2"),
+    (("A", 3, 1, 1), None, 5, "a93486166942889c3e1e21be6ac207bbd00d455f387131b9b81f843e878871fe"),
+    (("A", 3, 2, 1), None, 4, "109cd81d63e4b780a8a4f6f5bba344e1d3303ac0b767950d975233ad65d85ef3"),
+    (("A", 3, 1, 2), None, 5, "d7365460cfbf9440e8745f964cee2a48331ee3689019b820d44ae1f4d752cb48"),
     (("A", 5, 1, 1), None, 5, "01c726d8102b074966798e4e197b460a2bc208c3cccc401acb811c8c4395c2ec"),
-    (("A", 5, 2, 1), None, 3, "a53db30a987129b31aa88377e4e04955371d6db4130ea84f66429a16f98e192f"),
-    (("A", 5, 1, 2), None, 4, "69bb1c015220e2cf19c9c8de2965d4aa4a2d6350faddc0779b250f774eb2a205"),
+    (("A", 5, 2, 1), None, 3, "9aae96360e598889841026a82818c65653e5e63ffdb6fcdcf2bc096d6d0ba6e6"),
+    (("A", 5, 1, 2), None, 4, "8ed50a1dd636e2ca066d3578852472022de7ba8f5db53236dc18ee275663bf5f"),
     (("A", 7, 1, 1), None, 4, "b10a040edaf694d3d9b6b80accde6b4da1bf6f862c41912ca20c1b344a84134c"),
     (("A", 7, 1, 2), None, 3, "0330327601a2e6be14902ccd6c1aaed5940d74872385fd4ce4c9dacd16189872"),
     (("A", 2, 1, 0), (1, 1), 5, "580d547a975cfb072b3f88617392a3a8cb1c6de2c911533191eeb51d1d1d90ac"),
