@@ -25,7 +25,8 @@ per process, on the first `main` call, and records each leaf parser (`lr`,
 A request is parsed once, by the leaf parser its leading tokens name; the
 root parses only what no leaf takes whole (no command or an unknown one,
 help above a leaf, or arguments the leaf leaves over), so help, usage
-errors and "unrecognized arguments" read as they do from the root.  A
+errors and "unrecognized arguments" read as they do from the root.  No
+parser takes an abbreviated flag, so `--n` is never read as `--nu`.  A
 `restrict o` or `tensor sp` table is gated once, by
 `branch.check_o_restrict` or `branch.check_sp_tensor`, so under `warn` it
 emits one StableRangeWarning.  A `tensor sp` table then maps the trusted
@@ -344,13 +345,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
                         help="degree bound for oracle computations (default 6)")
 
     parser = argparse.ArgumentParser(
-        prog="branchbox",
+        prog="branchbox", allow_abbrev=False,
         description="Exact stable-range branching multiplicities with brute-force verification.")
     sub = parser.add_subparsers(dest="command", required=True)
     leaves: dict[tuple[str, ...], argparse.ArgumentParser] = {}
 
+    def node(subparsers, name: str, **kwargs) -> argparse.ArgumentParser:
+        # no parser reads a flag as a prefix of another (`--n` for `--nu`)
+        return subparsers.add_parser(name, allow_abbrev=False, **kwargs)
+
     def leaf(subparsers, *path: str, **kwargs) -> argparse.ArgumentParser:
-        leaves[path] = subparsers.add_parser(path[-1], **kwargs)
+        leaves[path] = node(subparsers, path[-1], **kwargs)
         return leaves[path]
 
     p = leaf(sub, "lr", parents=[output], help="single Littlewood-Richardson coefficient")
@@ -359,7 +364,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--nu", required=True)
     p.set_defaults(handler=_cmd_lr)
 
-    p = sub.add_parser("branch", help="stable branching multiplicity GL to O/Sp")
+    p = node(sub, "branch", help="stable branching multiplicity GL to O/Sp")
     pair_sub = p.add_subparsers(dest="pair", required=True)
     for pair in ("gl-o", "gl-sp"):
         q = leaf(pair_sub, "branch", pair, parents=[policy])
@@ -368,7 +373,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         q.add_argument("--n", type=int, required=True)
         q.set_defaults(handler=_cmd_branch, pair=pair)
 
-    p = sub.add_parser("tensor", help="stable tensor product multiplicities")
+    p = node(sub, "tensor", help="stable tensor product multiplicities")
     fam_sub = p.add_subparsers(dest="family", required=True)
     for family in ("o", "sp"):
         q = leaf(fam_sub, "tensor", family, parents=[policy])
@@ -385,7 +390,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     q.add_argument("--n", type=int, required=True)
     q.set_defaults(handler=_cmd_tensor_rational, family="gl-rational")
 
-    p = sub.add_parser("restrict", help="stable restriction O_{n+m} to O_n x O_m")
+    p = node(sub, "restrict", help="stable restriction O_{n+m} to O_n x O_m")
     r_sub = p.add_subparsers(dest="target", required=True)
     q = leaf(r_sub, "restrict", "o", parents=[policy])
     q.add_argument("--lam", required=True, help="O_{n+m} highest weight")
@@ -395,7 +400,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     q.add_argument("--nu", default=None, help="O_m label")
     q.set_defaults(handler=_cmd_restrict)
 
-    p = sub.add_parser("verify", help="formula vs. brute-force oracle suites")
+    p = node(sub, "verify", help="formula vs. brute-force oracle suites")
     v_sub = p.add_subparsers(dest="suite", required=True)
     for name, suite in SUITES.items():
         q = leaf(v_sub, "verify", name, parents=[oracle], help=suite.help)

@@ -552,6 +552,23 @@ def test_leaf_dispatch_equals_the_root_parse(capsys, monkeypatch, argv):
     assert got == _outcome(capsys, argv)
 
 
+@pytest.mark.parametrize("argv,err", [
+    (("lr", "--lam", "2", "--mu", "1", "--nu", "1", "--n", "3"),
+     "branchbox: error: unrecognized arguments: --n 3\n"),
+    (("branch", "gl-o", "--l", "2", "--mu", "", "--n", "5"),
+     "branchbox branch gl-o: error: the following arguments are required: --lam\n"),
+])
+def test_abbreviated_flags_are_refused(capsys, monkeypatch, argv, err):
+    # `--n` is not read as `--nu`, nor `--l` as `--lam`: from the leaf parser,
+    # then from the root parser alone
+    parser, _ = cli._build_parser()
+    for leaves in (cli._build_parser()[1], {}):
+        monkeypatch.setattr(cli, "_build_parser", lambda leaves=leaves: (parser, leaves))
+        code, out, got = _outcome(capsys, argv)
+        assert (code, out) == (("SystemExit", 2), "")
+        assert got.endswith(err)
+
+
 def test_a_whole_leaf_request_never_reaches_the_root_parser(capsys, monkeypatch):
     parser, _ = cli._build_parser()
     calls = []

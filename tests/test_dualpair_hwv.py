@@ -137,6 +137,16 @@ def test_harmonic_multiplicity_is_the_joint_kernel(name, shape, mode):
     assert weights_table(hwv_multiplicities(shape, 4, mode)) == expected
 
 
+def test_torus_factor_label_reads_the_parity_only_on_odd_orthogonal_factors():
+    o3, o4 = TorusFactor("O", 3, 1), TorusFactor("O", 4, 2)
+    assert [o3.label((1,), p).weight for p in (None, 1, 0)] == [(1,), (1,), (1, 1)]
+    assert [o3.label((0,), p).weight for p in (None, 0, 1)] == [(), (), (1, 1, 1)]
+    assert TorusFactor("O", 1, 0).label((), 1).weight == (1,)
+    assert [o4.label((1, 0), p).weight for p in (None, 0, 1)] == [(1,), (1,), (1,)]
+    assert TorusFactor("Sp", 2, 1).label((1,), 0).weight == (1,)
+    assert TorusFactor("GL", 2, 2).label((1, 0), 0).weight == (1,)
+
+
 # Every table whose pin changed when odd n began to report O_n labels: ten
 # HARMONIC_DIGESTS rows, and the FULL and MOD_IDEAL models of the two
 # out-of-range PINNED_VERIFY rows of tests/test_cli.py (seesaw-a (3,2) and
