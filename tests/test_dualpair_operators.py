@@ -325,8 +325,8 @@ def test_product_config_shares_form():
 
 # sha256 of repr() of every config in a grid (every SpaceConfig field, the
 # operators' terms included), recorded while ProductO had a builder of its
-# own: case A plain and printed-Euler (`printed_config`) over n 1..8, split over n 1..8 with
-# column blocks (m, l), ProductO over n1, n2 in 1..6
+# own: case A plain and printed-Euler (`printed_config`) over n 1..8, split
+# over n 1..8 with column blocks (m, l), ProductO over n1, n2 in 1..6
 CONFIG_DIGESTS = [
     ("A", 1, "9a646ca3fe5dbe68163378b2fd9aaa28d67b52400c8c10ad8ee331353a81aa2d"),
     ("A", 2, "aee1ab7c3a1333307fca0f220e467365ee00dd8eef3ebd0182373af0e40355a4"),
@@ -475,7 +475,8 @@ def test_connected_span_follows_shared_keys():
 
 
 # sha256 of jsonio.dumps(bracket_report_json(report)) for the bench's bracket
-# shapes, the report of `verify_brackets` or, printed, of `printed_bracket_report`, recorded before the bracket check cached
+# shapes, the report of `verify_brackets` or, printed, of
+# `printed_bracket_report`, recorded before the bracket check cached
 # operator images and solved its spans by fraction-free elimination
 BRACKET_REPORT_DIGESTS = [
     (("A", 5, 1, 0), False, "d7aaad05a2647221920a4ac3f5e50d8343f7974f3938e79568ce40e547eebf2e"),
