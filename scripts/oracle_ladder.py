@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the multiplicity oracle and a few CLI requests in process, for two source trees.
 
-The oracle cases are six certification sizes: every mode, and cases A, B
-and stacked C.  The CLI cases are two `restrict o` tables larger than the
+The oracle cases are six certification sizes: both modes, cases A, B
+and stacked C, and a ProductO shape.  The CLI cases are two `restrict o` tables larger than the
 benchmark's, a `tensor sp` and a `tensor o` table, one large `lr` value,
 the bracket check on A(6,3) and a `verify seesaw-a` on the 900 variables of
 A(30,30) at degree 1, whose config build dominates and whose packed weight
@@ -33,7 +33,7 @@ from branchbox.reports import sorted_entries
 CASES = [
     ("A(5,2) FULL deg 7", MatrixSpaceShape("A", 5, 2), 7, FULL),
     ("A(9,2) FULL deg 5", MatrixSpaceShape("A", 9, 2), 5, FULL),
-    ("A(6,2) ProductO(3,3) deg 6", MatrixSpaceShape("A", 6, 2), 6, ProductO(3, 3)),
+    ("A(6,2) ProductO(3,3) deg 6", ProductO(3, 3, 2), 6, MOD_IDEAL),
     ("A(7,2+1 split) MOD_IDEAL deg 5", MatrixSpaceShape("A", 7, 2, 1, split_columns=True), 5,
      MOD_IDEAL),
     ("B(3,2) FULL deg 7", MatrixSpaceShape("B", 3, 2), 7, FULL),

@@ -278,7 +278,7 @@ SUITES = {
                               for lam in enumerate_partitions(deg, max_length=min(n + l, m))
                               for mu, nu in _restrict_targets(lam, n, l)},
         lambda mu, nu, lam, policy, n, l, m: branch.o_restrict_stable(lam, mu, nu, n, l, policy),
-        lambda n, l, m: (MatrixSpaceShape("A", n + l, m), ProductO(n, l))),
+        lambda n, l, m: (ProductO(n, l, m), MOD_IDEAL)),
 }
 
 

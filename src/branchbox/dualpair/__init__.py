@@ -21,7 +21,6 @@ from .configs import (
     ProductO,
     SpaceConfig,
     build_config,
-    build_product_config,
 )
 from .poly import Operator, apply_operator, apply_to_monomial, monomials_of_degree
 
@@ -41,7 +40,6 @@ __all__ = [
     "apply_to_monomial",
     "build_buckets",
     "build_config",
-    "build_product_config",
     "check_monomial_count",
     "harmonic_isotypic_dims",
     "harmonic_report",

@@ -11,7 +11,8 @@ kill v, so the multiplicity counts cut by the simple-root raisings alone
 certificates keep every raising, because they certify the operators
 themselves.  Each block's multiplicity is one joint kernel: of the simple
 raisings on all polynomials (FULL), and of the Delta family together with
-them on the harmonics, the Deltas' common kernel (MOD_IDEAL, ProductO).
+them on the harmonics, the Deltas' common kernel (MOD_IDEAL).  A model is
+one shape value, `MatrixSpaceShape` or `ProductO`, built by `build_config`.
 Raising-operator kernels are only computed at dominant weights, and only
 those blocks are built; a kernel vector generates a highest weight module,
 so nothing is lost, and a nonzero kernel at a weight that is not a partition
@@ -40,8 +41,12 @@ from math import comb, perm
 from ..errors import BudgetError, InternalInvariantError, UsageError
 from ..partitions import IrrepLabel, as_partition
 from ..reports import MultiplicityEntry
-from .configs import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig, _packed,
-                      build_config, build_product_config)
+from .configs import FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig, _packed, build_config
+# Nothing here calls build_product_config (`build_config` builds a ProductO
+# shape through it): the benchmark's tracer (perfbench/tracer.py) wraps the
+# binding `branchbox.dualpair.analysis.build_product_config`, and its tests
+# need the name to exist.
+from .configs import build_product_config  # noqa: F401
 from .linalg import rank, solve_columns
 # Nothing here calls nullspace: the benchmark's tracer (perfbench/tracer.py) wraps
 # the binding `branchbox.dualpair.analysis.nullspace`, and its tests need the name
@@ -86,9 +91,7 @@ def check_monomial_count(var_count: int, max_degree: int) -> None:
 
 @dataclass
 class BucketTable:
-    buckets: dict[tuple, list[Monomial]]
-    degree: dict[tuple, int]
-    by_degree: dict[int, list[tuple]]
+    buckets: dict[tuple, list[Monomial]]  # in order of degree, then of weight
 
 
 def _weight_codes(config: SpaceConfig, max_degree: int):
@@ -126,7 +129,8 @@ def _weight_codes(config: SpaceConfig, max_degree: int):
 
 def build_buckets(config: SpaceConfig, max_degree: int,
                   dominant_only: bool = False) -> BucketTable:
-    """Monomials of degree <= max_degree grouped by torus weight, grevlex inside a block.
+    """Monomials of degree <= max_degree grouped by torus weight, grevlex inside a block,
+    the blocks in order of degree and then of weight.
 
     A weight must fix the degree: a config whose weights put monomials of two
     degrees in one block is a UsageError.  More than MAX_MONOMIALS monomials
@@ -147,7 +151,7 @@ def build_buckets(config: SpaceConfig, max_degree: int,
             if group is None:
                 groups[code] = group = []
             group.append(combo)
-    table = BucketTable({}, {}, {d: [] for d in range(max_degree + 1)})
+    blocks = []
     for code, combos in groups.items():
         if len(combos) > DEFAULT_BUDGET:
             raise BudgetError(f"weight space of dimension {len(combos)} "
@@ -165,12 +169,9 @@ def build_buckets(config: SpaceConfig, max_degree: int,
                 mono[v] += 1
             monos.append(tuple(mono))
         monos.sort(key=grevlex_mono_key)
-        table.buckets[key] = monos
-        table.degree[key] = len(combos[0])
-        table.by_degree[len(combos[0])].append(key)
-    for keys in table.by_degree.values():
-        keys.sort()
-    return table
+        blocks.append((len(combos[0]), key, monos))
+    blocks.sort(key=lambda block: block[:2])
+    return BucketTable({key: monos for _, key, monos in blocks})
 
 
 def _stacked_rows(images: list[list[Poly]]) -> list[list[int]]:
@@ -206,43 +207,34 @@ def _labels_for(config: SpaceConfig, key: tuple,
     return None if None in labels else labels
 
 
-def hwv_multiplicities(shape: MatrixSpaceShape, max_degree: int,
-                       mode: str | ProductO = FULL) -> list[MultiplicityEntry]:
+def hwv_multiplicities(shape: MatrixSpaceShape | ProductO, max_degree: int,
+                       mode: str = FULL) -> list[MultiplicityEntry]:
     """Joint highest-weight-vector dimensions per weight, as label tuples.
 
     FULL counts on all polynomials, MOD_IDEAL inside the joint kernel of the
-    Delta family (the harmonic model of the quotient by the invariant ideal),
-    ProductO(n1, n2) inside the harmonics of the block-sum form with two
-    orthogonal factors acting on row blocks.  In FULL and MOD_IDEAL the
-    group factor holds every row, so a block's degree is its degree in
-    that factor's rows and picks the O_n label at odd n (`TorusFactor.label`);
-    ProductO passes no parity and keeps SO_n labels.
+    Delta family (the harmonic model of the quotient by the invariant ideal).
+    `ProductO(n1, n2, m)` under MOD_IDEAL counts inside the harmonics of the
+    block-sum form, with two orthogonal factors acting on row blocks.  In a
+    `MatrixSpaceShape` the group factor holds every row, so a block's degree
+    is its degree in that factor's rows and picks the O_n label at odd n
+    (`TorusFactor.label`); ProductO passes no parity and keeps SO_n labels.
     """
-    product = isinstance(mode, ProductO)
-    if product:
-        if shape.case != "A" or shape.split_columns or shape.l:
-            raise UsageError("ProductO mode needs a plain case A shape")
-        if mode.n1 + mode.n2 != shape.n:
-            raise UsageError(f"ProductO blocks must fill the rows: {mode.n1}+{mode.n2} != {shape.n}")
-        config = build_product_config(mode, shape.m)
-    elif mode in (FULL, MOD_IDEAL):
-        config = build_config(shape)
-    else:
+    if mode not in (FULL, MOD_IDEAL):
         raise UsageError(f"unknown mode {mode!r}")
-
+    config = build_config(shape)
     table = build_buckets(config, max_degree, dominant_only=True)
     cutters = config.simple_raisings if mode == FULL else config.deltas + config.simple_raisings
     entries = []
-    for d in range(max_degree + 1):
-        for key in table.by_degree[d]:
-            mult = _kernel_dim(cutters, table.buckets[key])
-            if not mult:
-                continue
-            labels = _labels_for(config, key, None if product else d % 2)
-            if labels is None:
-                raise InternalInvariantError(
-                    f"nonzero raising kernel at non-partition weight {key}")
-            entries.append(MultiplicityEntry(labels, mult, True))
+    for key, basis in table.buckets.items():
+        mult = _kernel_dim(cutters, basis)
+        if not mult:
+            continue
+        labels = _labels_for(config, key,
+                             sum(basis[0]) % 2 if isinstance(shape, MatrixSpaceShape) else None)
+        if labels is None:
+            raise InternalInvariantError(
+                f"nonzero raising kernel at non-partition weight {key}")
+        entries.append(MultiplicityEntry(labels, mult, True))
     return entries
 
 
@@ -275,14 +267,14 @@ def harmonic_report(shape: MatrixSpaceShape, max_degree: int) -> HarmonicReport:
     harmonic = [0] * (max_degree + 1)
     ideal = [0] * (max_degree + 1)
     for key, basis in table.buckets.items():
-        d = table.degree[key]
+        d = sum(basis[0])
         full[d] += len(basis)
         harmonic[d] += _kernel_dim(config.deltas, basis)
 
     shifts = {op.name: config.op_weight_shift(op) for op in config.r2s}
     groups: dict[tuple, list[Poly]] = {}
     for key, basis in table.buckets.items():
-        if table.degree[key] + 2 > max_degree:
+        if sum(basis[0]) + 2 > max_degree:
             continue
         for op in config.r2s:
             tkey = _add_keys(key, shifts[op.name])
@@ -292,7 +284,7 @@ def harmonic_report(shape: MatrixSpaceShape, max_degree: int) -> HarmonicReport:
                 if img:
                     vecs.append(img)
     for tkey, vecs in groups.items():
-        ideal[table.degree[tkey]] += rank(_stacked_rows([vecs]))
+        ideal[sum(table.buckets[tkey][0])] += rank(_stacked_rows([vecs]))
 
     identity_ok = all(full[d] == harmonic[d] + ideal[d] for d in range(max_degree + 1))
 

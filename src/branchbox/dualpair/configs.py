@@ -11,11 +11,12 @@ for Case C it models P(M_{n,m} + M_{n,l}) with all variables polynomial.
 Every model but plain case C comes from one builder, `_matrix_space`: a
 group per row block (O, Sp or GL, each given by one row-family function)
 and a GL factor per column block, on the block sum of the row groups'
-forms.  Cases A, B and stacked C have one row block; ProductO(n1, n2) has
-O row blocks n1 and n2, which realizes O_{n1} x O_{n2} inside O_{n1+n2}
-with each factor acting on its own rows.  Every Euler family comes from
-`_gl_eulers`.  Each `TorusFactor` owns its dominance conditions and its
-labels.
+forms.  Cases A, B and stacked C have one row block.  The shape
+`ProductO(n1, n2, m)` has O row blocks n1 and n2 and one column block m,
+which realizes O_{n1} x O_{n2} inside O_{n1+n2} with each factor acting on
+its own rows.  `build_config` builds every shape.  Every column block's
+Euler and raising operators come from one GL family builder, `_gl_family`.
+Each `TorusFactor` owns its dominance conditions and its labels.
 """
 
 from __future__ import annotations
@@ -60,14 +61,21 @@ class MatrixSpaceShape:
 
 @dataclass(frozen=True)
 class ProductO:
-    """hwv_multiplicities mode: O_{n1} x O_{n2} acting on stacked row blocks."""
+    """The shape O_{n1} x O_{n2} x GL_m on M_{n1+n2, m}: the restriction model of
+    O_{n1+n2} to O_{n1} x O_{n2}, each factor acting on its own rows."""
 
     n1: int
     n2: int
+    m: int
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise UsageError("ProductO needs positive block sizes")
+        if self.n1 < 1 or self.n2 < 1 or self.m < 1:
+            raise UsageError("ProductO needs positive sizes n1, n2 and m")
+
+    @property
+    def var_count(self) -> int:
+        """The number of variables `build_config` gives this shape, without building it."""
+        return (self.n1 + self.n2) * self.m
 
 
 def _packed(rows, bound: int) -> tuple[list[int], int]:
@@ -206,26 +214,20 @@ def _zero(k: int) -> tuple[int, ...]:
     return (0,) * k
 
 
-def _gl_eulers(tag: str, cols: list[int], idx, rows: list[int], shift: Fraction) -> list[Operator]:
-    """E{tag}[i,j] = sum_s x_{s,i} d/dx_{s,j} (+ shift if i = j)."""
-    ops = []
+def _gl_family(tag: str, cols: list[int], idx, rows: list[int]
+               ) -> tuple[list[Operator], list[Operator]]:
+    """The Euler operators E{tag}[i,j] = sum_s x_{s,i} d/dx_{s,j} (+ len(rows)/2 if i = j),
+    and the raisings R{tag}[i,j], the same sums for i < j."""
+    eulers, raisings = [], []
     for ci, i in enumerate(cols, start=1):
         for cj, j in enumerate(cols, start=1):
             terms = [(1, {idx(s, i): 1}, {idx(s, j): 1}) for s in rows]
-            if i == j:
-                terms.append((shift, {}, {}))
-            ops.append(make_operator(f"E{tag}[{ci},{cj}]", "euler", terms))
-    return ops
-
-
-def _gl_raisings(tag: str, cols: list[int], idx, rows: list[int]) -> list[Operator]:
-    ops = []
-    for ci, i in enumerate(cols, start=1):
-        for cj, j in enumerate(cols, start=1):
             if ci < cj:
-                terms = [(1, {idx(s, i): 1}, {idx(s, j): 1}) for s in rows]
-                ops.append(make_operator(f"R{tag}[{ci},{cj}]", "raising", terms))
-    return ops
+                raisings.append(make_operator(f"R{tag}[{ci},{cj}]", "raising", terms))
+            if i == j:
+                terms.append((Fraction(len(rows), 2), {}, {}))
+            eulers.append(make_operator(f"E{tag}[{ci},{cj}]", "euler", terms))
+    return eulers, raisings
 
 
 # A row family gives, for a block of `size` rows numbered 1..size: its torus
@@ -331,8 +333,9 @@ def _matrix_space(descriptor: str, row_blocks: list[tuple[str, int]],
                     deltas.append(delta)
                     r2s.append(make_operator(f"{r2_prefix}{tag}[{ci},{cj}]", "r2",
                                              [(sign, pair, {}) for sign, pair in pairs]))
-        eulers += _gl_eulers(tag, cols, idx, rows, Fraction(n, 2))
-        gl_raise += _gl_raisings(tag, cols, idx, rows)
+        family_eulers, family_raisings = _gl_family(tag, cols, idx, rows)
+        eulers += family_eulers
+        gl_raise += family_raisings
 
     return SpaceConfig(descriptor, n * total_cols, var_names, tuple(factors),
                        tuple(var_weights), tuple(deltas), tuple(r2s), tuple(eulers),
@@ -377,16 +380,16 @@ def _case_c(n: int, m: int, l: int) -> SpaceConfig:
             deltas.append(make_operator(f"D[{i},{j}]", "delta", dterms))
             r2s.append(make_operator(f"r2[{i},{j}]", "r2", rterms))
 
-    eulers = _gl_eulers("x", list(range(1, m + 1)), xidx, list(range(1, n + 1)), Fraction(n, 2))
-    gl_raise = _gl_raisings("x", list(range(1, m + 1)), xidx, list(range(1, n + 1)))
+    eulers, gl_raise = _gl_family("x", list(range(1, m + 1)), xidx, list(range(1, n + 1)))
     if l:
         def ytrans(s, c):
             return yidx(c, s)
 
         # y rows play the column role: E^y_{cd} = sum_s y_{c,s} d/dy_{d,s}
-        eulers += _gl_eulers("y", list(range(1, l + 1)), ytrans, list(range(1, n + 1)),
-                             Fraction(n, 2))
-        gl_raise += _gl_raisings("y", list(range(1, l + 1)), ytrans, list(range(1, n + 1)))
+        y_eulers, y_raisings = _gl_family("y", list(range(1, l + 1)), ytrans,
+                                          list(range(1, n + 1)))
+        eulers += y_eulers
+        gl_raise += y_raisings
 
     k_raise = []
     for a in range(1, n + 1):
@@ -400,7 +403,9 @@ def _case_c(n: int, m: int, l: int) -> SpaceConfig:
                        tuple(k_raise), tuple(gl_raise))
 
 
-def build_config(shape: MatrixSpaceShape) -> SpaceConfig:
+def build_config(shape: MatrixSpaceShape | ProductO) -> SpaceConfig:
+    if isinstance(shape, ProductO):
+        return build_product_config(shape)
     n, m, l, split = shape.n, shape.m, shape.l, shape.split_columns
     if shape.case == "A":
         descriptor, rows = f"A(n={n},m={m}" + (f"+{l} split)" if split else ")"), ("O", n)
@@ -413,12 +418,12 @@ def build_config(shape: MatrixSpaceShape) -> SpaceConfig:
     return _matrix_space(descriptor, [rows], [m, l] if split else [m])
 
 
-def build_product_config(product: ProductO, m: int) -> SpaceConfig:
+def build_product_config(product: ProductO) -> SpaceConfig:
     """O_{n1} x O_{n2} x GL_m on M_{n1+n2, m} with the block-sum form.
 
     The Laplacians and multiplication invariants pair rows through the block
     form: they belong to the big group O_{n1+n2}, not to the factors, so the
     harmonic quotient models restriction from the big group.
     """
-    n1, n2 = product.n1, product.n2
+    n1, n2, m = product.n1, product.n2, product.m
     return _matrix_space(f"O({n1})xO({n2}) on M({n1 + n2},{m})", [("O", n1), ("O", n2)], [m])

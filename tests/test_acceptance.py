@@ -110,7 +110,7 @@ def test_criterion_4_stable_o_tensor():
 
 
 def test_criterion_5_stable_o_restriction():
-    t = table(hwv_multiplicities(MatrixSpaceShape("A", 6, 1), 4, ProductO(3, 3)))
+    t = table(hwv_multiplicities(ProductO(3, 3, 1), 4, MOD_IDEAL))
     ok = True
     for size in range(5):
         lam = row(size)

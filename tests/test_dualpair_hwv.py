@@ -10,8 +10,7 @@ from branchbox import branch, jsonio
 from branchbox.dims import dim_o, dim_sp
 from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                                 SpaceConfig, build_buckets, build_config,
-                                build_product_config, harmonic_isotypic_dims,
-                                harmonic_report, hwv_multiplicities)
+                                harmonic_isotypic_dims, harmonic_report, hwv_multiplicities)
 from branchbox.dualpair import analysis
 from branchbox.dualpair.analysis import _labels_for
 from branchbox.dualpair.configs import TorusFactor
@@ -69,7 +68,7 @@ def test_mod_ideal_two_block_tensor():
 
 
 def test_product_o_restriction():
-    entries = hwv_multiplicities(MatrixSpaceShape("A", 6, 1), 4, ProductO(3, 3))
+    entries = hwv_multiplicities(ProductO(3, 3, 1), 4, MOD_IDEAL)
     table = weights_table(entries)
     assert table[((), (), (2,))] == 1
     assert table[((1,), (1,), (2,))] == 1
@@ -97,7 +96,7 @@ HARMONIC_CASES = [
     ("A split", MatrixSpaceShape("A", 3, 1, 1, split_columns=True), MOD_IDEAL),
     ("A even", MatrixSpaceShape("A", 6, 1), MOD_IDEAL),
     ("A odd", MatrixSpaceShape("A", 3, 2), MOD_IDEAL),
-    ("ProductO", MatrixSpaceShape("A", 5, 1), ProductO(2, 3)),
+    ("ProductO", ProductO(2, 3, 1), MOD_IDEAL),
 ]
 
 
@@ -109,7 +108,7 @@ def _so_keyed_table(config, max_degree, ops):
     for key, basis in table.buckets.items():
         dim = _joint_kernel_dim(ops, basis)
         if dim:
-            out[tuple(as_partition(w) for w in key)] = (dim, table.degree[key])
+            out[tuple(as_partition(w) for w in key)] = (dim, sum(basis[0]))
     return out
 
 
@@ -125,12 +124,9 @@ def test_harmonic_multiplicity_is_the_joint_kernel(name, shape, mode):
     # the oracle's count by the Deltas and the simple raisings is the joint
     # kernel of the Deltas and every raising on the whole weight block, under
     # O_n labels at odd n; ProductO keeps SO_n labels
-    if isinstance(mode, ProductO):
-        config = build_product_config(mode, shape.m)
-    else:
-        config = build_config(shape)
+    config = build_config(shape)
     so_table = _so_keyed_table(config, 4, config.deltas + config.raisings)
-    if isinstance(mode, ProductO):
+    if isinstance(shape, ProductO):
         expected = {key: dim for key, (dim, _) in so_table.items()}
     else:
         expected = _o_labelled(so_table, shape.n)
@@ -229,9 +225,9 @@ HARMONIC_DIGESTS = [
                               for s, b, d, _ in HARMONIC_DIGESTS])
 def test_harmonic_multiplicities_are_pinned(shape, blocks, degree, digest):
     case, n, m, l = shape
-    mode = ProductO(*blocks) if blocks else MOD_IDEAL
-    entries = hwv_multiplicities(MatrixSpaceShape(case, n, m, l, split_columns=bool(l)),
-                                 degree, mode)
+    model = (ProductO(*blocks, m) if blocks
+             else MatrixSpaceShape(case, n, m, l, split_columns=bool(l)))
+    entries = hwv_multiplicities(model, degree, MOD_IDEAL)
     text = jsonio.dumps([jsonio.entry_json(e) for e in sorted_entries(entries)])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -244,7 +240,7 @@ ALL_RAISINGS_CASES = [
     ("B(3,1)", MatrixSpaceShape("B", 3, 1), FULL),
     ("C(3,2,1)", MatrixSpaceShape("C", 3, 2, 1), FULL),
     ("C(3,2,1 stacked)", MatrixSpaceShape("C", 3, 2, 1, split_columns=True), FULL),
-    ("ProductO(5,3)", MatrixSpaceShape("A", 8, 1), ProductO(5, 3)),
+    ("ProductO(5,3)", ProductO(5, 3, 1), MOD_IDEAL),
 ]
 
 
@@ -253,12 +249,8 @@ ALL_RAISINGS_CASES = [
 def test_simple_raisings_count_what_all_raisings_count(name, shape, mode):
     # the oracle cuts by the simple-root raisings only; the joint kernel of
     # every raising (and, on harmonics, every Delta) must be the same
-    if isinstance(mode, ProductO):
-        config = build_product_config(mode, shape.m)
-        ops = config.deltas + config.raisings
-    else:
-        config = build_config(shape)
-        ops = config.raisings
+    config = build_config(shape)
+    ops = config.raisings if mode == FULL else config.deltas + config.raisings
     assert len(config.simple_raisings) < len(config.raisings)
     table = build_buckets(config, 4, dominant_only=True)
     expected = {}
@@ -282,6 +274,7 @@ def _grid_shapes():
 def test_shape_counts_the_variables_its_config_builds():
     shapes = list(_grid_shapes())
     assert len(shapes) == 108
+    shapes += [ProductO(*sizes) for sizes in itertools.product(range(1, 4), range(1, 4), (1, 2))]
     assert [s for s in shapes if s.var_count != build_config(s).var_count] == []
 
 
@@ -292,7 +285,7 @@ SIMPLE_RAISING_CONFIGS = (
     + [build_config(MatrixSpaceShape("B", n, m)) for n in (1, 2, 3, 4) for m in (1, 3)]
     + [build_config(MatrixSpaceShape("C", n, 2, l)) for n in (1, 3, 4) for l in (0, 2)]
     + [build_config(MatrixSpaceShape("C", n, 2, 3, split_columns=True)) for n in (1, 4)]
-    + [build_product_config(ProductO(n1, n2), 2) for n1, n2 in ((1, 2), (3, 3), (4, 5), (6, 2))]
+    + [build_config(ProductO(n1, n2, 2)) for n1, n2 in ((1, 2), (3, 3), (4, 5), (6, 2))]
 )
 
 
@@ -324,9 +317,7 @@ def _pair_sum_simple_raisings(config):
 def test_simple_raisings_match_the_pair_sum_rule():
     configs = list(SIMPLE_RAISING_CONFIGS)
     configs += [build_config(shape) for shape in _grid_shapes()]
-    for _, shape, mode in ALL_RAISINGS_CASES:
-        configs.append(build_product_config(mode, shape.m) if isinstance(mode, ProductO)
-                       else build_config(shape))
+    configs += [build_config(shape) for _, shape, _ in ALL_RAISINGS_CASES]
     configs.append(build_config(MatrixSpaceShape("A", 20, 20)))
     assert len(configs) == 43 + 108 + 8 + 1
     for config in configs:
@@ -361,12 +352,10 @@ def test_simple_raisings_read_shift_differences_up_to_twice_the_largest_coordina
     assert config.simple_raisings == raisings == _pair_sum_simple_raisings(config)
 
 
-def test_product_o_requires_matching_block_sizes():
-    with pytest.raises(UsageError):
-        hwv_multiplicities(MatrixSpaceShape("A", 5, 1), 3, ProductO(3, 3))
-    with pytest.raises(UsageError):
-        hwv_multiplicities(MatrixSpaceShape("A", 6, 1, 1, split_columns=True),
-                           3, ProductO(3, 3))
+@pytest.mark.parametrize("sizes", [(0, 3, 1), (3, 0, 1), (3, 3, 0), (-1, 2, 2)])
+def test_product_o_refuses_non_positive_sizes(sizes):
+    with pytest.raises(UsageError, match="^ProductO needs positive sizes n1, n2 and m$"):
+        ProductO(*sizes)
 
 
 def test_stacked_case_c_matches_lr():
@@ -423,7 +412,7 @@ BUCKET_CONFIGS = [
     ("C", lambda: build_config(MatrixSpaceShape("C", 2, 2))),
     ("C signed y", lambda: build_config(MatrixSpaceShape("C", 2, 1, 2))),
     ("C stacked", lambda: build_config(MatrixSpaceShape("C", 2, 1, 1, split_columns=True))),
-    ("ProductO", lambda: build_product_config(ProductO(2, 3), 1)),
+    ("ProductO", lambda: build_config(ProductO(2, 3, 1))),
     # w0 - w1 = +-2 per variable on the GL_2 factor, so the dominance sums reach
     # the bound 2*max|coord|*degree; the GL_1 factor counts the degree
     ("GL at the bound", lambda: SpaceConfig(
@@ -448,9 +437,10 @@ def test_bucket_keys_decode_to_monomial_weights(name, make, max_degree):
         assert monos == sorted(monos, key=grevlex_mono_key)
         for mono in monos:
             assert config.monomial_weight(mono) == key
-            assert sum(mono) == table.degree[key]
-        assert key in table.by_degree[table.degree[key]]
+            assert sum(mono) == sum(monos[0])
         seen += len(monos)
+    blocks = [(sum(monos[0]), key) for key, monos in table.buckets.items()]
+    assert blocks == sorted(blocks)  # in order of degree, then of weight
     assert seen == comb(config.var_count + max_degree, max_degree)
     if name == "C signed y" and max_degree:
         assert any(a < 0 for key in table.buckets for a in key[0])
@@ -466,9 +456,7 @@ def test_dominant_buckets_are_the_full_table_restricted(name, make):
         full = build_buckets(config, max_degree)
         dominant = build_buckets(config, max_degree, dominant_only=True)
         assert dominant.buckets == {k: v for k, v in full.buckets.items() if keep(k)}
-        assert dominant.degree == {k: d for k, d in full.degree.items() if keep(k)}
-        assert dominant.by_degree == {d: [k for k in keys if keep(k)]
-                                      for d, keys in full.by_degree.items()}
+        assert list(dominant.buckets) == [k for k in full.buckets if keep(k)]
         if max_degree:
             assert len(dominant.buckets) < len(full.buckets)
 

@@ -8,7 +8,7 @@ import pytest
 
 from branchbox import jsonio
 from branchbox.dualpair import (MatrixSpaceShape, ProductO, analysis, build_config,
-                                build_product_config, minor_hwv, verify_brackets)
+                                minor_hwv, verify_brackets)
 from branchbox.dualpair.analysis import _connected_span, _weyl_commutator
 from branchbox.dualpair.linalg import echelon, nullspace, rank, solve_columns
 from branchbox.dualpair.poly import (apply_operator, apply_to_monomial,
@@ -312,7 +312,7 @@ def test_split_shapes_validate():
 
 
 def test_product_config_shares_form():
-    cfg = build_product_config(ProductO(3, 3), 1)
+    cfg = build_config(ProductO(3, 3, 1))
     assert cfg.var_count == 6
     assert len(cfg.deltas) == 1
     assert len(cfg.r2s) == 1
@@ -364,7 +364,7 @@ CONFIG_DIGESTS = [
 
 def _config_grid(kind, cols):
     if kind == "ProductO":
-        return [build_product_config(ProductO(n1, n2), cols)
+        return [build_config(ProductO(n1, n2, cols))
                 for n1 in range(1, 7) for n2 in range(1, 7)]
     if kind == "A split":
         return [build_config(MatrixSpaceShape("A", n, *cols, split_columns=True))
