@@ -12,7 +12,9 @@ certificates keep every raising, because they certify the operators
 themselves.  Each block's multiplicity is one joint kernel: of the simple
 raisings on all polynomials (FULL), and of the Delta family together with
 them on the harmonics, the Deltas' common kernel (MOD_IDEAL).  A model is
-one shape value, `MatrixSpaceShape` or `ProductO`, built by `build_config`.
+one shape value, `MatrixSpaceShape` or `ProductO`, built by `build_config`,
+and each block is cut per degree parity in each orthogonal factor's rows,
+which picks that factor's O_n label at odd n.
 Raising-operator kernels are only computed at dominant weights, and only
 those blocks are built; a kernel vector generates a highest weight module,
 so nothing is lost, and a nonzero kernel at a weight that is not a partition
@@ -200,42 +202,42 @@ def _kernel_dim(ops, basis: list[Monomial]) -> int:
     return len(basis) - rank(_stacked_rows(images))
 
 
-def _labels_for(config: SpaceConfig, key: tuple,
-                parity: int | None = None) -> tuple[IrrepLabel, ...] | None:
-    """Each factor's label of the weight key; `parity` as `TorusFactor.label` reads it."""
-    labels = tuple(factor.label(w, parity) for factor, w in zip(config.factors, key))
-    return None if None in labels else labels
-
-
 def hwv_multiplicities(shape: MatrixSpaceShape | ProductO, max_degree: int,
                        mode: str = FULL) -> list[MultiplicityEntry]:
-    """Joint highest-weight-vector dimensions per weight, as label tuples.
+    """Joint highest-weight-vector dimensions per label tuple.
 
     FULL counts on all polynomials, MOD_IDEAL inside the joint kernel of the
-    Delta family (the harmonic model of the quotient by the invariant ideal).
-    `ProductO(n1, n2, m)` under MOD_IDEAL counts inside the harmonics of the
-    block-sum form, with two orthogonal factors acting on row blocks.  In a
-    `MatrixSpaceShape` the group factor holds every row, so a block's degree
-    is its degree in that factor's rows and picks the O_n label at odd n
-    (`TorusFactor.label`); ProductO passes no parity and keeps SO_n labels.
+    Delta family (the harmonic model of the quotient by the invariant ideal;
+    for `ProductO(n1, n2, m)`, by the block-sum form of O_{n1+n2}).  Every
+    operator keeps the degree parity in each row block's rows, so a block of
+    degree d is cut per parity p in the first factor's rows (the shape's
+    `first_block_vars` leading variables).  `TorusFactor.label` reads p on
+    the first factor and d - p on the others, whose rows ProductO's O_{n2}
+    holds; parts that name one label tuple (even n1 and n2) add up.
     """
     if mode not in (FULL, MOD_IDEAL):
         raise UsageError(f"unknown mode {mode!r}")
     config = build_config(shape)
     table = build_buckets(config, max_degree, dominant_only=True)
     cutters = config.simple_raisings if mode == FULL else config.deltas + config.simple_raisings
-    entries = []
+    head = shape.first_block_vars
+    mults: dict[tuple[IrrepLabel, ...], int] = {}
     for key, basis in table.buckets.items():
-        mult = _kernel_dim(cutters, basis)
-        if not mult:
-            continue
-        labels = _labels_for(config, key,
-                             sum(basis[0]) % 2 if isinstance(shape, MatrixSpaceShape) else None)
-        if labels is None:
-            raise InternalInvariantError(
-                f"nonzero raising kernel at non-partition weight {key}")
-        entries.append(MultiplicityEntry(labels, mult, True))
-    return entries
+        d = sum(basis[0])
+        parts: dict[int, list[Monomial]] = {}
+        for mono in basis:
+            parts.setdefault(sum(mono[:head]) % 2, []).append(mono)
+        for p, part in parts.items():
+            mult = _kernel_dim(cutters, part)
+            if not mult:
+                continue
+            labels = tuple(factor.label(w, (d - p) % 2 if i else p)
+                           for i, (factor, w) in enumerate(zip(config.factors, key)))
+            if None in labels:
+                raise InternalInvariantError(
+                    f"nonzero raising kernel at non-partition weight {key}")
+            mults[labels] = mults.get(labels, 0) + mult
+    return [MultiplicityEntry(labels, mult, True) for labels, mult in mults.items()]
 
 
 def _add_keys(a: tuple, b: tuple) -> tuple:

@@ -58,6 +58,11 @@ class MatrixSpaceShape:
         """The number of variables `build_config` gives this shape, without building it."""
         return (2 if self.case == "B" else 1) * self.n * (self.m + self.l)
 
+    @property
+    def first_block_vars(self) -> int:
+        """The leading variables in the rows of the config's first factor: all of them."""
+        return self.var_count
+
 
 @dataclass(frozen=True)
 class ProductO:
@@ -76,6 +81,11 @@ class ProductO:
     def var_count(self) -> int:
         """The number of variables `build_config` gives this shape, without building it."""
         return (self.n1 + self.n2) * self.m
+
+    @property
+    def first_block_vars(self) -> int:
+        """The leading variables in the rows of the config's first factor, O_{n1}."""
+        return self.n1 * self.m
 
 
 def _packed(rows, bound: int) -> tuple[list[int], int]:
@@ -122,16 +132,16 @@ class TorusFactor:
             out.append(((k - 1, 1),))
         return out
 
-    def label(self, w: tuple[int, ...], parity: int | None = None) -> IrrepLabel | None:
+    def label(self, w: tuple[int, ...], parity: int) -> IrrepLabel | None:
         """The irreducible a dominant weight w names; None for a negative weight on O or Sp.
 
         `parity` is the degree mod 2 of a highest weight vector in this
-        factor's rows, or None where the weight does not fix it.  On O_n at
-        odd n, -I has det -1 and acts by (-1)^parity on the vector and by
-        (-1)^|w| on the O_n irreducible w, so a mismatched parity names the
-        associate label `associate_o(w, n)` (King 1971).  w has at most
-        (n-1)/2 parts and its associate more, so no two weights name one
-        label.  Even n keeps its SO_n weight.
+        factor's rows; only an O factor reads it.  On O_n at odd n, -I has
+        det -1 and acts by (-1)^parity on the vector and by (-1)^|w| on the
+        O_n irreducible w, so a mismatched parity names the associate label
+        `associate_o(w, n)` (King 1971).  w has at most (n-1)/2 parts and its
+        associate more, so no two weights name one label.  Even n keeps its
+        SO_n weight.
         """
         if self.family == "GL":
             return IrrepLabel("GL", self.rank,
@@ -139,7 +149,7 @@ class TorusFactor:
         if any(a < 0 for a in w):
             return None
         mu = as_partition(w)
-        if self.family == "O" and self.rank % 2 and parity not in (None, sum(mu) % 2):
+        if self.family == "O" and self.rank % 2 and parity != sum(mu) % 2:
             mu = associate_o(mu, self.rank)
         return IrrepLabel(self.family, self.rank, mu)
 

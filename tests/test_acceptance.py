@@ -14,6 +14,7 @@ from branchbox.dims import dim_gl, dim_o, hilbert_check
 from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                                 harmonic_report, hwv_multiplicities,
                                 minor_hwv, verify_brackets)
+from branchbox.errors import StableRangeWarning
 from branchbox.lr import lr_coefficient
 from branchbox.partitions import (enumerate_partitions, is_admissible_o,
                                   partitions_of)
@@ -126,6 +127,18 @@ def test_criterion_5_stable_o_restriction():
     ok = ok and branch.o_restrict_stable((2,), (1,), (1,), 3, 3) == 1
     ok = ok and branch.o_restrict_stable((1,), (1,), (), 3, 3) == 1
     check(5, ok)
+
+
+def test_o1_factor_carries_the_det_label():
+    # O_6 restricted to O_1 x O_5: the O_6 vector (1) holds det (x) 1 and 1 (x) (1).
+    # x[1,1], of odd degree in the O_1 row, spans the first; its SO_1 weight is
+    # (), and its O_1 label is det = (1)
+    t = table(hwv_multiplicities(ProductO(1, 5, 1), 3, MOD_IDEAL))
+    assert t[((1,), (), (1,))] == 1
+    assert ((), (), (1,)) not in t
+    with pytest.warns(StableRangeWarning):
+        assert branch.o_restrict_stable((1,), (1,), (), 1, 5,
+                                        policy=branch.WARN_AND_COMPUTE) == 1
 
 
 def test_criterion_6_even_row_graded_structure(full_a52):

@@ -645,7 +645,9 @@ def test_verify_refuses_before_running_the_oracle(capsys, monkeypatch, argv):
 # request runs), and per policy the exit code and stderr.  seesaw-c has no
 # stable range; its second shape has n < m + l.  The out-of-range seesaw-a
 # and tensor-o rows at n = 3 were recorded again when odd n began to report
-# O_n labels (tests/test_dualpair_hwv.py, RELABELLED_SHAPES).
+# O_n labels (tests/test_dualpair_hwv.py, RELABELLED_SHAPES), the restrict-o
+# row at (3, 5, 2) when ProductO did (RELABELLED_PRODUCTS), and the
+# restrict-o row at (3, 3, 2) was added then.
 PINNED_VERIFY = [
     (("seesaw-a", "--n", "5", "--m", "2", "--max-degree", "3"),
      {"json": "f2b6e33a1afed19c631dfa3398a8b9424a3a7603cfe0ec700850ed67055985c4",
@@ -683,10 +685,15 @@ PINNED_VERIFY = [
      {"enforce": (0, "verify restrict-o: 13 entries, all PASS\n"),
       "warn": (0, "verify restrict-o: 13 entries, all PASS\n")}),
     (("restrict-o", "--n", "3", "--l", "5", "--m", "2", "--max-degree", "3"),
-     {"json": "378155d58634d513d9b7ba9a5e9666d45a460ec77e2bdf8c4a281a15d57b1545",
-      "csv": "c89b9bc3fcf23deb811a61347d1d59b861fe2dbaebf065ed6b5bfdba66b1f56c"},
+     {"json": "f72a3630bbbff1d6a1162805511e5303f78d9aca3d39d546b1703d6a3a677e01",
+      "csv": "4f3bdfa1de424b5899501d922950625a526935920a224fde792f1487f79544f1"},
      {"enforce": (2, "error: outside the stable range: requires min(n, m) > 2*len(lam) = 4\n"),
-      "warn": (1, "verify restrict-o: 32 entries, 6 FAIL\n")}),
+      "warn": (0, "verify restrict-o: 29 entries, all PASS\n")}),
+    (("restrict-o", "--n", "3", "--l", "3", "--m", "2", "--max-degree", "5"),
+     {"json": "ec5eb5e07b8dc49333ae23535f82a7c3113a49fda0564dcc927366e73366aa45",
+      "csv": "e9b84dab49996a2b4a0e831a2eb219e2f8adcdb3a826665539ad587f652ccdd6"},
+     {"enforce": (2, "error: outside the stable range: requires min(n, m) > 2*len(lam) = 4\n"),
+      "warn": (0, "verify restrict-o: 138 entries, all PASS\n")}),
 ]
 
 

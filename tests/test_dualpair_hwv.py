@@ -12,7 +12,6 @@ from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                                 SpaceConfig, build_buckets, build_config,
                                 harmonic_isotypic_dims, harmonic_report, hwv_multiplicities)
 from branchbox.dualpair import analysis
-from branchbox.dualpair.analysis import _labels_for
 from branchbox.dualpair.configs import TorusFactor
 from branchbox.dualpair.linalg import rank
 from branchbox.dualpair.poly import apply_to_monomial, grevlex_mono_key, make_operator
@@ -119,26 +118,48 @@ def _o_labelled(so_table, n):
             for (w, *rest), (dim, d) in so_table.items()}
 
 
+def _o_keyed_table(config, max_degree, ops):
+    """The joint kernel dimension of ops per dominant weight block, keyed by O_n
+    labels on the O factors.  The O factors come first and hold consecutive
+    rows; each block splits by the degree in each O factor's rows, and at odd n
+    a weight whose size has the other parity than that degree moves to
+    associate_o(w, n).  Parts that name one key add up."""
+    ranks = [factor.rank for factor in config.factors if factor.family == "O"]
+    per_row = config.var_count // sum(ranks)
+    bounds = list(itertools.accumulate((r * per_row for r in ranks), initial=0))
+    out = {}
+    for key, basis in build_buckets(config, max_degree, dominant_only=True).buckets.items():
+        parts = {}
+        for mono in basis:
+            parts.setdefault(tuple(sum(mono[a:b]) % 2 for a, b in zip(bounds, bounds[1:])),
+                             []).append(mono)
+        for parities, part in parts.items():
+            dim = _joint_kernel_dim(ops, part)
+            if dim:
+                weights = [as_partition(w) for w in key]
+                for i, (n, p) in enumerate(zip(ranks, parities)):
+                    if n % 2 and (sum(weights[i]) - p) % 2:
+                        weights[i] = associate_o(weights[i], n)
+                out[tuple(weights)] = out.get(tuple(weights), 0) + dim
+    return out
+
+
 @pytest.mark.parametrize("name,shape,mode", HARMONIC_CASES, ids=[c[0] for c in HARMONIC_CASES])
 def test_harmonic_multiplicity_is_the_joint_kernel(name, shape, mode):
     # the oracle's count by the Deltas and the simple raisings is the joint
-    # kernel of the Deltas and every raising on the whole weight block, under
-    # O_n labels at odd n; ProductO keeps SO_n labels
+    # kernel of the Deltas and every raising on the whole weight block, split
+    # and relabelled per O factor, under O_n labels at odd n
     config = build_config(shape)
-    so_table = _so_keyed_table(config, 4, config.deltas + config.raisings)
-    if isinstance(shape, ProductO):
-        expected = {key: dim for key, (dim, _) in so_table.items()}
-    else:
-        expected = _o_labelled(so_table, shape.n)
+    expected = _o_keyed_table(config, 4, config.deltas + config.raisings)
     assert weights_table(hwv_multiplicities(shape, 4, mode)) == expected
 
 
 def test_torus_factor_label_reads_the_parity_only_on_odd_orthogonal_factors():
     o3, o4 = TorusFactor("O", 3, 1), TorusFactor("O", 4, 2)
-    assert [o3.label((1,), p).weight for p in (None, 1, 0)] == [(1,), (1,), (1, 1)]
-    assert [o3.label((0,), p).weight for p in (None, 0, 1)] == [(), (), (1, 1, 1)]
+    assert [o3.label((1,), p).weight for p in (1, 0)] == [(1,), (1, 1)]
+    assert [o3.label((0,), p).weight for p in (0, 1)] == [(), (1, 1, 1)]
     assert TorusFactor("O", 1, 0).label((), 1).weight == (1,)
-    assert [o4.label((1, 0), p).weight for p in (None, 0, 1)] == [(1,), (1,), (1,)]
+    assert [o4.label((1, 0), p).weight for p in (0, 1)] == [(1,), (1,)]
     assert TorusFactor("Sp", 2, 1).label((1,), 0).weight == (1,)
     assert TorusFactor("GL", 2, 2).label((1, 0), 0).weight == (1,)
 
@@ -170,11 +191,35 @@ def test_odd_n_moves_exactly_the_parity_mismatched_keys(dims, degree, mode):
     assert weights_table(hwv_multiplicities(shape, degree, mode)) == expected
 
 
-# sha256 of the entries as the CLI emits them (JSON, label order), recorded
-# while the harmonic modes cut the raisings' kernel out of the Deltas'
-# nullspace; mode None is MOD_IDEAL, a pair is ProductO.  The rows of
-# RELABELLED_SHAPES were recorded again when odd n began to report O_n labels;
-# `test_odd_n_moves_exactly_the_parity_mismatched_keys` checks each against
+# The ProductO rows of HARMONIC_DIGESTS with an odd block, as (n1, n2, m) and
+# degree: the ones whose pin changed when ProductO began to report O_n labels
+RELABELLED_PRODUCTS = [
+    ((1, 1, 1), 5), ((1, 1, 2), 5), ((1, 2, 1), 4), ((1, 2, 2), 5), ((2, 1, 2), 3),
+    ((1, 3, 2), 5), ((3, 1, 2), 4), ((2, 3, 2), 4), ((3, 2, 2), 5), ((3, 3, 2), 5),
+    ((1, 4, 1), 3), ((4, 1, 1), 5),
+]
+
+
+@pytest.mark.parametrize("sizes,degree", RELABELLED_PRODUCTS,
+                         ids=[f"{s}-deg{d}" for s, d in RELABELLED_PRODUCTS])
+def test_product_o_moves_exactly_the_parity_mismatched_keys(sizes, degree):
+    shape = ProductO(*sizes)
+    config = build_config(shape)
+    ops = config.deltas + config.raisings
+    so_table = {key: dim for key, (dim, _) in _so_keyed_table(config, degree, ops).items()}
+    expected = _o_keyed_table(config, degree, ops)
+    assert expected != so_table  # the old SO_n-keyed table differs
+    assert weights_table(hwv_multiplicities(shape, degree, MOD_IDEAL)) == expected
+
+
+# sha256 of the MOD_IDEAL entries as the CLI emits them (JSON, label order),
+# recorded while the harmonic modes cut the raisings' kernel out of the
+# Deltas' nullspace; blocks None is a MatrixSpaceShape, a pair (n1, n2) the
+# shape ProductO(n1, n2, m).  The rows of RELABELLED_SHAPES were recorded
+# again when odd n began to report O_n labels, and the ProductO rows of
+# RELABELLED_PRODUCTS when ProductO did;
+# `test_odd_n_moves_exactly_the_parity_mismatched_keys` and
+# `test_product_o_moves_exactly_the_parity_mismatched_keys` check each against
 # its SO_n-keyed table.  Shapes whose even-n factor raises
 # InternalInvariantError on an SO_n-only weight (ROADMAP item 1) stay out.
 HARMONIC_DIGESTS = [
@@ -197,21 +242,21 @@ HARMONIC_DIGESTS = [
     (("A", 5, 1, 2), None, 4, "8ed50a1dd636e2ca066d3578852472022de7ba8f5db53236dc18ee275663bf5f"),
     (("A", 7, 1, 1), None, 4, "b10a040edaf694d3d9b6b80accde6b4da1bf6f862c41912ca20c1b344a84134c"),
     (("A", 7, 1, 2), None, 3, "0330327601a2e6be14902ccd6c1aaed5940d74872385fd4ce4c9dacd16189872"),
-    (("A", 2, 1, 0), (1, 1), 5, "580d547a975cfb072b3f88617392a3a8cb1c6de2c911533191eeb51d1d1d90ac"),
-    (("A", 2, 2, 0), (1, 1), 5, "90fabeb479ab4dc98da2c0dadd5ead44353cde96e2fba024435c56e85de734f4"),
-    (("A", 3, 1, 0), (1, 2), 4, "fcb9a1ca0b6be5085c5cc639668fa684f6b3d9c3b05e7cc8383aad0b72e1cfe5"),
-    (("A", 3, 2, 0), (1, 2), 5, "e9f5d44d20b6fbd82a9b1e245437f5efd3aa841b925d87bd5139c07a8debe61a"),
-    (("A", 3, 2, 0), (2, 1), 3, "865a86fc4caf69a4a3af621441adb4c3ecc1cc01914cec9d7a69c8f033c3917e"),
-    (("A", 4, 2, 0), (1, 3), 5, "54e70abdcd9b215102d4e89a94b91d6370148c2ddb54cec448e3039db2fda445"),
-    (("A", 4, 2, 0), (3, 1), 4, "e5269e90738cc724d8595ff5d163e054c941291794923aeeb505eb7ff36b645f"),
+    (("A", 2, 1, 0), (1, 1), 5, "27447082d3bb8127fd511a0d25a8aece15e2b616cb5cd9891c4be1b8994b20c6"),
+    (("A", 2, 2, 0), (1, 1), 5, "9df16668adcfaec67a841c435b60497747f6a91f28248389e492b324b4ae5751"),
+    (("A", 3, 1, 0), (1, 2), 4, "9355e27c310619f15ff48335280d91e9b376251996833f0225dedbf1dac828e7"),
+    (("A", 3, 2, 0), (1, 2), 5, "f3984fb83f5430724b6d958f012f5b0ee66ce4e3ebecb0102cfe27c5d5c21d5e"),
+    (("A", 3, 2, 0), (2, 1), 3, "b79d35e8250a98bc792196f853edf72d0f6d92531438aedd3bcc63e05d632086"),
+    (("A", 4, 2, 0), (1, 3), 5, "8316ee24a37816832f5861e4bb9a07a2c3efc317617ce611069267aab8454a96"),
+    (("A", 4, 2, 0), (3, 1), 4, "26dced90cf82dbefd58581a7ae1b009cb4d7d731c24c963978e7c9918a242056"),
     (("A", 4, 1, 0), (2, 2), 5, "ea12f0e2e1fce783fcd3aba2c26faf5611f38e7d20d3d86c533d8c77c62403ca"),
     (("A", 4, 2, 0), (2, 2), 5, "7d74f7f4cb0823b3c5d77bcbb06deddab1f32fe5e7321d799d2bd65b61c07145"),
-    (("A", 5, 2, 0), (2, 3), 4, "1479d389c92dde971443cbcd1bb4721631b7ddda0df5a37c39e321eb18026db8"),
-    (("A", 5, 2, 0), (3, 2), 5, "ce12f56357daee4a220bbf630881c12b101ab6ede7d55ee19bd0fcebebdf7856"),
+    (("A", 5, 2, 0), (2, 3), 4, "82f53f53fc1738e80033752e7e292905848938b6132d37a97e1ec7260799fd6e"),
+    (("A", 5, 2, 0), (3, 2), 5, "c5bc4682779b40d05def2cebdf9210c6d6b9cd486afd5debab1635faa2c9cb9b"),
     (("A", 6, 1, 0), (3, 3), 5, "1dc6357fc1970c2fc03703df9c7d762a0370c956f9214c16ac2d4223cded2b4a"),
-    (("A", 6, 2, 0), (3, 3), 5, "e5b2148f0028f0047f6217c4bc419c3dabc85784891cd38629526b94002153ea"),
-    (("A", 5, 1, 0), (1, 4), 3, "18884d7fd370709edf3f03b3d01c9be5f47a08617219685e1172b9069c7f5db7"),
-    (("A", 5, 1, 0), (4, 1), 5, "bf14e5fbdd2e0ebe4f461204f3084abd336c79d9394e8d5ba8e0502bee4d0e9d"),
+    (("A", 6, 2, 0), (3, 3), 5, "1b046ffd46bb31c2766b6af8d34c9040147cb091cbba75c417e82a5204fda90c"),
+    (("A", 5, 1, 0), (1, 4), 3, "ef72d492af2f0f866835b1a958b2883cd75ed3047f50ef75dc69a3a3abf5fa22"),
+    (("A", 5, 1, 0), (4, 1), 5, "a2e9b4f7c54a612f8ad1b287c3676f81256ea62b84b98d199971c6fa537d794d"),
     (("A", 6, 1, 0), (2, 4), 4, "54d5bb22bde65eca0474b16578cffb6ff1febd29849e4b896aafd2ee0456ca42"),
     (("A", 6, 1, 0), (4, 2), 5, "7e8888e79b4db4e1895df5011b8c5ee7d0fbf3bfa8452ea15ff1082d7814db4a"),
     (("A", 7, 1, 0), (3, 4), 5, "30edd26bc45531d19a6b81326d17ed82fc2bbf82ead9e09af074a97948ddf7b6"),
@@ -246,20 +291,16 @@ ALL_RAISINGS_CASES = [
 
 @pytest.mark.parametrize("name,shape,mode", ALL_RAISINGS_CASES,
                          ids=[c[0] for c in ALL_RAISINGS_CASES])
-def test_simple_raisings_count_what_all_raisings_count(name, shape, mode):
-    # the oracle cuts by the simple-root raisings only; the joint kernel of
-    # every raising (and, on harmonics, every Delta) must be the same
+def test_simple_raisings_count_what_all_raisings_count(monkeypatch, name, shape, mode):
+    # the oracle cuts by the simple-root raisings only; cutting by every
+    # raising (and, on harmonics, every Delta) must give the same table
     config = build_config(shape)
-    ops = config.raisings if mode == FULL else config.deltas + config.raisings
     assert len(config.simple_raisings) < len(config.raisings)
-    table = build_buckets(config, 4, dominant_only=True)
-    expected = {}
-    for key, basis in table.buckets.items():
-        dim = _joint_kernel_dim(ops, basis)
-        if dim:
-            expected[_labels_for(config, key)] = dim
+    found = {e.labels: e.mult for e in hwv_multiplicities(shape, 4, mode)}
+    monkeypatch.setattr(SpaceConfig, "simple_raisings", property(lambda c: c.raisings))
+    expected = {e.labels: e.mult for e in hwv_multiplicities(shape, 4, mode)}
     assert expected
-    assert {e.labels: e.mult for e in hwv_multiplicities(shape, 4, mode)} == expected
+    assert found == expected
 
 
 def _grid_shapes():
@@ -352,10 +393,10 @@ def test_simple_raisings_read_shift_differences_up_to_twice_the_largest_coordina
     assert config.simple_raisings == raisings == _pair_sum_simple_raisings(config)
 
 
-@pytest.mark.parametrize("sizes", [(0, 3, 1), (3, 0, 1), (3, 3, 0), (-1, 2, 2)])
-def test_product_o_refuses_non_positive_sizes(sizes):
-    with pytest.raises(UsageError, match="^ProductO needs positive sizes n1, n2 and m$"):
-        ProductO(*sizes)
+def test_product_o_refuses_non_positive_sizes():
+    for sizes in ((0, 3, 1), (3, 0, 1), (3, 3, 0), (-1, 2, 2)):
+        with pytest.raises(UsageError, match="^ProductO needs positive sizes n1, n2 and m$"):
+            ProductO(*sizes)
 
 
 def test_stacked_case_c_matches_lr():
