@@ -29,8 +29,9 @@ errors and "unrecognized arguments" read as they do from the root.  No
 parser takes an abbreviated flag, so `--n` is never read as `--nu`.  A
 `restrict o` or `tensor sp` table is gated once, by
 `branch.check_o_restrict` or `branch.check_sp_tensor`, so under `warn` it
-emits one StableRangeWarning.  A `tensor sp` table then maps the trusted
-kernel over keys that are canonical and admissible by construction.  A
+emits one StableRangeWarning, which `main` writes as one line, `warning:
+<message>`.  A `tensor sp` table then maps the trusted kernel over keys that
+are canonical and admissible by construction.  A
 `restrict o` table is one scatter, `branch.o_restrict_table`: each GL
 intermediate tau <= lam carries its even-row sum E_lam(tau), computed once,
 into every cell (mu, nu) of its memoized LR coproduct `lr.coproduct(tau)`,
@@ -51,6 +52,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from dataclasses import dataclass
 from operator import getitem
 from typing import Callable, Mapping, Sequence
@@ -439,8 +441,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _warning_line(message, *_) -> str:
+    """A warning as one line, `warning: <message>`, free of install paths and source lines."""
+    return f"warning: {message}\n"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         if getattr(args, "max_degree", 0) < 0:  # only `verify <suite>` and `hilbert` have it
             raise UsageError("--max-degree must be nonnegative")
@@ -451,6 +459,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

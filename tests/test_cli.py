@@ -1,7 +1,10 @@
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 from functools import partial
 
@@ -752,6 +755,24 @@ def test_oversized_verify_exits_2_before_the_grid(capsys, monkeypatch, argv, err
 
     monkeypatch.setattr(cli, "enumerate_partitions", grid)
     assert run(capsys, "verify", *argv) == (2, "", err)
+
+
+def test_warn_request_writes_one_line_warnings(capsys, tmp_path):
+    # stderr names no install path and no source line of cli.py, and main
+    # puts the caller's warning formatter back
+    formatter = warnings.formatwarning
+    assert run(capsys, "branch", "gl-o", "--lam", "2,2", "--mu", "2", "--n", "3",
+               "--stable-policy", "warn", ignore_warnings=True)[0] == 0
+    assert warnings.formatwarning is formatter
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-m", "branchbox.cli", "verify", "seesaw-a",
+                           "--n", "3", "--m", "2", "--max-degree", "4", "--stable-policy", "warn"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        0, "warning: computing outside the stable range (n > 2*len(lam) = 4)\n"
+           "verify seesaw-a: 47 entries, all PASS\n")
 
 
 def test_internal_error_exits_3_in_one_line(capsys):
