@@ -224,9 +224,12 @@ def hwv_multiplicities(shape: MatrixSpaceShape | ProductO, max_degree: int,
     mults: dict[tuple[IrrepLabel, ...], int] = {}
     for key, basis in table.buckets.items():
         d = sum(basis[0])
-        parts: dict[int, list[Monomial]] = {}
-        for mono in basis:
-            parts.setdefault(sum(mono[:head]) % 2, []).append(mono)
+        if head == config.var_count:  # the first factor holds every row
+            parts = {d % 2: basis}
+        else:
+            parts = {}
+            for mono in basis:
+                parts.setdefault(sum(mono[:head]) % 2, []).append(mono)
         for p, part in parts.items():
             mult = _kernel_dim(cutters, part)
             if not mult:
