@@ -202,7 +202,7 @@ RELABELLED_PRODUCTS = [
 
 @pytest.mark.parametrize("sizes,degree", RELABELLED_PRODUCTS,
                          ids=[f"{s}-deg{d}" for s, d in RELABELLED_PRODUCTS])
-def test_product_o_moves_exactly_the_parity_mismatched_keys(sizes, degree):
+def test_product_o_tables_are_the_relabelled_joint_kernel(sizes, degree):
     shape = ProductO(*sizes)
     config = build_config(shape)
     ops = config.deltas + config.raisings
@@ -219,8 +219,8 @@ def test_product_o_moves_exactly_the_parity_mismatched_keys(sizes, degree):
 # again when odd n began to report O_n labels, and the ProductO rows of
 # RELABELLED_PRODUCTS when ProductO did;
 # `test_odd_n_moves_exactly_the_parity_mismatched_keys` and
-# `test_product_o_moves_exactly_the_parity_mismatched_keys` check each against
-# its SO_n-keyed table.  Shapes whose even-n factor raises
+# `test_product_o_tables_are_the_relabelled_joint_kernel` check each against
+# its relabelled SO_n-keyed table.  Shapes whose even-n factor raises
 # InternalInvariantError on an SO_n-only weight (ROADMAP item 1) stay out.
 HARMONIC_DIGESTS = [
     (("A", 1, 2, 0), None, 5, "eb45c2c61c5d9b5dac9549058a05c97d2a52f2c6f47dee127e56494ce8535762"),
