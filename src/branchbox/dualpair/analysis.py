@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import comb, perm
 
 from ..errors import BudgetError, InternalInvariantError, UsageError
-from ..partitions import IrrepLabel, as_partition
+from ..partitions import as_partition
 from ..reports import MultiplicityEntry
 from .configs import FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig, _packed, build_config
 # Nothing here calls build_product_config (`build_config` builds a ProductO
@@ -209,11 +209,14 @@ def hwv_multiplicities(shape: MatrixSpaceShape | ProductO, max_degree: int,
     FULL counts on all polynomials, MOD_IDEAL inside the joint kernel of the
     Delta family (the harmonic model of the quotient by the invariant ideal;
     for `ProductO(n1, n2, m)`, by the block-sum form of O_{n1+n2}).  Every
-    operator keeps the degree parity in each row block's rows, so a block of
-    degree d is cut per parity p in the first factor's rows (the shape's
-    `first_block_vars` leading variables).  `TorusFactor.label` reads p on
-    the first factor and d - p on the others, whose rows ProductO's O_{n2}
-    holds; parts that name one label tuple (even n1 and n2) add up.
+    operator keeps the degree parity in each row block's rows, so a ProductO
+    block is cut per parity p in the first factor's rows (the shape's
+    `first_block_vars` leading variables); a `MatrixSpaceShape`'s first
+    factor holds every row.  `TorusFactor.label` reads p on the first factor
+    and d - p on the others, whose rows ProductO's O_{n2} holds.  The weight
+    fixes the parity in an even block's rows, each of which has a nonzero
+    weight, so a block splits only where n1 and n2 are odd, and its two
+    parts then name different O_{n1} labels.
     """
     if mode not in (FULL, MOD_IDEAL):
         raise UsageError(f"unknown mode {mode!r}")
@@ -221,26 +224,26 @@ def hwv_multiplicities(shape: MatrixSpaceShape | ProductO, max_degree: int,
     table = build_buckets(config, max_degree, dominant_only=True)
     cutters = config.simple_raisings if mode == FULL else config.deltas + config.simple_raisings
     head = shape.first_block_vars
-    mults: dict[tuple[IrrepLabel, ...], int] = {}
+    entries = []
     for key, basis in table.buckets.items():
-        d = sum(basis[0])
-        if head == config.var_count:  # the first factor holds every row
-            parts = {d % 2: basis}
-        else:
-            parts = {}
+        parts = [basis]
+        if head < config.var_count:
+            split: dict[int, list[Monomial]] = {}
             for mono in basis:
-                parts.setdefault(sum(mono[:head]) % 2, []).append(mono)
-        for p, part in parts.items():
+                split.setdefault(sum(mono[:head]) % 2, []).append(mono)
+            parts = split.values()
+        for part in parts:
             mult = _kernel_dim(cutters, part)
             if not mult:
                 continue
+            d, p = sum(part[0]), sum(part[0][:head]) % 2
             labels = tuple(factor.label(w, (d - p) % 2 if i else p)
                            for i, (factor, w) in enumerate(zip(config.factors, key)))
             if None in labels:
                 raise InternalInvariantError(
                     f"nonzero raising kernel at non-partition weight {key}")
-            mults[labels] = mults.get(labels, 0) + mult
-    return [MultiplicityEntry(labels, mult, True) for labels, mult in mults.items()]
+            entries.append(MultiplicityEntry(labels, mult, True))
+    return entries
 
 
 def _add_keys(a: tuple, b: tuple) -> tuple:
