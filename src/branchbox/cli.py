@@ -31,10 +31,10 @@ parser takes an abbreviated flag, so `--n` is never read as `--nu`.  A
 `branch.check_o_restrict` or `branch.check_sp_tensor`, so under `warn` it
 emits one StableRangeWarning, which `main` writes as one line, `warning:
 <message>`.  A `tensor sp` table then maps the trusted kernel over keys that
-are canonical and admissible by construction.  A
-`restrict o` table is one scatter, `branch.o_restrict_table`: each GL
-intermediate tau <= lam carries its even-row sum E_lam(tau), computed once,
-into every cell (mu, nu) of its memoized LR coproduct `lr.coproduct(tau)`,
+are canonical and admissible by construction.  A `restrict o` table is
+one scatter, `branch.o_restrict_table`: each GL intermediate tau <= lam
+carries its even-row sum E_lam(tau), computed once, into every cell
+(mu, nu) of its memoized LR coproduct `lr.coproduct(tau)`,
 and the handler keeps the cells whose mu and nu are admissible O_n and O_m
 labels, testing each distinct mu and nu once.  A single value still
 gathers its one sum through `branch.o_restrict_stable`, which reads the
