@@ -24,18 +24,20 @@ labels; this module reads them and compares no family.  Monomials are
 grouped by one packed integer code (`_weight_codes`) whose digits hold
 their weight and then its dominance functionals, so one mask tests
 dominance before any weight is decoded.
-Every row handed to the multiplicity eliminations is made of `int`s, and
-`linalg.echelon` eliminates them sparsely.  One builder, `_stacked_rows`,
-turns per-operator images of a block's columns into annihilator rows: for
-the kernel dimensions and for the ideal's rank in `harmonic_report`.  The
-bracket check multiplies the operators' normal-ordered terms c*x^a*d^b, a
-basis of the Weyl algebra, so each relation it certifies is an operator
-identity, true on every polynomial.
+One builder, `_annihilator_rows`, turns one operator's images of a block's
+columns into sparse {column: int} annihilator rows: for the kernel
+dimensions and for the ideal's rank in `harmonic_report`.  Each row goes
+into the online reducer `linalg.reduce_into` as it is built, and a kernel
+dimension applies no further operator once the rank reaches the block
+size.  The bracket check multiplies the operators' normal-ordered terms
+c*x^a*d^b, a basis of the Weyl algebra, so each relation it certifies is an
+operator identity, true on every polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
@@ -49,11 +51,11 @@ from .configs import FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig, _
 # binding `branchbox.dualpair.analysis.build_product_config`, and its tests
 # need the name to exist.
 from .configs import build_product_config  # noqa: F401
-from .linalg import rank, solve_columns
-# Nothing here calls nullspace: the benchmark's tracer (perfbench/tracer.py) wraps
-# the binding `branchbox.dualpair.analysis.nullspace`, and its tests need the name
-# to exist.
-from .linalg import nullspace  # noqa: F401
+from .linalg import reduce_into, solve_columns
+# Nothing here calls nullspace or rank: the benchmark's tracer (perfbench/tracer.py)
+# wraps the bindings `branchbox.dualpair.analysis.nullspace` and `.rank`, and its
+# tests need the names to exist.
+from .linalg import nullspace, rank  # noqa: F401
 from .poly import (Monomial, Operator, Poly, Term, apply_operator, apply_to_monomial,
                    grevlex_mono_key)
 # Uncalled (the bracket check multiplies terms); the tracer wraps this binding too.
@@ -176,30 +178,33 @@ def build_buckets(config: SpaceConfig, max_degree: int,
     return BucketTable({key: monos for _, key, monos in blocks})
 
 
-def _stacked_rows(images: list[list[Poly]]) -> list[list[int]]:
-    """The one builder of annihilator rows: per-operator column images, stacked.
+def _annihilator_rows(images: list[Poly]) -> Iterable[dict[int, int]]:
+    """The one builder of annihilator rows: one operator's images of a block's columns.
 
-    images[k][j] is operator k applied to column j.  Operator k gives one
-    dense row per target monomial, so the rows' kernel is the joint kernel of
-    the operators on the span of the columns, and their rank is the rank of
-    the columns when there is one operator.
+    images[j] is the operator applied to column j.  It gives one sparse
+    {column: int} row per target monomial, so the rows' kernel is the
+    operator's kernel on the span of the columns, and their rank is the
+    rank of the columns.
     """
-    out = []
-    for cols in images:
-        rows: dict[Monomial, list] = {}
-        for col, img in enumerate(cols):
-            for tm, tc in img.items():
-                row = rows.get(tm)
-                if row is None:
-                    rows[tm] = row = [0] * len(cols)
-                row[col] = tc
-        out += rows.values()
-    return out
+    rows: dict[Monomial, dict[int, int]] = {}
+    for col, img in enumerate(images):
+        for tm, tc in img.items():
+            row = rows.get(tm)
+            if row is None:
+                rows[tm] = row = {}
+            row[col] = tc
+    return rows.values()
 
 
 def _kernel_dim(ops, basis: list[Monomial]) -> int:
-    images = [[apply_to_monomial(op, mono) for mono in basis] for op in ops]
-    return len(basis) - rank(_stacked_rows(images))
+    """The joint kernel dimension of ops on the span of basis; 0 as soon as the
+    rows reach full rank, with no further operator applied."""
+    pivots: dict[int, dict[int, int]] = {}
+    for op in ops:
+        for row in _annihilator_rows([apply_to_monomial(op, mono) for mono in basis]):
+            if reduce_into(pivots, row) and len(pivots) == len(basis):
+                return 0
+    return len(basis) - len(pivots)
 
 
 def hwv_multiplicities(shape: MatrixSpaceShape | ProductO, max_degree: int,
@@ -292,7 +297,10 @@ def harmonic_report(shape: MatrixSpaceShape, max_degree: int) -> HarmonicReport:
                 if img:
                     vecs.append(img)
     for tkey, vecs in groups.items():
-        ideal[sum(table.buckets[tkey][0])] += rank(_stacked_rows([vecs]))
+        pivots: dict[int, dict[int, int]] = {}
+        for row in _annihilator_rows(vecs):
+            reduce_into(pivots, row)
+        ideal[sum(table.buckets[tkey][0])] += len(pivots)
 
     identity_ok = all(full[d] == harmonic[d] + ideal[d] for d in range(max_degree + 1))
 

@@ -1,97 +1,85 @@
 """Exact linear algebra over the rationals.
 
 Entries are `int`, or `Fraction` where a caller has rational data.
-There is one elimination routine, `echelon`: sparse and fraction-free.  It
-reads each row into a {column: int} dict of its nonzeros (clearing
-rational rows of denominators, which changes neither row space nor
-kernel), and a pivot step updates only the rows with a nonzero in the
-pivot column, each divided by its content afterwards, so entries stay
-small.  `rank`, `nullspace` and `solve_columns` all run on it.  Kernels
-come back as primitive integer vectors from a fraction-free
-back-substitution, and `solve_columns` reads its solution off the kernel
-vector of [A | -b] at the rhs column.
+There is one elimination routine, `reduce_into`: online, sparse and
+fraction-free.  It keeps pivot rows as {column: int} dicts by leading
+column and reduces one incoming row against them, dividing each reduced
+row by its content so entries stay small; where the incoming row is
+sparser than the pivot at its leading column, it takes that pivot's place
+and the old pivot is reduced instead, which keeps fill down.  A caller
+that builds rows one at a time feeds them in as it goes and can stop at
+full rank.  `echelon`, `rank`, `nullspace` and `solve_columns` run on it,
+reading each row into a {column: int} dict of its nonzeros, cleared of
+denominators.  Kernels come back as primitive integer vectors from a
+fraction-free back-substitution, and `solve_columns` reads its solution off
+the kernel vector of [A | -b] at the rhs column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Row = Sequence[int | Fraction]
 
 
-def _sparse_rows(rows: Sequence[Row]) -> list[dict[int, int]]:
-    """Each nonzero row as {column: int}, its Fraction denominators cleared.
+def reduce_into(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
+    """Reduce a {column: int} row against `pivots`, kept by leading column; True if
+    it adds a pivot.
 
-    Scaling a row by the lcm of its denominators changes neither row space
-    nor kernel; all-`int` rows pass through unscaled.
+    While the row's leading column c holds a pivot `top`, the sparser of the
+    two stays at c and the other becomes p*row - f*top (p = top[c],
+    f = row[c]) divided by its content, whose leading column is further
+    right.  A row that reaches a free leading column is filed there as the
+    dict it is, so the caller hands it over.
     """
-    out = []
-    for row in rows:
-        nz = {j: a for j, a in enumerate(row) if a}
-        if not nz:
-            continue
-        if any(type(a) is not int for a in nz.values()):
-            scale = 1
-            for a in nz.values():
-                if isinstance(a, Fraction) and a.denominator != 1:
-                    scale = scale * a.denominator // gcd(scale, a.denominator)
-            nz = {j: int(a * scale) for j, a in nz.items()}
-        out.append(nz)
-    return out
+    while row:
+        c = min(row)
+        top = pivots.get(c)
+        if top is None:
+            pivots[c] = row
+            return True
+        if len(row) < len(top):
+            pivots[c], row, top = row, top, row
+        f = row[c]
+        g = gcd(top[c], f)
+        a, b = top[c] // g, f // g
+        new = {j: a * v for j, v in row.items() if j != c}
+        for j, v in top.items():
+            if j != c:
+                x = new.get(j, 0) - b * v
+                if x:
+                    new[j] = x
+                else:
+                    del new[j]
+        if new:
+            content = gcd(*new.values())
+            if content != 1:
+                new = {j: v // content for j, v in new.items()}
+        row = new
+    return False
 
 
 def echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """Sparse fraction-free row echelon form; returns (pivot rows, pivot (row, col) list).
 
-    Columns are taken left to right.  A live row whose first nonzero is in
-    column c waits in bucket c; the sparsest of them becomes the pivot row
-    `top`, and each other row there becomes p*row - f*top (p = top[c],
-    f = row[c]) divided by its content, then waits in the bucket of its new
-    first nonzero.  Rows with a zero in the pivot column are never touched.
-    Pivot columns depend only on which columns depend on earlier ones, so
-    the kernel read off by `_back_substitute` does not depend on the choice
-    of pivot row.  The pivot rows come back dense, in pivot column order.
+    Each nonzero row goes through `reduce_into` as a {column: int} dict,
+    scaled by the lcm of its denominators, which changes neither row space
+    nor kernel.  The pivot columns depend only on the row space, so neither
+    the row order nor the choice of pivot rows changes them or the kernel
+    `_back_substitute` reads off.  The pivot rows come back dense, in pivot
+    column order.
     """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    buckets: list[list[dict[int, int]]] = [[] for _ in range(ncols)]
-    for row in _sparse_rows(rows):
-        buckets[min(row)].append(row)
-    m: list[list[int]] = []
-    pivots: list[tuple[int, int]] = []
-    for c, waiting in enumerate(buckets):
-        if not waiting:
-            continue
-        top = min(waiting, key=len)
-        p = top[c]
-        for row in waiting:
-            if row is top:
-                continue
-            f = row[c]
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            new = {j: a * v for j, v in row.items() if j != c}
-            for j, v in top.items():
-                if j != c:
-                    x = new.get(j, 0) - b * v
-                    if x:
-                        new[j] = x
-                    else:
-                        del new[j]
-            if new:
-                content = gcd(*new.values())
-                if content != 1:
-                    new = {j: v // content for j, v in new.items()}
-                buckets[min(new)].append(new)
-        dense = [0] * ncols
-        for j, v in top.items():
-            dense[j] = v
-        pivots.append((len(m), c))
-        m.append(dense)
-    return m, pivots
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        nz = {j: a for j, a in enumerate(row) if a}
+        if nz:
+            scale = lcm(*(a.denominator for a in nz.values()))
+            reduce_into(pivots, {j: int(a * scale) for j, a in nz.items()})
+    cols = sorted(pivots)
+    m = [[pivots[c].get(j, 0) for j in range(len(rows[0]))] for c in cols]
+    return m, list(enumerate(cols))
 
 
 def rank(rows: Sequence[Row]) -> int:
@@ -133,8 +121,6 @@ def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[int, ...]]:
     Each vector is primitive (its entries have gcd 1) with a positive entry at
     its free column, and zeros at the other free columns.
     """
-    if not rows:
-        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
     m, pivots = echelon(rows)
     pivot_cols = {c for _, c in pivots}
     return [tuple(_back_substitute(m, pivots, free, ncols))

@@ -274,7 +274,8 @@ def nullspace_gauss_jordan(rows: list[list], ncols: int) -> list[tuple[int, ...]
     Pivots are taken left to right.  The vector of a free column is 1 there,
     0 at the other free columns and minus the reduced rows' entries at the
     pivot columns, then scaled to a primitive integer vector, which keeps
-    it positive at its free column.
+    it positive at its free column.  A pivot row found at column c is zero
+    left of c, so each row operation starts at c and skips its zeros.
     """
     m = [[Fraction(a) for a in row] for row in rows]
     pivots = []
@@ -285,11 +286,11 @@ def nullspace_gauss_jordan(rows: list[list], ncols: int) -> list[tuple[int, ...]
             continue
         m[pr], m[found] = m[found], m[pr]
         inv = 1 / m[pr][c]
-        m[pr] = [a * inv for a in m[pr]]
+        top = m[pr][c:] = [a * inv if a else a for a in m[pr][c:]]
         for r in range(len(m)):
             if r != pr and m[r][c]:
                 f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+                m[r][c:] = [a - f * b if b else a for a, b in zip(m[r][c:], top)]
         pivots.append(c)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
@@ -298,7 +299,7 @@ def nullspace_gauss_jordan(rows: list[list], ncols: int) -> list[tuple[int, ...]
         for r, c in enumerate(pivots):
             v[c] = -m[r][free]
         scale = lcm(*(a.denominator for a in v))
-        ints = [int(a * scale) for a in v]
+        ints = [a.numerator * (scale // a.denominator) for a in v]
         g = gcd(*ints)
         basis.append(tuple(a // g for a in ints))
     return basis

@@ -13,14 +13,13 @@ from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                                 harmonic_isotypic_dims, harmonic_report, hwv_multiplicities)
 from branchbox.dualpair import analysis
 from branchbox.dualpair.configs import TorusFactor
-from branchbox.dualpair.linalg import rank
 from branchbox.dualpair.poly import apply_to_monomial, grevlex_mono_key, make_operator
 from branchbox.errors import BudgetError, UsageError
 from branchbox.lr import lr_coefficient
 from branchbox.partitions import Signature, as_partition, associate_o, enumerate_partitions
 from branchbox.reports import sorted_entries
 
-from .oracles import dominant_weight, printed_config
+from .oracles import dominant_weight, nullspace_gauss_jordan, printed_config
 
 
 def weights_table(entries):
@@ -81,14 +80,47 @@ def test_product_o_restriction():
 
 
 def _joint_kernel_dim(ops, basis):
-    rows = []
+    """The joint kernel dimension of ops on the span of basis, by the test-side
+    Gauss-Jordan reference, not the elimination under test: each operator cuts
+    the kernel of the ones before it, a vector kept as {column: coefficient}."""
+    kernel = [{j: 1} for j in range(len(basis))]
     for op in ops:
-        targets = {}
-        for col, mono in enumerate(basis):
-            for tm, tc in apply_to_monomial(op, mono).items():
-                targets.setdefault(tm, [0] * len(basis))[col] = tc
-        rows += targets.values()
-    return len(basis) - rank(rows)
+        images = [apply_to_monomial(op, mono) for mono in basis]
+        rows = {}  # target monomial -> op's image of each kernel vector there
+        for k, vec in enumerate(kernel):
+            for j, c in vec.items():
+                for tm, tc in images[j].items():
+                    rows.setdefault(tm, [0] * len(kernel))[k] += c * tc
+        cut = []
+        for coeffs in nullspace_gauss_jordan(list(rows.values()), len(kernel)):
+            vec = {}
+            for a, old in zip(coeffs, kernel):
+                if a:
+                    for j, c in old.items():
+                        vec[j] = vec.get(j, 0) + a * c
+            cut.append(vec)
+        kernel = cut
+    return len(kernel)
+
+
+class _PlantedOperator:
+    """An operator that fails the test if it is ever applied."""
+    name, kind = "planted", "raising"
+
+    @property
+    def terms(self):
+        raise AssertionError("an operator was applied after the rows reached full rank")
+
+
+def test_kernel_dim_applies_no_operator_after_full_rank():
+    basis = [(2, 0), (1, 1), (0, 2)]
+    times_x0 = make_operator("x0", "r2", [(1, {0: 1}, {})])  # injective: full rank alone
+    d_x0 = make_operator("d0", "delta", [(1, {}, {0: 1})])  # rank 2 on the block
+    assert analysis._kernel_dim([times_x0, _PlantedOperator()], basis) == 0
+    assert analysis._kernel_dim([d_x0, times_x0, _PlantedOperator()], basis) == 0
+    assert analysis._kernel_dim([d_x0], basis) == _joint_kernel_dim([d_x0], basis) == 1
+    with pytest.raises(AssertionError):  # short of full rank, the next operator is applied
+        analysis._kernel_dim([d_x0, _PlantedOperator()], basis)
 
 
 HARMONIC_CASES = [

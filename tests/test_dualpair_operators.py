@@ -153,6 +153,19 @@ def _annihilator_like_rows(rng, nrows, ncols):
     return rows
 
 
+def _denser_twin(rows):
+    """The sparsest nonzero row plus every row that is zero up to its leading column:
+    a row of their span with the same leading column and, barring cancellation,
+    more nonzeros wherever a row is added."""
+    nonzero = [row for row in rows if any(row)] or [rows[0]]
+    twin = min(nonzero, key=lambda row: sum(map(bool, row)))
+    lead = next((j for j, a in enumerate(twin) if a), len(twin))
+    for row in nonzero:
+        if not any(row[:lead + 1]):
+            twin = [a + b for a, b in zip(twin, row)]
+    return twin
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_sparse_elimination_matches_gauss_jordan(seed):
     rng = random.Random(seed)
@@ -161,8 +174,12 @@ def test_sparse_elimination_matches_gauss_jordan(seed):
     if seed % 4 == 3:  # rational rows: the same kernel, cleared of denominators
         rows = [[Fraction(a, rng.choice((1, 2, 3, 6))) for a in row] for row in rows]
     expected = nullspace_gauss_jordan(rows, ncols)
-    assert nullspace(rows, ncols) == expected
-    assert rank(rows) == ncols - len(expected)
+    # rows are reduced in the order they come: a shuffle gives the same kernel,
+    # and so does a denser row of the span put first, which the sparsest row
+    # at its leading column then displaces as pivot
+    for order in (rows, rng.sample(rows, len(rows)), [_denser_twin(rows)] + rows):
+        assert nullspace(order, ncols) == expected
+        assert rank(order) == ncols - len(expected)
 
 
 def test_sparse_elimination_edge_shapes():
