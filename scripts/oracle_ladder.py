@@ -16,12 +16,15 @@ memo, as a fresh CLI process would.  Each case prints one line: the case,
 the median wall seconds (`time.perf_counter`) and a sha256: of the result
 as the CLI would emit it (JSON entries in label order) for an oracle case,
 of the request's stdout for a CLI case.  So two source trees can be
-compared on time and on output.  Standard library only.
+compared on time and on output.  Each line is flushed as its case ends, and
+a reader that closes stdout early (`oracle_ladder.py 5 | head -6`) ends the
+run quietly with exit code 1.  Standard library only.
 """
 
 import contextlib
 import hashlib
 import io
+import os
 import statistics
 import sys
 import time
@@ -55,7 +58,7 @@ TABLE_CASES = [
 
 def _report(name: str, times: list[float], text: str) -> None:
     sha = hashlib.sha256(text.encode()).hexdigest()
-    print(f"{name}\t{statistics.median(times):.3f}\t{sha}")
+    print(f"{name}\t{statistics.median(times):.3f}\t{sha}", flush=True)
 
 
 def main(argv=None) -> int:
@@ -88,4 +91,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    except BrokenPipeError:
+        # stdout is gone: point it at devnull so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)

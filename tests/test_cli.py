@@ -819,6 +819,20 @@ def test_stability_scan_marks_the_first_n_the_range_rule_calls_stable(capsys):
     assert marks == 18
 
 
+def test_oracle_ladder_exits_quietly_when_stdout_closes(tmp_path):
+    # the reader takes one line and closes the pipe, as `| head -1` would
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen([sys.executable, str(root / "scripts" / "oracle_ladder.py"), "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
+    assert first.startswith(b"A(5,2) FULL deg 7\t")
+
+
 def test_verify_brackets_case_a(capsys):
     rc, out, err = run(capsys, "verify", "brackets", "--case", "a",
                        "--n", "4", "--m", "2")
