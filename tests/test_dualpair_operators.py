@@ -154,9 +154,9 @@ def _annihilator_like_rows(rng, nrows, ncols):
 
 
 def _denser_twin(rows):
-    """The sparsest nonzero row plus every row that is zero up to its leading column:
-    a row of their span with the same leading column and, barring cancellation,
-    more nonzeros wherever a row is added."""
+    """The sparsest nonzero row plus every row that is zero up to and at its leading
+    column: a row of the span with the same leading column and, unless nothing is
+    added or the sum cancels, more nonzeros."""
     nonzero = [row for row in rows if any(row)] or [rows[0]]
     twin = min(nonzero, key=lambda row: sum(map(bool, row)))
     lead = next((j for j, a in enumerate(twin) if a), len(twin))
