@@ -2,7 +2,9 @@
 """Time the multiplicity oracle and a few CLI requests in process, for two source trees.
 
 The oracle cases are six certification sizes: both modes, cases A, B
-and stacked C, and a ProductO shape.  The CLI cases are two `restrict o` tables larger than the
+and stacked C, and a ProductO shape.  One bucket case times the weight
+blocks alone: `build_buckets` on A(5,2) at degree 12, 646,646 monomials,
+with only the dominant blocks kept.  The CLI cases are two `restrict o` tables larger than the
 benchmark's, a `tensor sp` and a `tensor o` table, one large `lr` value,
 the bracket check on A(6,3) and a `verify seesaw-a` on the 900 variables of
 A(30,30) at degree 1, whose config build dominates and whose packed weight
@@ -10,12 +12,14 @@ code is the widest of any case (90 digits).
 
     PYTHONPATH=src python3 scripts/oracle_ladder.py [REPEAT]
 
-Each oracle case calls `hwv_multiplicities` REPEAT times (default 5), each
-CLI case runs its request in process REPEAT times from an empty LR
-memo, as a fresh CLI process would.  Each case prints one line: the case,
-the median wall seconds (`time.perf_counter`) and a sha256: of the result
-as the CLI would emit it (JSON entries in label order) for an oracle case,
-of the request's stdout for a CLI case.  So two source trees can be
+Each oracle case calls `hwv_multiplicities` REPEAT times (default 5), the
+bucket case `build_buckets` on a config built once, and each CLI case runs
+its request in process REPEAT times from an empty LR memo, as a fresh CLI
+process would.  Each case prints one line: the case, the median wall
+seconds (`time.perf_counter`) and a sha256: of the result as the CLI would
+emit it (JSON entries in label order) for an oracle case, of the table's
+blocks in order (each key and its monomials, as `repr` prints them) for
+the bucket case, of the request's stdout for a CLI case.  So two source trees can be
 compared on time and on output.  Each line is flushed as its case ends, and
 a reader that closes stdout early (`oracle_ladder.py 5 | head -6`) ends the
 run quietly with exit code 1.  Standard library only.
@@ -30,7 +34,8 @@ import sys
 import time
 
 from branchbox import cli, jsonio, lr
-from branchbox.dualpair import FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, hwv_multiplicities
+from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, build_buckets,
+                                build_config, hwv_multiplicities)
 from branchbox.reports import sorted_entries
 
 CASES = [
@@ -41,6 +46,9 @@ CASES = [
      MOD_IDEAL),
     ("B(3,2) FULL deg 7", MatrixSpaceShape("B", 3, 2), 7, FULL),
     ("C(4,2+2 stacked) FULL deg 6", MatrixSpaceShape("C", 4, 2, 2, split_columns=True), 6, FULL),
+]
+BUCKET_CASES = [
+    ("buckets A(5,2) deg 12", MatrixSpaceShape("A", 5, 2), 12),
 ]
 TABLE_CASES = [
     ("restrict o 5,4,3,2 n=m=9", ["restrict", "o", "--lam", "5,4,3,2", "--n", "9", "--m", "9"]),
@@ -74,6 +82,14 @@ def main(argv=None) -> int:
             entries = hwv_multiplicities(shape, degree, mode)
             times.append(time.perf_counter() - start)
         _report(name, times, jsonio.dumps([jsonio.entry_json(e) for e in sorted_entries(entries)]))
+    for name, shape, degree in BUCKET_CASES:
+        config = build_config(shape)
+        times = []
+        for _ in range(repeat):
+            start = time.perf_counter()
+            table = build_buckets(config, degree, dominant_only=True)
+            times.append(time.perf_counter() - start)
+        _report(name, times, repr(list(table.buckets.items())))
     for name, request in TABLE_CASES:
         times = []
         for _ in range(repeat):

@@ -23,7 +23,12 @@ silently dropped.  Each `TorusFactor` owns its dominance conditions and
 labels; this module reads them and compares no family.  Monomials are
 grouped by one packed integer code (`_weight_codes`) whose digits hold
 their weight and then its dominance functionals, so one mask tests
-dominance before any weight is decoded.
+dominance before any weight is decoded.  `build_buckets` computes every
+monomial's code, degree by degree from the degree before (`_code_walk`),
+walking the variables last first, and counts the codes in one Counter per
+degree.  The block budget and the degree check read those counts, and
+only the kept blocks' monomials are ever built, each block in reverse
+grevlex order and then reversed.
 One builder, `_annihilator_rows`, turns one operator's images of a block's
 columns into sparse {column: int} annihilator rows: for the kernel
 dimensions and for the ideal's rank in `harmonic_report`.  Each row goes
@@ -37,6 +42,7 @@ operator identity, true on every polynomial.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,10 +68,10 @@ from .poly import (Monomial, Operator, Poly, Term, apply_operator, apply_to_mono
 from .poly import commutator_apply  # noqa: F401
 
 DEFAULT_BUDGET = 20000  # monomials in one weight block
-# The most monomials build_buckets enumerates.  It holds every one of them
+# The most monomials build_buckets walks.  It holds every one's weight code
 # before any block meets the budget, so a large max_degree would exhaust
-# memory first.  A(5,2) at degree 12 is 646,646 monomials: 0.54 s and a
-# 115 MB peak on a 2-vCPU x86_64 VM.
+# memory first.  A(5,2) at degree 12 is 646,646 monomials: with only the
+# dominant blocks kept, 0.22 s and a 64 MB peak RSS on a 2-vCPU x86_64 VM.
 MAX_MONOMIALS = 1_000_000
 # The most term products, sum over operator pairs of |terms a| * |terms b|,
 # of one bracket check.  They bound the pairs too, and each pair's solve only
@@ -99,7 +105,8 @@ class BucketTable:
 
 
 def _weight_codes(config: SpaceConfig, max_degree: int):
-    """Each variable's code, the decoder of sums of codes, and the dominance test on them.
+    """Each variable's code, the decoder of sums of codes, and the filter keeping the
+    dominant ones among such sums.
 
     A variable's row is its flat weight (each factor's `coords` coordinates)
     and then its value on each factor's dominance functionals (`dominance`),
@@ -128,7 +135,49 @@ def _weight_codes(config: SpaceConfig, max_degree: int):
         digits = [(code >> (k * i) & low) - half for i in range(coords)]
         return tuple(tuple(digits[a:b]) for a, b in zip(starts, starts[1:]))
 
-    return codes, decode, lambda code: (code + offset) & mask == mask
+    def dominant(codes: Iterable[int]) -> list[int]:
+        return [code for code in codes if (code + offset) & mask == mask]
+
+    return codes, decode, dominant
+
+
+def _code_walk(codes: list[int], max_degree: int):
+    """Per degree d = 0..max_degree, the codes of every degree-d monomial, in the order
+    `combinations_with_replacement(range(len(codes)), d)` walks their variables.
+
+    That walk's combos that start at position p are p followed by the degree
+    d-1 combos from p on: the last C(V-p+d-2, d-1) entries of the degree d-1
+    list, V = len(codes).  So each degree is one pass per variable over a
+    suffix slice of the list before it.
+    """
+    walk = [0]
+    yield walk
+    size = len(codes)
+    for d in range(1, max_degree + 1):
+        n = len(walk)
+        walk = [x + c for p, c in enumerate(codes)
+                for x in walk[n - comb(size - p + d - 2, d - 1):]]
+        yield walk
+
+
+def _refusal(codes: list[int], max_degree: int, counts: list[Counter], decode) -> Exception:
+    """The error for the first block, in the natural order of the walk, over the budget
+    or holding monomials of two degrees; the budget is tested first."""
+    degrees: dict[int, list[int]] = {}
+    for d, count in enumerate(counts):
+        for code in count:
+            degrees.setdefault(code, []).append(d)
+    for walk in _code_walk(codes, max_degree):
+        for code in walk:
+            ds = degrees[code]
+            size = sum(counts[d][code] for d in ds)
+            if size > DEFAULT_BUDGET:
+                return BudgetError(f"weight space of dimension {size} "
+                                   f"exceeds the budget {DEFAULT_BUDGET}")
+            if len(ds) > 1:
+                return UsageError(f"weight {decode(code)} holds monomials of degrees "
+                                  f"{ds[0]} and {ds[-1]}")
+    raise InternalInvariantError("no block breaks a check")
 
 
 def build_buckets(config: SpaceConfig, max_degree: int,
@@ -138,44 +187,50 @@ def build_buckets(config: SpaceConfig, max_degree: int,
 
     A weight must fix the degree: a config whose weights put monomials of two
     degrees in one block is a UsageError.  More than MAX_MONOMIALS monomials
-    in all is a BudgetError, raised before any is enumerated.
+    in all is a BudgetError, raised before any code is computed, and a block
+    of more than DEFAULT_BUDGET monomials is one too, raised before any
+    monomial is built.  Where several blocks break a check, the error names
+    the first in the order of `combinations_with_replacement` over the
+    variables in their own order (`_refusal`).
 
-    Monomials are grouped by one packed code (`_weight_codes`), the sum of
-    their variables' codes.  With `dominant_only`, only dominant weights get
-    a block, tested with one mask on that code before the weight is decoded;
-    the budget still covers every block.
+    A monomial's code (`_weight_codes`) is the sum of its variables' codes.
+    `_code_walk` computes every monomial's code, degree by degree, walking
+    the variables last first, and one Counter per degree counts each weight.
+    The budget and the degree check read those counts, over every block,
+    before any monomial is built.  With `dominant_only`, only dominant
+    weights get a block, each code tested once with one mask before it is
+    decoded, and only the kept combos become exponent tuples.  The last-first
+    walk yields each block in reverse grevlex order, so it is reversed, not
+    sorted.
     """
     check_monomial_count(config.var_count, max_degree)
     codes, decode, dominant = _weight_codes(config, max_degree)
-    groups: dict[int, list[tuple[int, ...]]] = {}  # code -> variable multisets
-    for d in range(max_degree + 1):
-        for combo in itertools.combinations_with_replacement(range(config.var_count), d):
-            code = sum(map(codes.__getitem__, combo))
-            group = groups.get(code)
-            if group is None:
-                groups[code] = group = []
-            group.append(combo)
-    blocks = []
-    for code, combos in groups.items():
-        if len(combos) > DEFAULT_BUDGET:
-            raise BudgetError(f"weight space of dimension {len(combos)} "
-                              f"exceeds the budget {DEFAULT_BUDGET}")
-        if len(combos[0]) != len(combos[-1]):  # combos come in increasing degree
-            raise UsageError(f"weight {decode(code)} holds monomials of degrees "
-                             f"{len(combos[0])} and {len(combos[-1])}")
-        if dominant_only and not dominant(code):
-            continue
-        key = decode(code)
-        monos = []
-        for combo in combos:
-            mono = [0] * config.var_count
+    size = config.var_count
+    walks = list(_code_walk(codes[::-1], max_degree))
+    counts = [Counter(walk) for walk in walks]
+    union: dict[int, int] = {}
+    for count in counts:
+        union.update(count)
+    if (sum(map(len, counts)) > len(union)
+            or max(union.values()) > DEFAULT_BUDGET):
+        raise _refusal(codes, max_degree, counts, decode)
+    buckets: dict[tuple, list[Monomial]] = {}
+    for d, (walk, count) in enumerate(zip(walks, counts)):
+        keys = {code: decode(code) for code in (dominant(count) if dominant_only else count)}
+        blocks: dict[int, list[Monomial]] = {code: [] for code in sorted(keys, key=keys.get)}
+        combos = itertools.combinations_with_replacement(range(size - 1, -1, -1), d)
+        if dominant_only:
+            flags = list(map(blocks.__contains__, walk))
+            walk, combos = itertools.compress(walk, flags), itertools.compress(combos, flags)
+        for code, combo in zip(walk, combos):
+            mono = [0] * size
             for v in combo:
                 mono[v] += 1
-            monos.append(tuple(mono))
-        monos.sort(key=grevlex_mono_key)
-        blocks.append((len(combos[0]), key, monos))
-    blocks.sort(key=lambda block: block[:2])
-    return BucketTable({key: monos for _, key, monos in blocks})
+            blocks[code].append(tuple(mono))
+        for code, monos in blocks.items():
+            monos.reverse()
+            buckets[keys[code]] = monos
+    return BucketTable(buckets)
 
 
 def _annihilator_rows(images: list[Poly]) -> Iterable[dict[int, int]]:
@@ -220,8 +275,9 @@ def hwv_multiplicities(shape: MatrixSpaceShape | ProductO, max_degree: int,
     factor holds every row.  `TorusFactor.label` reads p on the first factor
     and d - p on the others, whose rows ProductO's O_{n2} holds.  The weight
     fixes the parity in an even block's rows, each of which has a nonzero
-    weight, so a block splits only where n1 and n2 are odd, and its two
-    parts then name different O_{n1} labels.
+    weight, so a block is cut only where the shape says it can split
+    (`splits_by_parity`: n1 and n2 odd), and its two parts then name
+    different O_{n1} labels.
     """
     if mode not in (FULL, MOD_IDEAL):
         raise UsageError(f"unknown mode {mode!r}")
@@ -232,7 +288,7 @@ def hwv_multiplicities(shape: MatrixSpaceShape | ProductO, max_degree: int,
     entries = []
     for key, basis in table.buckets.items():
         parts = [basis]
-        if head < config.var_count:
+        if shape.splits_by_parity:
             split: dict[int, list[Monomial]] = {}
             for mono in basis:
                 split.setdefault(sum(mono[:head]) % 2, []).append(mono)

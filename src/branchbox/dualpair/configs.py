@@ -63,6 +63,12 @@ class MatrixSpaceShape:
         """The leading variables in the rows of the config's first factor: all of them."""
         return self.var_count
 
+    @property
+    def splits_by_parity(self) -> bool:
+        """Whether a weight block can mix degree parities in the first factor's rows: no,
+        since those rows are all of them and a block has one degree."""
+        return False
+
 
 @dataclass(frozen=True)
 class ProductO:
@@ -86,6 +92,14 @@ class ProductO:
     def first_block_vars(self) -> int:
         """The leading variables in the rows of the config's first factor, O_{n1}."""
         return self.n1 * self.m
+
+    @property
+    def splits_by_parity(self) -> bool:
+        """Whether a weight block can mix degree parities in O_{n1}'s rows: only where
+        n1 and n2 are odd.  Every row of an even O block has a nonzero weight, so
+        the weight fixes the parity in that block's rows, and with the degree the
+        other block's."""
+        return bool(self.n1 % 2 and self.n2 % 2)
 
 
 def _packed(rows, bound: int) -> tuple[list[int], int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
 
 from branchbox.dualpair import analysis, build_config
@@ -153,6 +153,38 @@ def dominant_weight(factor, w: tuple[int, ...]) -> bool:
     if factor.family == "Sp":
         return w[-1] >= 0
     return factor.signed or w[-1] >= 0
+
+
+def buckets_by_enumeration(config, max_degree: int, dominant_only: bool) -> dict:
+    """`analysis.build_buckets`' blocks by enumerating every monomial of degree <= max_degree.
+
+    Each variable multiset is summed to its packed weight code and appended to
+    that code's group; a group's monomials are then sorted in grevlex order
+    and the blocks in order of degree and then of weight.  With dominant_only,
+    a block is kept when its weight meets every factor's dominance
+    inequalities (`dominant_weight`).  No budget or degree check.
+    """
+    codes, decode, _ = analysis._weight_codes(config, max_degree)
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for d in range(max_degree + 1):
+        for combo in combinations_with_replacement(range(config.var_count), d):
+            groups.setdefault(sum(codes[v] for v in combo), []).append(combo)
+    blocks = []
+    for code, combos in groups.items():
+        key = decode(code)
+        if dominant_only and not all(dominant_weight(factor, w)
+                                     for factor, w in zip(config.factors, key)):
+            continue
+        monos = []
+        for combo in combos:
+            mono = [0] * config.var_count
+            for v in combo:
+                mono[v] += 1
+            monos.append(tuple(mono))
+        monos.sort(key=lambda mono: (sum(mono), mono[::-1]))
+        blocks.append((len(combos[0]), key, monos))
+    blocks.sort(key=lambda block: block[:2])
+    return {key: monos for _, key, monos in blocks}
 
 
 def solve_columns_gauss_jordan(columns: list[list], rhs: list) -> list[Fraction] | None:

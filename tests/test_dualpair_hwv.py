@@ -19,7 +19,8 @@ from branchbox.lr import lr_coefficient
 from branchbox.partitions import Signature, as_partition, associate_o, enumerate_partitions
 from branchbox.reports import sorted_entries
 
-from .oracles import dominant_weight, nullspace_gauss_jordan, printed_config
+from .oracles import (buckets_by_enumeration, dominant_weight, nullspace_gauss_jordan,
+                      printed_config)
 
 
 def weights_table(entries):
@@ -534,6 +535,83 @@ def test_dominant_buckets_are_the_full_table_restricted(name, make):
         assert list(dominant.buckets) == [k for k in full.buckets if keep(k)]
         if max_degree:
             assert len(dominant.buckets) < len(full.buckets)
+
+
+ENUMERATED_CASES = [(name, make, range(7)) for name, make in BUCKET_CONFIGS] + [
+    ("A(7,2+1 split)", lambda: build_config(MatrixSpaceShape("A", 7, 2, 1, split_columns=True)),
+     [5]),
+    ("ProductO(3,3,2)", lambda: build_config(ProductO(3, 3, 2)), [6]),
+]
+
+
+@pytest.mark.parametrize("dominant_only", [False, True])
+@pytest.mark.parametrize("name,make,degrees", ENUMERATED_CASES,
+                         ids=[c[0] for c in ENUMERATED_CASES])
+def test_buckets_equal_the_enumeration_in_order(name, make, degrees, dominant_only):
+    # key order and monomial order both count
+    config = make()
+    for max_degree in degrees:
+        table = build_buckets(config, max_degree, dominant_only=dominant_only)
+        expected = buckets_by_enumeration(config, max_degree, dominant_only)
+        assert list(table.buckets.items()) == list(expected.items())
+
+
+def _gl_config(name, weights):
+    """One unsigned GL_k factor on len(weights) variables, with no operators."""
+    factor = TorusFactor("GL", len(weights[0]), len(weights[0]))
+    return SpaceConfig(name, len(weights), tuple(f"x{i}" for i in range(len(weights))),
+                       (factor,), (tuple(weights),), (), (), (), (), ())
+
+
+@pytest.mark.parametrize("dominant_only", [False, True])
+def test_budget_names_the_first_block_of_the_natural_walk(monkeypatch, dominant_only):
+    # four variables of weight (1, 0), three of (0, 1): at degree 2 the blocks
+    # (2, 0), (1, 1) and (0, 2) hold 10, 12 and 6 monomials.  Over a budget of
+    # 9, (2, 0) comes first in the walk of combinations_with_replacement over
+    # the variables in their order; (1, 1) is larger and first in the walk
+    # last variable first and in order of weight
+    config = _gl_config("GL_2 on 4 + 3 lines", [(1, 0)] * 4 + [(0, 1)] * 3)
+    sizes = {key: len(monos) for key, monos in build_buckets(config, 2).buckets.items()}
+    assert sizes[((2, 0),)] == 10 and sizes[((1, 1),)] == 12 and sizes[((0, 2),)] == 6
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 9)
+    with pytest.raises(BudgetError, match=r"^weight space of dimension 10 exceeds the budget 9$"):
+        build_buckets(config, 2, dominant_only=dominant_only)
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 10)
+    with pytest.raises(BudgetError, match=r"^weight space of dimension 12 exceeds the budget 10$"):
+        build_buckets(config, 2, dominant_only=dominant_only)
+
+
+@pytest.mark.parametrize("dominant_only", [False, True])
+def test_degree_check_names_the_lowest_and_highest_degree(monkeypatch, dominant_only):
+    # the GL_2 config of "GL at the bound" without its GL_1 factor: the weight
+    # (0, 0) holds 1, 2 and 3 monomials at degrees 0, 2 and 4 (a^i b^i c^k d^k),
+    # and it is the first block of the walk
+    config = _gl_config("GL_2 alone", [(1, -1), (-1, 1), (0, 1), (0, -1)])  # a, b, c, d
+    with pytest.raises(UsageError, match=r"^weight \(\(0, 0\),\) holds monomials of "
+                                         r"degrees 0 and 4$"):
+        build_buckets(config, 4, dominant_only=dominant_only)
+    # the budget is tested first, on the block's size over all three degrees
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 5)
+    with pytest.raises(BudgetError, match=r"^weight space of dimension 6 exceeds the budget 5$"):
+        build_buckets(config, 4, dominant_only=dominant_only)
+
+
+@pytest.mark.parametrize("shape,max_degree", [
+    (ProductO(2, 3, 1), 5), (ProductO(3, 4, 1), 5), (ProductO(2, 2, 2), 4), (ProductO(3, 3, 2), 4),
+], ids=str)
+def test_product_o_blocks_split_only_where_both_factors_are_odd(monkeypatch, shape, max_degree):
+    # a block holds one degree parity in O_{n1}'s rows unless n1 and n2 are
+    # odd, and hwv_multiplicities cuts it into one part per parity it holds
+    head = shape.first_block_vars
+    blocks = build_buckets(build_config(shape), max_degree, dominant_only=True).buckets
+    parities = [len({sum(mono[:head]) % 2 for mono in basis}) for basis in blocks.values()]
+    assert (max(parities) == 2) == shape.splits_by_parity == (shape.n1 % 2 == shape.n2 % 2 == 1)
+    parts = []
+    kernel_dim = analysis._kernel_dim
+    monkeypatch.setattr(analysis, "_kernel_dim",
+                        lambda ops, part: parts.append(part) or kernel_dim(ops, part))
+    hwv_multiplicities(shape, max_degree, MOD_IDEAL)
+    assert len(parts) == sum(parities)
 
 
 @pytest.mark.parametrize("dominant_only", [False, True])
