@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the multiplicity oracle and a few CLI requests in process, for two source trees.
 
-The oracle cases are six certification sizes: both modes, cases A, B
-and stacked C, and a ProductO shape.  One bucket case times the weight
+The oracle cases are eight certification sizes: both modes, cases A, B
+and stacked C, and a ProductO shape, with A(5,3) and A(5,4) as the shapes
+with three and four columns.  One bucket case times the weight
 blocks alone: `build_buckets` on A(5,2) at degree 12, 646,646 monomials,
 with only the dominant blocks kept.  The CLI cases are two `restrict o` tables larger than the
 benchmark's, a `tensor sp` and a `tensor o` table, one large `lr` value,
@@ -18,8 +19,8 @@ its request in process REPEAT times from an empty LR memo, as a fresh CLI
 process would.  Each case prints one line: the case, the median wall
 seconds (`time.perf_counter`) and a sha256: of the result as the CLI would
 emit it (JSON entries in label order) for an oracle case, of the table's
-blocks in order (each key and its monomials, as `repr` prints them) for
-the bucket case, of the request's stdout for a CLI case.  So two source trees can be
+blocks in order (each key and its monomials as exponent tuples, as `repr`
+prints them) for the bucket case, of the request's stdout for a CLI case.  So two source trees can be
 compared on time and on output.  Each line is flushed as its case ends, and
 a reader that closes stdout early (`oracle_ladder.py 5 | head -6`) ends the
 run quietly with exit code 1.  Standard library only.
@@ -36,6 +37,7 @@ import time
 from branchbox import cli, jsonio, lr
 from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, build_buckets,
                                 build_config, hwv_multiplicities)
+from branchbox.dualpair.poly import unpack
 from branchbox.reports import sorted_entries
 
 CASES = [
@@ -46,6 +48,8 @@ CASES = [
      MOD_IDEAL),
     ("B(3,2) FULL deg 7", MatrixSpaceShape("B", 3, 2), 7, FULL),
     ("C(4,2+2 stacked) FULL deg 6", MatrixSpaceShape("C", 4, 2, 2, split_columns=True), 6, FULL),
+    ("A(5,3) FULL deg 7", MatrixSpaceShape("A", 5, 3), 7, FULL),
+    ("A(5,4) FULL deg 6", MatrixSpaceShape("A", 5, 4), 6, FULL),
 ]
 BUCKET_CASES = [
     ("buckets A(5,2) deg 12", MatrixSpaceShape("A", 5, 2), 12),
@@ -89,7 +93,9 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             table = build_buckets(config, degree, dominant_only=True)
             times.append(time.perf_counter() - start)
-        _report(name, times, repr(list(table.buckets.items())))
+        _report(name, times, repr([(key, [unpack(mono, table.width, config.var_count)
+                                          for mono in monos])
+                                   for key, monos in table.buckets.items()]))
     for name, request in TABLE_CASES:
         times = []
         for _ in range(repeat):

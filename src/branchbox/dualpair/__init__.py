@@ -22,7 +22,7 @@ from .configs import (
     SpaceConfig,
     build_config,
 )
-from .poly import Operator, apply_operator, apply_to_monomial, monomials_of_degree
+from .poly import Operator, apply_operator, apply_to_monomial
 
 __all__ = [
     "BracketEntry",
@@ -45,6 +45,5 @@ __all__ = [
     "harmonic_report",
     "hwv_multiplicities",
     "minor_hwv",
-    "monomials_of_degree",
     "verify_brackets",
 ]

@@ -28,7 +28,8 @@ monomial's code, degree by degree from the degree before (`_code_walk`),
 walking the variables last first, and counts the codes in one Counter per
 degree.  The block budget and the degree check read those counts, and
 only the kept blocks' monomials are ever built, each block in reverse
-grevlex order and then reversed.
+grevlex order and then reversed.  A monomial is one int (`poly`) of the
+table's digit width, for which each operator is packed once per call.
 One builder, `_annihilator_rows`, turns one operator's images of a block's
 columns into sparse {column: int} annihilator rows: for the kernel
 dimensions and for the ideal's rank in `harmonic_report`.  Each row goes
@@ -63,7 +64,7 @@ from .linalg import reduce_into, solve_columns
 # tests need the names to exist.
 from .linalg import nullspace, rank  # noqa: F401
 from .poly import (Monomial, Operator, Poly, Term, apply_operator, apply_to_monomial,
-                   grevlex_mono_key)
+                   digit_width, pack)
 # Uncalled (the bracket check multiplies terms); the tracer wraps this binding too.
 from .poly import commutator_apply  # noqa: F401
 
@@ -71,7 +72,7 @@ DEFAULT_BUDGET = 20000  # monomials in one weight block
 # The most monomials build_buckets walks.  It holds every one's weight code
 # before any block meets the budget, so a large max_degree would exhaust
 # memory first.  A(5,2) at degree 12 is 646,646 monomials: with only the
-# dominant blocks kept, 0.22 s and a 64 MB peak RSS on a 2-vCPU x86_64 VM.
+# dominant blocks kept, 0.16 s and a 61 MB peak RSS on a 2-vCPU x86_64 VM.
 MAX_MONOMIALS = 1_000_000
 # The most term products, sum over operator pairs of |terms a| * |terms b|,
 # of one bracket check.  They bound the pairs too, and each pair's solve only
@@ -102,6 +103,8 @@ def check_monomial_count(var_count: int, max_degree: int) -> None:
 @dataclass
 class BucketTable:
     buckets: dict[tuple, list[Monomial]]  # in order of degree, then of weight
+    degrees: dict[tuple, int]  # each block's degree
+    width: int  # the monomials' exponent digit width, `digit_width(max_degree)`
 
 
 def _weight_codes(config: SpaceConfig, max_degree: int):
@@ -199,13 +202,15 @@ def build_buckets(config: SpaceConfig, max_degree: int,
     The budget and the degree check read those counts, over every block,
     before any monomial is built.  With `dominant_only`, only dominant
     weights get a block, each code tested once with one mask before it is
-    decoded, and only the kept combos become exponent tuples.  The last-first
-    walk yields each block in reverse grevlex order, so it is reversed, not
-    sorted.
+    decoded.  Only the kept combos become monomials, each the sum of its
+    variables' units 1 << k*v for the table's width k (`poly.digit_width`).
+    The last-first walk yields each block in reverse grevlex order, so it is
+    reversed, not sorted.
     """
     check_monomial_count(config.var_count, max_degree)
     codes, decode, dominant = _weight_codes(config, max_degree)
-    size = config.var_count
+    width = digit_width(max_degree)
+    units = [1 << width * v for v in range(config.var_count - 1, -1, -1)]
     walks = list(_code_walk(codes[::-1], max_degree))
     counts = [Counter(walk) for walk in walks]
     union: dict[int, int] = {}
@@ -214,23 +219,21 @@ def build_buckets(config: SpaceConfig, max_degree: int,
     if (sum(map(len, counts)) > len(union)
             or max(union.values()) > DEFAULT_BUDGET):
         raise _refusal(codes, max_degree, counts, decode)
-    buckets: dict[tuple, list[Monomial]] = {}
+    table = BucketTable({}, {}, width)
     for d, (walk, count) in enumerate(zip(walks, counts)):
         keys = {code: decode(code) for code in (dominant(count) if dominant_only else count)}
         blocks: dict[int, list[Monomial]] = {code: [] for code in sorted(keys, key=keys.get)}
-        combos = itertools.combinations_with_replacement(range(size - 1, -1, -1), d)
+        combos = itertools.combinations_with_replacement(units, d)
         if dominant_only:
             flags = list(map(blocks.__contains__, walk))
             walk, combos = itertools.compress(walk, flags), itertools.compress(combos, flags)
-        for code, combo in zip(walk, combos):
-            mono = [0] * size
-            for v in combo:
-                mono[v] += 1
-            blocks[code].append(tuple(mono))
+        for code, mono in zip(walk, map(sum, combos)):
+            blocks[code].append(mono)
         for code, monos in blocks.items():
             monos.reverse()
-            buckets[keys[code]] = monos
-    return BucketTable(buckets)
+            table.buckets[keys[code]] = monos
+            table.degrees[keys[code]] = d
+    return table
 
 
 def _annihilator_rows(images: list[Poly]) -> Iterable[dict[int, int]]:
@@ -252,8 +255,8 @@ def _annihilator_rows(images: list[Poly]) -> Iterable[dict[int, int]]:
 
 
 def _kernel_dim(ops, basis: list[Monomial]) -> int:
-    """The joint kernel dimension of ops on the span of basis; 0 as soon as the
-    rows reach full rank, with no further operator applied."""
+    """The joint kernel dimension of ops, packed for basis' width, on its span; 0 as
+    soon as the rows reach full rank, with no further operator applied."""
     pivots: dict[int, dict[int, int]] = {}
     for op in ops:
         for row in _annihilator_rows([apply_to_monomial(op, mono) for mono in basis]):
@@ -283,21 +286,22 @@ def hwv_multiplicities(shape: MatrixSpaceShape | ProductO, max_degree: int,
         raise UsageError(f"unknown mode {mode!r}")
     config = build_config(shape)
     table = build_buckets(config, max_degree, dominant_only=True)
-    cutters = config.simple_raisings if mode == FULL else config.deltas + config.simple_raisings
-    head = shape.first_block_vars
+    ops = config.simple_raisings if mode == FULL else config.deltas + config.simple_raisings
+    cutters = [op.packed(table.width) for op in ops]
+    odd = sum(1 << table.width * v for v in range(shape.first_block_vars))  # digits' low bits
     entries = []
     for key, basis in table.buckets.items():
         parts = [basis]
         if shape.splits_by_parity:
             split: dict[int, list[Monomial]] = {}
             for mono in basis:
-                split.setdefault(sum(mono[:head]) % 2, []).append(mono)
+                split.setdefault((mono & odd).bit_count() % 2, []).append(mono)
             parts = split.values()
         for part in parts:
             mult = _kernel_dim(cutters, part)
             if not mult:
                 continue
-            d, p = sum(part[0]), sum(part[0][:head]) % 2
+            d, p = table.degrees[key], (part[0] & odd).bit_count() % 2
             labels = tuple(factor.label(w, (d - p) % 2 if i else p)
                            for i, (factor, w) in enumerate(zip(config.factors, key)))
             if None in labels:
@@ -332,22 +336,21 @@ def harmonic_report(shape: MatrixSpaceShape, max_degree: int) -> HarmonicReport:
     """
     config = build_config(shape)
     table = build_buckets(config, max_degree)
-    full = [0] * (max_degree + 1)
-    harmonic = [0] * (max_degree + 1)
-    ideal = [0] * (max_degree + 1)
+    full, harmonic, ideal = ([0] * (max_degree + 1) for _ in range(3))
+    deltas = [op.packed(table.width) for op in config.deltas]
     for key, basis in table.buckets.items():
-        d = sum(basis[0])
+        d = table.degrees[key]
         full[d] += len(basis)
-        harmonic[d] += _kernel_dim(config.deltas, basis)
+        harmonic[d] += _kernel_dim(deltas, basis)
 
-    shifts = {op.name: config.op_weight_shift(op) for op in config.r2s}
+    # each r2 raises the degree by 2, applied only up to max_degree: no digit carries
+    r2s = [(config.op_weight_shift(op), op.packed(table.width)) for op in config.r2s]
     groups: dict[tuple, list[Poly]] = {}
     for key, basis in table.buckets.items():
-        if sum(basis[0]) + 2 > max_degree:
+        if table.degrees[key] + 2 > max_degree:
             continue
-        for op in config.r2s:
-            tkey = _add_keys(key, shifts[op.name])
-            vecs = groups.setdefault(tkey, [])
+        for shift, op in r2s:
+            vecs = groups.setdefault(_add_keys(key, shift), [])
             for mono in basis:
                 img = apply_to_monomial(op, mono)
                 if img:
@@ -356,12 +359,11 @@ def harmonic_report(shape: MatrixSpaceShape, max_degree: int) -> HarmonicReport:
         pivots: dict[int, dict[int, int]] = {}
         for row in _annihilator_rows(vecs):
             reduce_into(pivots, row)
-        ideal[sum(table.buckets[tkey][0])] += len(pivots)
+        ideal[table.degrees[tkey]] += len(pivots)
 
     identity_ok = all(full[d] == harmonic[d] + ideal[d] for d in range(max_degree + 1))
 
-    separation_ok = None
-    gens = None
+    separation_ok = gens = None
     if shape.case == "A" and not shape.split_columns and shape.n >= 2 * shape.m:
         gens = shape.m * (shape.m + 1) // 2
         separation_ok = all(
@@ -548,7 +550,7 @@ def _bracket_report(config: SpaceConfig) -> BracketReport:
 @dataclass(frozen=True)
 class MinorCertificate:
     var_names: tuple[str, ...]
-    poly: Poly
+    poly: dict[tuple[int, ...], int]  # exponent tuple -> coefficient
     columns: tuple[int, ...]
     deltas_annihilate: bool
     raisings_annihilate: bool
@@ -583,7 +585,7 @@ def minor_hwv(n: int, m: int, columns) -> MinorCertificate:
     def idx(s, c):
         return (s - 1) * m + (c - 1)
 
-    poly: Poly = {}
+    poly: dict[tuple[int, ...], int] = {}
     for perm in itertools.permutations(range(j)):
         sign = 1
         for i in range(j):
@@ -596,9 +598,11 @@ def minor_hwv(n: int, m: int, columns) -> MinorCertificate:
         key = tuple(mono)
         poly[key] = poly.get(key, 0) + sign
     poly = {k: v for k, v in poly.items() if v}
+    width = digit_width(j)  # the operators keep or lower the degree j
+    packed = {pack(mono, width): c for mono, c in poly.items()}
 
     def annihilates(ops):
-        return not any(apply_operator(op, poly) for op in ops)
+        return not any(apply_operator(op.packed(width), packed) for op in ops)
 
     weights = {config.monomial_weight(mono) for mono in poly}
     if len(weights) != 1:
@@ -629,7 +633,8 @@ def harmonic_isotypic_dims(shape: MatrixSpaceShape,
     config = build_config(shape)
     dominance = config.factors[1].dominance()  # the GL side's
     groups: dict[tuple[int, ...], list[Monomial]] = {}
-    for key, basis in build_buckets(config, max_degree).buckets.items():
+    table = build_buckets(config, max_degree)
+    for key, basis in table.buckets.items():
         w = key[1]
         if all(sum(c * w[i] for i, c in f) >= 0 for f in dominance):
             groups.setdefault(w, []).extend(basis)
@@ -638,10 +643,10 @@ def harmonic_isotypic_dims(shape: MatrixSpaceShape,
             raise BudgetError(f"isotypic block of dimension {len(basis)} "
                               f"exceeds the budget {DEFAULT_BUDGET}")
     out: dict[tuple[int, ...], int] = {}
-    cutters = config.deltas + tuple(op for op in config.simple_raisings
-                                    if op in config.gl_raisings)
+    cutters = [op.packed(table.width) for op in config.deltas + tuple(
+        op for op in config.simple_raisings if op in config.gl_raisings)]
     for w in sorted(groups):
-        dim = _kernel_dim(cutters, sorted(groups[w], key=grevlex_mono_key))
+        dim = _kernel_dim(cutters, sorted(groups[w]))
         if dim:
             out[as_partition(w)] = dim
     return out

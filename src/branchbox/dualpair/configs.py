@@ -25,9 +25,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import UsageError
+from ..errors import InternalInvariantError, UsageError
 from ..partitions import IrrepLabel, as_partition, associate_o, weight_to_signature
-from .poly import Monomial, Operator, make_operator
+from .poly import Operator, make_operator
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ class SpaceConfig:
             out.append(tuple(acc))
         return tuple(out)
 
-    def monomial_weight(self, mono: Monomial) -> tuple[tuple[int, ...], ...]:
+    def monomial_weight(self, mono: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return self._weight_sum([(v, e) for v, e in enumerate(mono) if e])
 
     def op_weight_shift(self, op: Operator) -> tuple[tuple[int, ...], ...]:
@@ -218,14 +218,22 @@ class SpaceConfig:
         with digits for +-2 * max|coord|.  A difference of two shifts has its
         coordinates in that range, so its code is the difference of their
         codes, and s is a sum a + b of two raisings' shifts iff code(s) -
-        code(a) is the code of a raising other than a's.
+        code(a) is the code of a raising other than a's.  In increasing height,
+        per factor sum_j (coords - j + 1) * w_j (j from 1), > 0 on every raising,
+        a code is a sum iff it is a simple code found so far plus a raising's.
         """
-        flats = [tuple(c for w in self.op_weight_shift(op) for c in w) for op in self.raisings]
+        shifts = [self.op_weight_shift(op) for op in self.raisings]
+        flats = [tuple(c for w in shift for c in w) for shift in shifts]
+        heights = [sum((len(w) - j) * c for w in s for j, c in enumerate(w)) for s in shifts]
+        if min(heights, default=1) <= 0:
+            raise InternalInvariantError(f"a raising of {self.descriptor} has height <= 0")
         codes, _ = _packed(flats, 2 * max((abs(c) for w in flats for c in w), default=0))
         count = Counter(codes)
-        sums = {s for s in count for a in count
-                if s - a in count and (s - a != a or count[a] > 1)}
-        return tuple(op for op, code in zip(self.raisings, codes) if code not in sums)
+        simple: set[int] = set()
+        for s in sorted(count, key=dict(zip(codes, heights)).get):
+            if not any(s - a in count and (s - a != a or count[a] > 1) for a in simple):
+                simple.add(s)
+        return tuple(op for op, code in zip(self.raisings, codes) if code in simple)
 
 
 def _unit(k: int, i: int) -> tuple[int, ...]:

@@ -1,9 +1,13 @@
 """Sparse exact polynomials and polynomial-coefficient differential operators.
 
-A monomial is a dense exponent tuple over a fixed variable list; a polynomial
+A monomial is one `int`: variable v's exponent is its k-bit digit at bit
+k*v, for a width k (`digit_width`) with 2^k above every exponent reached,
+so no digit carries and within one degree int order is grevlex order.
+`pack` and `unpack` convert exponent tuples at the boundary.  A polynomial
 maps monomials to exact coefficients.  An operator is a sum of terms
-c * x^a * d^b applied by falling factorials, so it stays exact on any
-polynomial and needs no degree truncation.
+c * x^a * d^b, packed per width (`Operator.packed`) and applied by falling
+factorials, so it stays exact on any polynomial and needs no degree
+truncation.
 
 Coefficients are `int` wherever they are integral, which covers every
 Delta, r2 and raising operator and so the whole multiplicity oracle; only
@@ -17,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from math import perm
+from typing import Iterable, Mapping, NamedTuple
 
-Monomial = tuple[int, ...]
+Monomial = int
 Poly = dict[Monomial, int | Fraction]
 
 
@@ -29,12 +34,42 @@ class Term(NamedTuple):
     ds: tuple[tuple[int, int], ...]  # (variable index, order), differentiation part
 
 
+class PackedOperator(NamedTuple):
+    terms: tuple[tuple[int | Fraction, int, tuple[tuple[int, int], ...]], ...]  # (c, delta, ds)
+    low: int  # the mask of one exponent digit, 2^k - 1
+
+
 @dataclass(frozen=True)
 class Operator:
     name: str
     kind: str  # "delta" | "r2" | "euler" | "raising"
     shift: int  # homogeneous degree shift
     terms: tuple[Term, ...]
+
+    def packed(self, width: int) -> PackedOperator:
+        """Each term as (coeff, the int it adds to a monomial, ((bit shift, order), ...))."""
+        return PackedOperator(tuple(
+            (t.coeff, sum(e << width * v for v, e in t.xs) - sum(e << width * v for v, e in t.ds),
+             tuple((width * v, e) for v, e in t.ds)) for t in self.terms), (1 << width) - 1)
+
+
+def digit_width(max_degree: int) -> int:
+    """The least exponent digit width k, at least 1, with 2^k > max_degree."""
+    return max(1, max_degree.bit_length())
+
+
+def pack(exponents: Iterable[int], width: int) -> Monomial:
+    """The monomial of an exponent tuple; ValueError for an exponent that would carry."""
+    exponents = tuple(exponents)
+    if not all(0 <= e < 1 << width for e in exponents):
+        raise ValueError(f"an exponent of {exponents} does not fit a {width}-bit digit")
+    return sum(e << width * v for v, e in enumerate(exponents))
+
+
+def unpack(mono: Monomial, width: int, var_count: int) -> tuple[int, ...]:
+    """The exponent tuple of a monomial over var_count variables."""
+    low = (1 << width) - 1
+    return tuple(mono >> width * v & low for v in range(var_count))
 
 
 def make_operator(name: str, kind: str,
@@ -60,38 +95,33 @@ def _integral(c: int | Fraction) -> int | Fraction:
     return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
-def apply_to_monomial(op: Operator, mono: Monomial) -> Poly:
+def apply_to_monomial(op: PackedOperator, mono: Monomial) -> Poly:
     """op applied to one monomial: the one routine that applies operator terms.
 
-    A term c * x^a * d^b gives c times the integer falling factorials of the
-    differentiated exponents, or nothing once one exponent is below its
-    order; terms are taken in order, so the image's keys keep that order.
+    A term gives its coefficient times the integer falling factorials of the
+    differentiated exponents, each read as the digit `mono >> shift & low`,
+    at mono plus the term's integer, or nothing once one exponent is below
+    its order.  Terms are taken in order, so the image's keys keep that order.
     """
+    terms, low = op.terms, op.low
     out: Poly = {}
-    for coeff, xs, ds in op.terms:
-        ff = 1
-        for v, order in ds:
-            e = mono[v]
+    for c, delta, ds in terms:
+        for shift, order in ds:
+            e = mono >> shift & low
             if e < order:
                 break
-            for k in range(order):
-                ff *= e - k
+            c *= e if order == 1 else perm(e, order)
         else:
-            target = list(mono)
-            for v, order in ds:
-                target[v] -= order
-            for v, e in xs:
-                target[v] += e
-            key = tuple(target)
-            val = out.get(key, 0) + coeff * ff
+            key = mono + delta
+            val = out.get(key, 0) + c
             if val:
                 out[key] = val
             else:
-                out.pop(key, None)
+                del out[key]
     return out
 
 
-def apply_operator(op: Operator, poly: Poly) -> Poly:
+def apply_operator(op: PackedOperator, poly: Poly) -> Poly:
     """op applied to poly, by linearity from op's images of its monomials."""
     out: Poly = {}
     for mono, c in poly.items():
@@ -104,40 +134,13 @@ def apply_operator(op: Operator, poly: Poly) -> Poly:
     return out
 
 
-def commutator_apply(a: Operator, b: Operator, poly: Poly) -> Poly:
+def commutator_apply(a: PackedOperator, b: PackedOperator, poly: Poly) -> Poly:
     """[a, b] applied to poly."""
     first = apply_operator(a, apply_operator(b, poly))
-    second = apply_operator(b, apply_operator(a, poly))
-    for mono, c in second.items():
+    for mono, c in apply_operator(b, apply_operator(a, poly)).items():
         val = first.get(mono, 0) - c
         if val:
             first[mono] = val
         else:
             first.pop(mono, None)
     return first
-
-
-def monomials_of_degree(var_count: int, degree: int) -> Iterator[Monomial]:
-    """All exponent tuples of the given total degree."""
-    if var_count == 0:
-        if degree == 0:
-            yield ()
-        return
-
-    def rec(position: int, remaining: int, prefix: list[int]) -> Iterator[Monomial]:
-        if position == var_count - 1:
-            yield tuple(prefix + [remaining])
-            return
-        for e in range(remaining + 1):
-            yield from rec(position + 1, remaining - e, prefix + [e])
-
-    yield from rec(0, degree, [])
-
-
-def grevlex_mono_key(mono: Monomial) -> tuple:
-    """Sort key putting same-degree monomials in graded reverse lexicographic order."""
-    return (sum(mono), tuple(reversed(mono)))
-
-
-def poly_degree(poly: Poly) -> int:
-    return max((sum(m) for m in poly), default=0)

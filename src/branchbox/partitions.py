@@ -124,21 +124,6 @@ def partitions_between(inner: Partition, outer: Partition, size: int) -> Iterato
     yield from rec(0, size, size)
 
 
-def even_row_partitions(size: int, max_length: int | None = None) -> list[Partition]:
-    """Partitions of `size` all of whose rows have even length."""
-    if size % 2:
-        return []
-    return [tuple(2 * a for a in p) for p in partitions_of(size // 2, max_length)]
-
-
-def even_column_partitions(size: int, max_length: int | None = None) -> list[Partition]:
-    """Partitions of `size` all of whose columns have even length."""
-    out = [conjugate(q) for q in even_row_partitions(size)]
-    if max_length is not None:
-        out = [p for p in out if len(p) <= max_length]
-    return sorted(out, key=grevlex_key)
-
-
 def is_admissible_o(nu: Iterable[int], n: int) -> bool:
     """O_n admissibility: the first two columns together have at most n cells."""
     p = as_partition(nu)

@@ -15,10 +15,10 @@ from math import gcd, lcm
 
 from branchbox.dualpair import analysis, build_config
 from branchbox.dualpair.linalg import solve_columns
-from branchbox.dualpair.poly import (apply_to_monomial, commutator_apply, make_operator,
-                                     monomials_of_degree)
+from branchbox.dualpair.poly import (apply_to_monomial, commutator_apply, digit_width,
+                                     make_operator, pack, unpack)
 from branchbox.lr import lr_coefficient
-from branchbox.partitions import contains, partitions_of
+from branchbox.partitions import conjugate, contains, grevlex_key, partitions_of
 
 
 @lru_cache(maxsize=None)
@@ -39,6 +39,21 @@ def partition_count(k: int) -> int:
         total += sign * (partition_count(k - g1) + partition_count(k - g2))
         j += 1
     return total
+
+
+def even_row_partitions(size: int, max_length: int | None = None) -> list[tuple[int, ...]]:
+    """Partitions of `size` all of whose rows have even length."""
+    if size % 2:
+        return []
+    return [tuple(2 * a for a in p) for p in partitions_of(size // 2, max_length)]
+
+
+def even_column_partitions(size: int, max_length: int | None = None) -> list[tuple[int, ...]]:
+    """Partitions of `size` all of whose columns have even length."""
+    out = [conjugate(q) for q in even_row_partitions(size)]
+    if max_length is not None:
+        out = [p for p in out if len(p) <= max_length]
+    return sorted(out, key=grevlex_key)
 
 
 def ssyt_fillings(lam: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
@@ -155,6 +170,75 @@ def dominant_weight(factor, w: tuple[int, ...]) -> bool:
     return factor.signed or w[-1] >= 0
 
 
+def monomials_of_degree(var_count: int, degree: int):
+    """All exponent tuples of the given total degree."""
+    if var_count == 0:
+        if degree == 0:
+            yield ()
+        return
+
+    def rec(position: int, remaining: int, prefix: list[int]):
+        if position == var_count - 1:
+            yield tuple(prefix + [remaining])
+            return
+        for e in range(remaining + 1):
+            yield from rec(position + 1, remaining - e, prefix + [e])
+
+    yield from rec(0, degree, [])
+
+
+def grevlex_mono_key(mono: tuple[int, ...]) -> tuple:
+    """Sort key putting same-degree exponent tuples in graded reverse lexicographic order."""
+    return (sum(mono), tuple(reversed(mono)))
+
+
+def poly_degree(poly: dict) -> int:
+    """The largest total degree of a polynomial keyed by exponent tuples."""
+    return max((sum(m) for m in poly), default=0)
+
+
+def apply_to_exponents(op, mono: tuple[int, ...]) -> dict:
+    """op applied to one exponent tuple, term by term on a copied tuple.
+
+    A term c * x^a * d^b gives c times the integer falling factorials of the
+    differentiated exponents, or nothing once one exponent is below its
+    order; the reference for `poly.apply_to_monomial` on packed monomials.
+    """
+    out: dict = {}
+    for coeff, xs, ds in op.terms:
+        ff = 1
+        for v, order in ds:
+            e = mono[v]
+            if e < order:
+                break
+            for k in range(order):
+                ff *= e - k
+        else:
+            target = list(mono)
+            for v, order in ds:
+                target[v] -= order
+            for v, e in xs:
+                target[v] += e
+            key = tuple(target)
+            val = out.get(key, 0) + coeff * ff
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
+    return out
+
+
+def decoded(poly: dict, width: int, var_count: int) -> dict:
+    """A polynomial keyed by packed monomials, keyed by exponent tuples."""
+    return {unpack(mono, width, var_count): c for mono, c in poly.items()}
+
+
+def decoded_buckets(table, var_count: int) -> dict:
+    """`build_buckets`' blocks with each monomial as its exponent tuple."""
+    return {key: [unpack(mono, table.width, var_count) for mono in monos]
+            for key, monos in table.buckets.items()}
+
+
 def buckets_by_enumeration(config, max_degree: int, dominant_only: bool) -> dict:
     """`analysis.build_buckets`' blocks by enumerating every monomial of degree <= max_degree.
 
@@ -255,7 +339,8 @@ def brackets_by_application(shape, printed: bool = False,
     """`verify_brackets`' report, each commutator applied to every monomial of degree <= test_degree.
 
     The bracket check as it was before it multiplied operator terms: [a, b]
-    is applied by `commutator_apply` to each test monomial, and the expected
+    is applied by `commutator_apply` to each test monomial, packed wide
+    enough for two r2s on top of test_degree, and the expected
     span is solved on the coefficients of the span operators' images, one
     equation per (test monomial, target monomial).  Unlike the rest of this
     module it shares library code, the configs, the span rules
@@ -265,10 +350,13 @@ def brackets_by_application(shape, printed: bool = False,
     `printed_config(shape)`, as `printed_bracket_report` does.
     """
     config = printed_config(shape) if printed else build_config(shape)
+    width = digit_width(test_degree + 4)
     family = list(config.deltas + config.r2s + config.eulers + config.k_raisings)
-    sources = [mono for d in range(test_degree + 1)
+    packed = {op.name: op.packed(width) for op in family}
+    sources = [pack(mono, width) for d in range(test_degree + 1)
                for mono in monomials_of_degree(config.var_count, d)]
-    actions = {op.name: {src: apply_to_monomial(op, src) for src in sources} for op in family}
+    actions = {op.name: {src: apply_to_monomial(packed[op.name], src) for src in sources}
+               for op in family}
     actions["id"] = {src: {src: 1} for src in sources}
     spans = {
         "euler_id": [op.name for op in config.eulers] + ["id"],
@@ -279,7 +367,8 @@ def brackets_by_application(shape, printed: bool = False,
     entries = []
     for a, b in combinations(family, 2):
         rule, span = analysis._bracket_rule(a.kind, b.kind)
-        comm = {src: commutator_apply(a, b, {src: 1}) for src in sources}
+        comm = {src: commutator_apply(packed[a.name], packed[b.name], {src: 1})
+                for src in sources}
         if span is None:
             ok = all(not p for p in comm.values())
             entries.append(analysis.BracketEntry(a.name, b.name, rule, ok, ()))

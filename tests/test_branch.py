@@ -11,10 +11,9 @@ from branchbox.branch import (ENFORCE, WARN_AND_COMPUTE, _shifted_lr,
                               sp_tensor_stable)
 from branchbox.errors import (LabelError, StableRangeError, StableRangeWarning)
 from branchbox.lr import lr_coefficient, lr_multi
-from branchbox.partitions import (Signature, contains, enumerate_partitions,
-                                  even_column_partitions, even_row_partitions)
+from branchbox.partitions import Signature, contains, enumerate_partitions
 
-from .oracles import tensor_triple_loop
+from .oracles import even_column_partitions, even_row_partitions, tensor_triple_loop
 
 small_partitions = st.lists(st.integers(1, 3), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True)))

@@ -833,6 +833,18 @@ def test_oracle_ladder_exits_quietly_when_stdout_closes(tmp_path):
     assert first.startswith(b"A(5,2) FULL deg 7\t")
 
 
+def test_replay_oracle_digests_every_request_of_a_seed(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "replay_oracle.py"
+    spec = importlib.util.spec_from_file_location("replay_oracle", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["1"]) == 0
+    count, digest = capsys.readouterr().out.rstrip("\n").split("\t")
+    assert count == "140 requests"
+    assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+    assert script.main(["1,x"]) == 2
+
+
 def test_verify_brackets_case_a(capsys):
     rc, out, err = run(capsys, "verify", "brackets", "--case", "a",
                        "--n", "4", "--m", "2")

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import warnings
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -13,14 +14,14 @@ from branchbox.dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO,
                                 harmonic_isotypic_dims, harmonic_report, hwv_multiplicities)
 from branchbox.dualpair import analysis
 from branchbox.dualpair.configs import TorusFactor
-from branchbox.dualpair.poly import apply_to_monomial, grevlex_mono_key, make_operator
-from branchbox.errors import BudgetError, UsageError
+from branchbox.dualpair.poly import apply_to_monomial, make_operator, pack
+from branchbox.errors import BudgetError, InternalInvariantError, UsageError
 from branchbox.lr import lr_coefficient
 from branchbox.partitions import Signature, as_partition, associate_o, enumerate_partitions
 from branchbox.reports import sorted_entries
 
-from .oracles import (buckets_by_enumeration, dominant_weight, nullspace_gauss_jordan,
-                      printed_config)
+from .oracles import (buckets_by_enumeration, decoded_buckets, dominant_weight,
+                      grevlex_mono_key, nullspace_gauss_jordan, printed_config)
 
 
 def weights_table(entries):
@@ -81,7 +82,8 @@ def test_product_o_restriction():
 
 
 def _joint_kernel_dim(ops, basis):
-    """The joint kernel dimension of ops on the span of basis, by the test-side
+    """The joint kernel dimension of ops, packed for the basis' width as `_kernel_dim`
+    takes them, on the span of basis, by the test-side
     Gauss-Jordan reference, not the elimination under test: each operator cuts
     the kernel of the ones before it, a vector kept as {column: coefficient}."""
     kernel = [{j: 1} for j in range(len(basis))]
@@ -114,9 +116,9 @@ class _PlantedOperator:
 
 
 def test_kernel_dim_applies_no_operator_after_full_rank():
-    basis = [(2, 0), (1, 1), (0, 2)]
-    times_x0 = make_operator("x0", "r2", [(1, {0: 1}, {})])  # injective: full rank alone
-    d_x0 = make_operator("d0", "delta", [(1, {}, {0: 1})])  # rank 2 on the block
+    basis = [pack(mono, 2) for mono in [(2, 0), (1, 1), (0, 2)]]
+    times_x0 = make_operator("x0", "r2", [(1, {0: 1}, {})]).packed(2)  # injective: full rank
+    d_x0 = make_operator("d0", "delta", [(1, {}, {0: 1})]).packed(2)  # rank 2 on the block
     assert analysis._kernel_dim([times_x0, _PlantedOperator()], basis) == 0
     assert analysis._kernel_dim([d_x0, times_x0, _PlantedOperator()], basis) == 0
     assert analysis._kernel_dim([d_x0], basis) == _joint_kernel_dim([d_x0], basis) == 1
@@ -136,11 +138,13 @@ def _so_keyed_table(config, max_degree, ops):
     """(dimension, degree) of the joint kernel of ops per dominant weight block where it
     is nonzero, keyed by each factor's weight as a partition (SO_n weights on O factors)."""
     table = build_buckets(config, max_degree, dominant_only=True)
+    ops = [op.packed(table.width) for op in ops]
+    exponents = decoded_buckets(table, config.var_count)
     out = {}
     for key, basis in table.buckets.items():
         dim = _joint_kernel_dim(ops, basis)
         if dim:
-            out[tuple(as_partition(w) for w in key)] = (dim, sum(basis[0]))
+            out[tuple(as_partition(w) for w in key)] = (dim, sum(exponents[key][0]))
     return out
 
 
@@ -161,10 +165,13 @@ def _o_keyed_table(config, max_degree, ops):
     per_row = config.var_count // sum(ranks)
     bounds = list(itertools.accumulate((r * per_row for r in ranks), initial=0))
     out = {}
-    for key, basis in build_buckets(config, max_degree, dominant_only=True).buckets.items():
+    table = build_buckets(config, max_degree, dominant_only=True)
+    ops = [op.packed(table.width) for op in ops]
+    exponents = decoded_buckets(table, config.var_count)
+    for key, basis in table.buckets.items():
         parts = {}
-        for mono in basis:
-            parts.setdefault(tuple(sum(mono[a:b]) % 2 for a, b in zip(bounds, bounds[1:])),
+        for mono, exps in zip(basis, exponents[key]):
+            parts.setdefault(tuple(sum(exps[a:b]) % 2 for a, b in zip(bounds, bounds[1:])),
                              []).append(mono)
         for parities, part in parts.items():
             dim = _joint_kernel_dim(ops, part)
@@ -401,31 +408,68 @@ def test_simple_raisings_match_the_pair_sum_rule():
     assert (len(config.raisings), len(config.simple_raisings)) == (280, 29)
 
 
+def _random_shift_config(seed, positive):
+    """Six x_i d_j raisings on four variables of random GL_2 weights in {-1, 0, 1}^2;
+    with `positive`, only pairs whose shift has a positive height 2*w_0 + w_1."""
+    rng = random.Random(seed)
+    weights = tuple(tuple(rng.randint(-1, 1) for _ in range(2)) for _ in range(4))
+    pairs = [(i, j) for i, j in itertools.product(range(4), repeat=2)
+             if not positive or sum((2 - k) * (a - b) for k, (a, b) in
+                                    enumerate(zip(weights[i], weights[j]))) > 0]
+    raisings = tuple(make_operator(f"R{i}{j}", "raising", [(1, {i: 1}, {j: 1})])
+                     for i, j in rng.sample(pairs, min(6, len(pairs))))
+    return SpaceConfig("random shifts", 4, ("a", "b", "c", "d"),
+                       (TorusFactor("GL", 2, 2, signed=True),), (weights,),
+                       (), (), (), raisings, ())
+
+
 def test_simple_raisings_match_the_pair_sum_rule_on_repeated_shifts():
-    # built-in configs never repeat a shift, double one or shift by 0; these
-    # x_i d_j raisings on random small weights do all three
-    pairs = list(itertools.product(range(4), repeat=2))
+    # built-in configs never repeat a shift or double one; these x_i d_j
+    # raisings on random small weights do both, each of positive height
+    repeated = doubled = 0
     for seed in range(200):
-        rng = random.Random(seed)
-        weights = tuple(tuple(rng.randint(-1, 1) for _ in range(2)) for _ in range(4))
-        raisings = tuple(make_operator(f"R{i}{j}", "raising", [(1, {i: 1}, {j: 1})])
-                         for i, j in rng.sample(pairs, 6))
-        config = SpaceConfig("random shifts", 4, ("a", "b", "c", "d"),
-                             (TorusFactor("GL", 2, 2, signed=True),), (weights,),
-                             (), (), (), raisings, ())
+        config = _random_shift_config(seed, positive=True)
         assert config.simple_raisings == _pair_sum_simple_raisings(config), seed
+        shifts = [config.op_weight_shift(op) for op in config.raisings]
+        repeated += len(set(shifts)) < len(shifts)
+        doubled += any(tuple(tuple(2 * c for c in w) for w in s) in shifts for s in shifts)
+    assert repeated and doubled
+
+
+def test_simple_raisings_refuse_a_raising_of_height_at_most_zero():
+    # the height walk needs every raising positive; a shift by 0 or a lowering
+    # is no raising, so the pick names it an internal error.  Every unfiltered
+    # random config of the test above has one
+    for seed in range(200):
+        with pytest.raises(InternalInvariantError, match="has height <= 0$"):
+            _random_shift_config(seed, positive=False).simple_raisings
+
+
+@pytest.mark.parametrize("shape", [MatrixSpaceShape("A", n, 1) for n in range(8, 13)]
+                         + [ProductO(5, 5, 2)], ids=str)
+def test_simple_raisings_pick_without_testing_every_pair(shape):
+    # the pick walks the shifts by height instead of testing every pair; it
+    # picks what the pair rule picks on shapes of many raisings
+    config = build_config(shape)
+    assert config.simple_raisings == _pair_sum_simple_raisings(config)
 
 
 def test_simple_raisings_read_shift_differences_up_to_twice_the_largest_coordinate():
-    # (3, 0) - (-2, 1) = (5, -1) is no shift here.  The shift digit must hold
-    # +-6; a 3-bit digit would wrap it to (-3, 0), the third shift, and drop
-    # (3, 0), which is no sum of two shifts
-    weights = ((3, 0), (-2, 1), (-3, 0))
+    # GL_3 heights 3*w_0 + 2*w_1 + w_2 are 1, 1 and 15.  (2, -3, 1) - (-1, 2, 0)
+    # = (3, -5, 1) is no shift here.  The shift digit must hold +-6; a 3-bit
+    # digit would wrap it to (3, 3, 0), the third shift, and drop (2, -3, 1),
+    # which is no sum of two shifts
+    weights = ((-1, 2, 0), (2, -3, 1), (3, 3, 0))
     raisings = tuple(make_operator(f"X{i}", "raising", [(1, {i: 1}, {})]) for i in range(3))
     config = SpaceConfig("three shifts", 3, ("a", "b", "c"),
-                         (TorusFactor("GL", 2, 2, signed=True),), (weights,),
+                         (TorusFactor("GL", 3, 3, signed=True),), (weights,),
                          (), (), (), raisings, ())
     assert config.simple_raisings == raisings == _pair_sum_simple_raisings(config)
+    # the earlier example, (3, 0) - (-2, 1) on GL_2, has heights 6, -3 and -6
+    lowering = replace(config, factors=(TorusFactor("GL", 2, 2, signed=True),),
+                       var_weights=(((3, 0), (-2, 1), (-3, 0)),))
+    with pytest.raises(InternalInvariantError):
+        lowering.simple_raisings
 
 
 def test_product_o_refuses_non_positive_sizes():
@@ -507,19 +551,19 @@ def _is_dominant(config):
 @pytest.mark.parametrize("name,make", BUCKET_CONFIGS, ids=[c[0] for c in BUCKET_CONFIGS])
 def test_bucket_keys_decode_to_monomial_weights(name, make, max_degree):
     config = make()
-    table = build_buckets(config, max_degree)
+    buckets = decoded_buckets(build_buckets(config, max_degree), config.var_count)
     seen = 0
-    for key, monos in table.buckets.items():
+    for key, monos in buckets.items():
         assert monos == sorted(monos, key=grevlex_mono_key)
         for mono in monos:
             assert config.monomial_weight(mono) == key
             assert sum(mono) == sum(monos[0])
         seen += len(monos)
-    blocks = [(sum(monos[0]), key) for key, monos in table.buckets.items()]
+    blocks = [(sum(monos[0]), key) for key, monos in buckets.items()]
     assert blocks == sorted(blocks)  # in order of degree, then of weight
     assert seen == comb(config.var_count + max_degree, max_degree)
     if name == "C signed y" and max_degree:
-        assert any(a < 0 for key in table.buckets for a in key[0])
+        assert any(a < 0 for key in buckets for a in key[0])
 
 
 @pytest.mark.parametrize("name,make", BUCKET_CONFIGS, ids=[c[0] for c in BUCKET_CONFIGS])
@@ -553,7 +597,7 @@ def test_buckets_equal_the_enumeration_in_order(name, make, degrees, dominant_on
     for max_degree in degrees:
         table = build_buckets(config, max_degree, dominant_only=dominant_only)
         expected = buckets_by_enumeration(config, max_degree, dominant_only)
-        assert list(table.buckets.items()) == list(expected.items())
+        assert list(decoded_buckets(table, config.var_count).items()) == list(expected.items())
 
 
 def _gl_config(name, weights):
@@ -603,7 +647,9 @@ def test_product_o_blocks_split_only_where_both_factors_are_odd(monkeypatch, sha
     # a block holds one degree parity in O_{n1}'s rows unless n1 and n2 are
     # odd, and hwv_multiplicities cuts it into one part per parity it holds
     head = shape.first_block_vars
-    blocks = build_buckets(build_config(shape), max_degree, dominant_only=True).buckets
+    config = build_config(shape)
+    blocks = decoded_buckets(build_buckets(config, max_degree, dominant_only=True),
+                             config.var_count)
     parities = [len({sum(mono[:head]) % 2 for mono in basis}) for basis in blocks.values()]
     assert (max(parities) == 2) == shape.splits_by_parity == (shape.n1 % 2 == shape.n2 % 2 == 1)
     parts = []

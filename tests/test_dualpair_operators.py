@@ -12,13 +12,13 @@ from branchbox.dualpair import (MatrixSpaceShape, ProductO, analysis, build_conf
 from branchbox.dualpair.analysis import _connected_span, _weyl_commutator
 from branchbox.dualpair.linalg import echelon, nullspace, rank, solve_columns
 from branchbox.dualpair.poly import (apply_operator, apply_to_monomial,
-                                     commutator_apply, grevlex_mono_key,
-                                     make_operator, monomials_of_degree,
-                                     poly_degree)
+                                     commutator_apply, digit_width, make_operator, pack,
+                                     unpack)
 from branchbox.errors import BudgetError, UsageError
 
-from .oracles import (brackets_by_application, nullspace_gauss_jordan, printed_bracket_report,
-                      printed_config, solve_columns_gauss_jordan)
+from .oracles import (apply_to_exponents, brackets_by_application, decoded, grevlex_mono_key,
+                      monomials_of_degree, nullspace_gauss_jordan, poly_degree,
+                      printed_bracket_report, printed_config, solve_columns_gauss_jordan)
 
 
 def F(x):
@@ -28,22 +28,29 @@ def F(x):
 # ---------------------------------------------------------------------------
 # symbolic polynomial layer
 
+def _apply(op, poly, width):
+    """op applied to a polynomial keyed by exponent tuples, through the packed path."""
+    var_count = len(next(iter(poly)))
+    packed = {pack(mono, width): c for mono, c in poly.items()}
+    return decoded(apply_operator(op.packed(width), packed), width, var_count)
+
+
 def test_apply_operator_falling_factorials():
     # x d/dx on x^3 gives 3 x^3-1+1 = 3x^3; d^2/dx^2 on x^3 gives 6x
     euler = make_operator("E", "euler", [(1, {0: 1}, {0: 1})])
-    out = apply_operator(euler, {(3,): F(1)})
+    out = _apply(euler, {(3,): F(1)}, 2)
     assert out == {(3,): F(3)}
     second = make_operator("D2", "delta", [(1, {}, {0: 2})])
-    out = apply_operator(second, {(3,): F(1)})
+    out = _apply(second, {(3,): F(1)}, 2)
     assert out == {(1,): F(6)}
     # derivative order exceeding the exponent annihilates
-    assert apply_operator(second, {(1,): F(1)}) == {}
+    assert _apply(second, {(1,): F(1)}, 2) == {}
 
 
 def test_apply_operator_merges_terms():
     # (d/dx0 d/dx1) applied to x0 x1 leaves the constant 1
     mixed = make_operator("D", "delta", [(1, {}, {0: 1, 1: 1})])
-    assert apply_to_monomial(mixed, (1, 1)) == {(0, 0): F(1)}
+    assert apply_to_monomial(mixed.packed(1), pack((1, 1), 1)) == {pack((0, 0), 1): F(1)}
 
 
 def test_make_operator_validates_weight_homogeneity():
@@ -56,8 +63,8 @@ def test_commutator_of_x_and_d():
     x = make_operator("x", "r2", [(1, {0: 1}, {})])
     d = make_operator("d", "delta", [(1, {}, {0: 1})])
     for mono in ((0,), (1,), (4,)):
-        out = commutator_apply(d, x, {mono: F(1)})
-        assert out == {mono: F(1)}
+        out = commutator_apply(d.packed(3), x.packed(3), {pack(mono, 3): F(1)})
+        assert decoded(out, 3, 1) == {mono: F(1)}
 
 
 def test_monomials_of_degree_counts():
@@ -70,6 +77,21 @@ def test_monomials_of_degree_counts():
 def test_grevlex_mono_ordering():
     monos = sorted(monomials_of_degree(2, 2), key=grevlex_mono_key)
     assert monos == [(2, 0), (1, 1), (0, 2)]
+    # packed monomials of one degree sort as ints in the same order
+    assert sorted(pack(mono, 2) for mono in monos) == [pack(mono, 2) for mono in monos]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_an_exponent_digit_holds_up_to_its_width(width):
+    top = (1 << width) - 1
+    mono = pack((top, 0, top), width)
+    assert unpack(mono, width, 3) == (top, 0, top)
+    assert unpack(mono + pack((0, top, 0), width), width, 3) == (top, top, top)
+    assert digit_width(top) == width and digit_width(top + 1) == width + 1
+    with pytest.raises(ValueError, match=f"^an exponent of \\(0, {top + 1}\\) does not fit a {width}-bit digit$"):
+        pack((0, top + 1), width)
+    with pytest.raises(ValueError):
+        pack((-1,), width)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +295,8 @@ def test_integral_operators_carry_int_coefficients(shape):
     for op in cfg.deltas + cfg.r2s + cfg.k_raisings + cfg.gl_raisings:
         assert all(type(t.coeff) is int for t in op.terms), op.name
         for mono in monomials_of_degree(cfg.var_count, 2):
-            assert all(type(c) is int for c in apply_to_monomial(op, mono).values())
+            image = apply_to_monomial(op.packed(3), pack(mono, 3))
+            assert all(type(c) is int for c in image.values())
 
 
 def test_euler_operators_keep_their_half_integer_shift():
@@ -281,7 +304,7 @@ def test_euler_operators_keep_their_half_integer_shift():
     cfg = build_config(MatrixSpaceShape("A", 3, 1))
     (euler,) = cfg.eulers
     assert [t.coeff for t in euler.terms if not t.xs] == [Fraction(3, 2)]
-    out = apply_to_monomial(euler, (1, 0, 0))
+    out = decoded(apply_to_monomial(euler.packed(1), pack((1, 0, 0), 1)), 1, 3)
     assert out == {(1, 0, 0): Fraction(5, 2)}
     assert all(type(c) is Fraction for c in out.values())
 
@@ -403,6 +426,42 @@ def _config_grid(kind, cols):
 def test_orthogonal_configs_are_pinned(kind, cols, digest):
     text = "".join(repr(config) for config in _config_grid(kind, cols))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _check_packed_application(config, ops, variables, degree, width):
+    """Each op on every monomial of the given degree in the given variables, the others
+    at exponent 0: the decoded packed image against the tuple reference."""
+    packed = [op.packed(width) for op in ops]
+    for exps in monomials_of_degree(len(variables), degree):
+        mono = [0] * config.var_count
+        for v, e in zip(variables, exps):
+            mono[v] = e
+        code = pack(mono, width)
+        for op, pop in zip(ops, packed):
+            image = decoded(apply_to_monomial(pop, code), width, config.var_count)
+            assert image == apply_to_exponents(op, tuple(mono)), (config.descriptor, op.name)
+
+
+@pytest.mark.parametrize("kind,cols", [(k, c) for k, c, _ in CONFIG_DIGESTS],
+                         ids=[f"{k}-{c}" for k, c, _ in CONFIG_DIGESTS])
+def test_packed_application_equals_the_tuple_reference(kind, cols):
+    # every operator family on monomials of degree d <= 3: the families that
+    # raise no degree at the width of degree 3, the r2s at the width of d + 2.
+    # Every config of the grid with at most 6 variables takes every monomial;
+    # the grid's largest, whose digits pass bit 64, takes each family's last
+    # operator on the monomials in that operator's own variables
+    grid = _config_grid(kind, cols)
+    for config in [c for c in grid if c.var_count <= 6] + [grid[-1]]:
+        families = (config.deltas, config.eulers, config.raisings, config.r2s)
+        if config.var_count > 6:
+            families = tuple(family[-1:] for family in families)
+        for degree in range(4):
+            for i, family in enumerate(families):
+                width = digit_width(degree + 2 if i == 3 else 3)
+                for op in family:
+                    variables = (range(config.var_count) if config.var_count <= 6 else
+                                 sorted({v for t in op.terms for v, _ in t.xs + t.ds}))
+                    _check_packed_application(config, [op], variables, degree, width)
 
 
 def test_brackets_pass_on_acceptance_shapes():
@@ -544,12 +603,15 @@ def test_weyl_commutator_acts_as_the_applied_commutator():
     # GL-side raisings included, on every monomial of degree <= 3
     cfg = build_config(MatrixSpaceShape("C", 3, 1, 1))
     family = cfg.deltas + cfg.r2s + cfg.eulers + cfg.k_raisings + cfg.gl_raisings
-    sources = [mono for d in range(4) for mono in monomials_of_degree(cfg.var_count, d)]
+    width = digit_width(3 + 4)  # two r2s on top of degree 3
+    sources = [pack(mono, width) for d in range(4)
+               for mono in monomials_of_degree(cfg.var_count, d)]
     for a, b in itertools.combinations(family, 2):
         comm = make_operator("comm", "euler", [(c, dict(xs), dict(ds))
                                                for (xs, ds), c in _weyl_commutator(a, b).items()])
+        pa, pb, pc = a.packed(width), b.packed(width), comm.packed(width)
         for src in sources:
-            assert apply_to_monomial(comm, src) == commutator_apply(a, b, {src: 1})
+            assert apply_to_monomial(pc, src) == commutator_apply(pa, pb, {src: 1})
 
 
 # the shapes the Weyl-algebra check was first compared on, case A in both Euler

@@ -10,13 +10,12 @@ from branchbox.errors import LabelError, UsageError
 from branchbox.partitions import (IrrepLabel, Signature, as_partition,
                                   as_signature, associate_o,
                                   check_signature_rank, conjugate, contains,
-                                  enumerate_partitions, even_column_partitions,
-                                  even_row_partitions, grevlex_key,
+                                  enumerate_partitions, grevlex_key,
                                   is_admissible_o, partitions_between,
                                   partitions_of, signature_weight,
                                   weight_to_signature)
 
-from .oracles import partition_count
+from .oracles import even_column_partitions, even_row_partitions, partition_count
 
 partitions = st.lists(st.integers(1, 6), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True)))

@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from branchbox import lr
 from branchbox.errors import UsageError
-from branchbox.partitions import (enumerate_partitions, even_column_partitions,
-                                  even_row_partitions, partitions_of)
+from branchbox.partitions import enumerate_partitions, partitions_of
 from branchbox.schur import (DominantMonomialPoly, SchurVector, decompose,
                              dmp_multiply, eval_ones, kostka, monomial_product,
                              multiply_schur, orbit_size, schur_expand,
                              schur_vector)
 
 from .oracles import (dense_product, dense_symmetric_poly, dominant_part,
-                      dominated, graded_sym_character, kostka_brute,
-                      ssyt_count)
+                      dominated, even_column_partitions, even_row_partitions,
+                      graded_sym_character, kostka_brute, ssyt_count)
 
 small_partitions = st.lists(st.integers(1, 4), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
