@@ -88,7 +88,8 @@ def test_an_exponent_digit_holds_up_to_its_width(width):
     assert unpack(mono, width, 3) == (top, 0, top)
     assert unpack(mono + pack((0, top, 0), width), width, 3) == (top, top, top)
     assert digit_width(top) == width and digit_width(top + 1) == width + 1
-    with pytest.raises(ValueError, match=f"^an exponent of \\(0, {top + 1}\\) does not fit a {width}-bit digit$"):
+    refusal = f"^an exponent of \\(0, {top + 1}\\) does not fit a {width}-bit digit$"
+    with pytest.raises(ValueError, match=refusal):
         pack((0, top + 1), width)
     with pytest.raises(ValueError):
         pack((-1,), width)
@@ -448,8 +449,8 @@ def test_packed_application_equals_the_tuple_reference(kind, cols):
     # every operator family on monomials of degree d <= 3: the families that
     # raise no degree at the width of degree 3, the r2s at the width of d + 2.
     # Every config of the grid with at most 6 variables takes every monomial;
-    # the grid's largest, whose digits pass bit 64, takes each family's last
-    # operator on the monomials in that operator's own variables
+    # the grid's largest (up to 40 variables, 80 bits at width 2) takes each
+    # family's last operator on the monomials in that operator's own variables
     grid = _config_grid(kind, cols)
     for config in [c for c in grid if c.var_count <= 6] + [grid[-1]]:
         families = (config.deltas, config.eulers, config.raisings, config.r2s)
