@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Replay every `oracle-verify` benchmark request of some seeds in process, and digest the output.
+"""Replay every request of a benchmark workload for some seeds in process, and digest the output.
 
-    PYTHONPATH=src python3 scripts/replay_oracle.py SEEDS
+    PYTHONPATH=src python3 scripts/replay_oracle.py SEEDS [--workload formula-tables]
 
 SEEDS is a comma-separated list of positive integers, for example
-`1,2,3`.  The requests are those of every round of the `oracle-verify`
-workload for each seed, as `perfbench.workloads.generate` deals them.  Each
+`1,2,3`.  The requests are those of every round of the workload for each
+seed, as `perfbench.workloads.generate` deals them: `oracle-verify` by
+default, or `formula-tables`, whose ops are all CLI requests too.  Each
 runs through `branchbox.cli.main`, one at a time, with the LR memo cleared
 at each round and the warning filters reset at each request, as a fresh
 process would start.  The script prints the number of requests and one
@@ -16,6 +17,7 @@ reads the benchmark's generator and changes nothing under `perfbench/`.
 Standard library only.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -29,17 +31,17 @@ from perfbench.workloads import ROUNDS, generate  # noqa: E402
 
 from branchbox import cli, lr  # noqa: E402
 
-WORKLOAD = "oracle-verify"
+WORKLOADS = ("oracle-verify", "formula-tables")  # the workloads made only of CLI requests
 
 
-def replay(seeds: list[int]) -> tuple[int, str]:
+def replay(seeds: list[int], workload: str = WORKLOADS[0]) -> tuple[int, str]:
     """(requests run, sha256 hex digest over their argv, exit code, stdout and stderr)."""
     digest = hashlib.sha256()
     count = 0
     for seed in seeds:
-        for round_index in range(ROUNDS[WORKLOAD]):
+        for round_index in range(ROUNDS[workload]):
             lr.clear_cache()
-            for op in generate(WORKLOAD, seed, round_index):
+            for op in generate(workload, seed, round_index):
                 out, err = io.StringIO(), io.StringIO()
                 with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
                       warnings.catch_warnings()):
@@ -56,13 +58,16 @@ def replay(seeds: list[int]) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parts = argv[0].split(",") if len(argv) == 1 else []
-    if not parts or not all(p.isdigit() and int(p) > 0 for p in parts):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seeds", help="comma-separated positive seeds, e.g. 1,2,3")
+    parser.add_argument("--workload", choices=WORKLOADS, default=WORKLOADS[0])
+    args = parser.parse_args(argv)
+    parts = args.seeds.split(",")
+    if not all(p.isdigit() and int(p) > 0 for p in parts):
         print("usage: replay_oracle.py SEEDS  (comma-separated positive seeds, e.g. 1,2,3)",
               file=sys.stderr)
         return 2
-    count, hexdigest = replay([int(p) for p in parts])
+    count, hexdigest = replay([int(p) for p in parts], args.workload)
     print(f"{count} requests\t{hexdigest}")
     return 0
 

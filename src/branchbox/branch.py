@@ -255,13 +255,17 @@ def gl_tensor_rational(mu: Signature, nu: Signature, lam: Signature, n: int) -> 
 
     Twisting by enough powers of the determinant reduces each factor to a
     polynomial diagram on n rows; the answer is a single LR coefficient and
-    is invariant under further determinant shifts.
+    is invariant under further determinant shifts.  It does not depend on n
+    once n >= l(mu) + l(nu), l = l+ + l- (Koike, Adv. Math. 74, 1989), so after
+    the rank checks it is evaluated on min(n, max(l(mu) + l(nu), l(lam))) rows.
     """
     for sig in (mu, nu, lam):
         check_signature_rank(sig, n)
+    l_mu, l_nu, l_lam = (len(sig.plus) + len(sig.minus) for sig in (mu, nu, lam))
+    rows = min(n, max(l_mu + l_nu, l_lam))
     k_mu = mu.minus[0] if mu.minus else 0
     k_nu = nu.minus[0] if nu.minus else 0
-    return _shifted_lr(mu, nu, lam, n, k_mu, k_nu)
+    return _shifted_lr(mu, nu, lam, rows, k_mu, k_nu)
 
 
 def _shifted_lr(mu: Signature, nu: Signature, lam: Signature,

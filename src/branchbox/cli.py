@@ -55,7 +55,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from operator import getitem
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import branch, jsonio, lr
 from .dims import hilbert_check
@@ -63,7 +63,7 @@ from .dualpair import (FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, check_monomi
                        hwv_multiplicities, verify_brackets)
 from .errors import BudgetError, InternalInvariantError, StableRangeError, UsageError
 from .partitions import (IrrepLabel, Partition, admissible_o_kernel, enumerate_partitions,
-                         grevlex_key, is_admissible_o, partitions_of)
+                         grevlex_key, partitions_of)
 from .reports import MultiplicityEntry, labels_sort_key
 # Uncalled (`_emit_table` sorts by ranks); perfbench/tracer.py wraps this binding.
 from .reports import sorted_entries  # noqa: F401
@@ -86,6 +86,12 @@ def _emit_value(args, value: int, stable: bool | None = None) -> None:
     _emit(args, lambda: jsonio.value_json(value, stable), lambda: jsonio.value_csv(value, stable))
 
 
+def _column_labels(columns: Sequence[tuple[str, int]], keys: Iterable[tuple]) -> list[dict]:
+    """Per column (family, rank), one validated `IrrepLabel` per distinct weight of the keys."""
+    return [{w: IrrepLabel(family, rank, w) for w in set(col)}
+            for (family, rank), col in zip(columns, zip(*keys))]
+
+
 def _emit_table(args, columns: Sequence[tuple[str, int]],
                 cells: Mapping[tuple[Partition, ...], int], stable: bool) -> None:
     """Write a table of cells {weights: mult}, columns[i] the (family, rank) of weights[i].
@@ -96,8 +102,7 @@ def _emit_table(args, columns: Sequence[tuple[str, int]],
     `sorted_entries`, since a column shares one family, `grevlex_key` is
     injective on partitions and no two cells share their weights.
     """
-    labels = [{w: IrrepLabel(family, rank, w) for w in set(col)}
-              for (family, rank), col in zip(columns, zip(*cells))]
+    labels = _column_labels(columns, cells)
     ranks = [{w: r for r, w in enumerate(sorted(col, key=grevlex_key))} for col in labels]
     order = sorted(cells, key=lambda key: tuple(map(getitem, ranks, key)))
     if args.output_format == "json":
@@ -132,10 +137,10 @@ def _restrict_targets(lam, n: int, m: int) -> list:
     size, rows = sum(lam), len(lam)
     return [(mu, nu)
             for mu in enumerate_partitions(size, max_length=rows)
-            if is_admissible_o(mu, n)
+            if admissible_o_kernel(mu, n)
             for rest in [size - sum(mu)]
             for nu in enumerate_partitions(rest, max_length=rows)
-            if (rest - sum(nu)) % 2 == 0 and is_admissible_o(nu, m)]
+            if (rest - sum(nu)) % 2 == 0 and admissible_o_kernel(nu, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +173,7 @@ def _cmd_tensor(args) -> int:
     policy = _POLICIES[args.stable_policy]
     if args.family == "o":
         single, fam, rank, rule = branch.o_tensor_stable, "O", n, branch.o_tensor_range
-        admissible = lambda lam: is_admissible_o(lam, n)
+        admissible = lambda lam: admissible_o_kernel(lam, n)
     else:
         single, fam, rank, rule = branch.sp_tensor_stable, "Sp", 2 * n, branch.sp_tensor_range
         admissible = lambda lam: len(lam) <= n
@@ -249,7 +254,7 @@ SUITES = {
         lambda deg, n, m: {(mu, lam)
                            for lam in enumerate_partitions(deg, max_length=min(n, m))
                            for mu in enumerate_partitions(sum(lam), max_length=min(n, m))
-                           if is_admissible_o(mu, n)},
+                           if admissible_o_kernel(mu, n)},
         lambda mu, lam, policy, n, m: branch.gl_to_o(lam, mu, n, policy),
         lambda n, m: (MatrixSpaceShape("A", n, m), FULL)),
     "seesaw-c": Suite(
@@ -268,7 +273,7 @@ SUITES = {
                               for mu in enumerate_partitions(deg, max_length=m)
                               for nu in enumerate_partitions(deg - sum(mu), max_length=l)
                               for lam in _tensor_targets(mu, nu,
-                                                         lambda t: is_admissible_o(t, n))},
+                                                         lambda t: admissible_o_kernel(t, n))},
         lambda lam, mu, nu, policy, n, **_: branch.o_tensor_stable(mu, nu, lam, n, policy),
         lambda n, m, l: (MatrixSpaceShape("A", n, m, l, split_columns=True), MOD_IDEAL)),
     "restrict-o": Suite(
@@ -305,9 +310,8 @@ def _cmd_verify(args) -> int:
     oracle = {tuple(lab.weight for lab in e.labels): e.mult
               for e in hwv_multiplicities(shape, deg, mode)}
     values.update((key, suite.formula(*key, policy, **p)) for key in sorted(oracle.keys() - grid))
-    rows = sorted(((tuple(IrrepLabel(fam, p[flag], w)
-                          for (fam, flag), w in zip(suite.families, key)),
-                    value, oracle.get(key, 0))
+    labels = _column_labels([(fam, p[flag]) for fam, flag in suite.families], values)
+    rows = sorted(((tuple(map(getitem, labels, key)), value, oracle.get(key, 0))
                    for key, value in values.items()),
                   key=lambda row: labels_sort_key(row[0]))
     _emit(args, lambda: jsonio.verify_json(args.suite, {**p, "max_degree": deg}, rows),

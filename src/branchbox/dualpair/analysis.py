@@ -21,8 +21,8 @@ so nothing is lost, and a nonzero kernel at a weight that is not a partition
 on an orthogonal factor is reported as an internal error rather than
 silently dropped.  Each `TorusFactor` owns its dominance conditions and
 labels; this module reads them and compares no family.  Monomials are
-grouped by one packed integer code (`_weight_codes`) whose digits hold
-their weight and then its dominance functionals, so one mask tests
+grouped by one packed integer code (`_weight_codes`, `_packed`) whose digits
+hold their weight and then its dominance functionals, so one mask tests
 dominance before any weight is decoded.  `build_buckets` computes every
 monomial's code, degree by degree from the degree before (`_code_walk`),
 walking the variables last first, and counts the codes in one Counter per
@@ -52,7 +52,7 @@ from math import comb, perm
 from ..errors import BudgetError, InternalInvariantError, UsageError
 from ..partitions import as_partition
 from ..reports import MultiplicityEntry
-from .configs import FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig, _packed, build_config
+from .configs import FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig, build_config
 # Nothing here calls build_product_config (`build_config` builds a ProductO
 # shape through it): the benchmark's tracer (perfbench/tracer.py) wraps the
 # binding `branchbox.dualpair.analysis.build_product_config`, and its tests
@@ -105,6 +105,19 @@ class BucketTable:
     buckets: dict[tuple, list[Monomial]]  # in order of degree, then of weight
     degrees: dict[tuple, int]  # each block's degree
     width: int  # the monomials' exponent digit width, `digit_width(max_degree)`
+
+
+def _packed(rows, bound: int) -> tuple[list[int], int]:
+    """Each row as one integer of k-bit signed digits, the first entry lowest, and k.
+
+    k is the least width with 2^(k-1) > bound.  Codes add like the rows, and
+    two rows or sums of rows with entries in [-bound, bound] have the same
+    code only if they are equal.  Adding 2^(k-1) in every digit turns each
+    such entry e into e + 2^(k-1), inside [1, 2^k): no digit carries, and its
+    top bit is set iff e >= 0.
+    """
+    k = bound.bit_length() + 1
+    return [sum(c << (k * j) for j, c in enumerate(row) if c) for row in rows], k
 
 
 def _weight_codes(config: SpaceConfig, max_degree: int):

@@ -16,7 +16,7 @@ forms.  Cases A, B and stacked C have one row block.  The shape
 which realizes O_{n1} x O_{n2} inside O_{n1+n2} with each factor acting on
 its own rows.  `build_config` builds every shape.  Every column block's
 Euler and raising operators come from one GL family builder, `_gl_family`.
-Each `TorusFactor` owns its dominance conditions and its labels.
+Each `TorusFactor` owns its simple roots, the dominance they give, and its labels.
 """
 
 from __future__ import annotations
@@ -102,48 +102,45 @@ class ProductO:
         return bool(self.n1 % 2 and self.n2 % 2)
 
 
-def _packed(rows, bound: int) -> tuple[list[int], int]:
-    """Each row as one integer of k-bit signed digits, the first entry lowest, and k.
-
-    k is the least width with 2^(k-1) > bound.  Codes add like the rows, and
-    two rows or sums of rows with entries in [-bound, bound] have the same
-    code only if they are equal.  Adding 2^(k-1) in every digit turns each
-    such entry e into e + 2^(k-1), inside [1, 2^k): no digit carries, and its
-    top bit is set iff e >= 0.
-    """
-    k = bound.bit_length() + 1
-    codes = []
-    for row in rows:
-        code = 0
-        for c in reversed(row):
-            code = (code << k) + c
-        codes.append(code)
-    return codes, k
-
-
 FULL = "full"
 MOD_IDEAL = "mod_ideal"
 
 
 @dataclass(frozen=True)
 class TorusFactor:
-    """A torus factor, owner of its family's dominance conditions (`dominance`) and labels."""
+    """A torus factor, owner of its family's simple roots, its dominance conditions and labels."""
 
     family: str  # "O" | "Sp" | "GL"
     rank: int  # matrix size: O_n -> n, Sp_2n -> 2n, GL_k -> k
     coords: int  # torus coordinates carried by weight vectors
     signed: bool = False  # weights may go negative (rational GL labels)
 
-    def dominance(self) -> list[tuple[tuple[int, int], ...]]:
-        """The dominance conditions, each sum(c * w[i]) >= 0 as (i, c) pairs."""
+    def simple_roots(self) -> list[tuple[int, ...]]:
+        """The simple roots of the upper triangular Borel, as weight vectors.
+
+        With k = coords: e_i - e_{i+1} for i < k in every family, and then
+        e_k on O_n at odd n (type B), e_{k-1} + e_k on O_n at even n >= 4
+        (type D) and 2e_k on Sp_2n (type C).  GL_k, O_1 and O_2 have no more.
+        """
         k = self.coords
-        if not k:
-            return []
-        out = [((i, 1), (i + 1, -1)) for i in range(k - 1)]
-        if self.family == "O" and self.rank % 2 == 0 and k >= 2:
-            out.append(((k - 2, 1), (k - 1, 1)))  # type D allows one sign flip in the last slot
-        elif self.family != "GL" or not self.signed:
-            out.append(((k - 1, 1),))
+        roots = [{i: 1, i + 1: -1} for i in range(k - 1)]  # {slot from 0: coefficient}
+        if self.family == "O" and self.rank >= 3:
+            roots.append({k - 1: 1} if self.rank % 2 else {k - 2: 1, k - 1: 1})
+        elif self.family == "Sp" and k:
+            roots.append({k - 1: 2})
+        return [tuple(root.get(i, 0) for i in range(k)) for root in roots]
+
+    def dominance(self) -> list[tuple[tuple[int, int], ...]]:
+        """The dominance conditions, each sum(c * w[i]) >= 0 as (i, c) pairs, c = +-1.
+
+        One per simple root, its coefficients reduced to their signs, and
+        w_k >= 0 where no root bounds the last slot: polynomial GL_k and O_2.
+        """
+        out = [tuple((i, 1 if c > 0 else -1) for i, c in enumerate(root) if c)
+               for root in self.simple_roots()]
+        if self.coords and (self.family == "GL" and not self.signed
+                            or self.family == "O" and self.rank == 2):
+            out.append(((self.coords - 1, 1),))
         return out
 
     def label(self, w: tuple[int, ...], parity: int) -> IrrepLabel | None:
@@ -207,43 +204,25 @@ class SpaceConfig:
 
     @property
     def simple_raisings(self) -> tuple[Operator, ...]:
-        """The raisings of simple roots: those whose weight shift is no sum of two raising shifts.
-
-        n+ is generated as a Lie algebra by its simple root vectors, and an
-        operator that kills v kills every bracket of operators that kill v,
-        so these raisings have the joint kernel of all of them.  The rule
-        reads only the weight shifts, so it holds for every builder.
-
-        Each shift (all factors' coordinates in a row) is packed by `_packed`
-        with digits for +-2 * max|coord|.  A difference of two shifts has its
-        coordinates in that range, so its code is the difference of their
-        codes, and s is a sum a + b of two raisings' shifts iff code(s) -
-        code(a) is the code of a raising other than a's.  In increasing height,
-        per factor sum_j (coords - j + 1) * w_j (j from 1), > 0 on every raising,
-        a code is a sum iff it is a simple code found so far plus a raising's.
-        """
-        shifts = [self.op_weight_shift(op) for op in self.raisings]
-        flats = [tuple(c for w in shift for c in w) for shift in shifts]
-        heights = [sum((len(w) - j) * c for w in s for j, c in enumerate(w)) for s in shifts]
-        if min(heights, default=1) <= 0:
-            raise InternalInvariantError(f"a raising of {self.descriptor} has height <= 0")
-        codes, _ = _packed(flats, 2 * max((abs(c) for w in flats for c in w), default=0))
-        count = Counter(codes)
-        simple: set[int] = set()
-        for s in sorted(count, key=dict(zip(codes, heights)).get):
-            if not any(s - a in count and (s - a != a or count[a] > 1) for a in simple):
-                simple.add(s)
-        return tuple(op for op, code in zip(self.raisings, codes) if code in simple)
+        """The raisings, in their order, whose weight shift is a simple root of one factor
+        (`TorusFactor.simple_roots`) and zero on the others; exactly one per root, or the
+        builder is at fault (InternalInvariantError).  n+ is generated by its simple root
+        vectors, and an operator that kills v kills every bracket of operators that kill
+        v, so these raisings have the joint kernel of all of them."""
+        zeros = [(0,) * factor.coords for factor in self.factors]
+        roots = {tuple(zeros[:f]) + (root,) + tuple(zeros[f + 1:])
+                 for f, factor in enumerate(self.factors) for root in factor.simple_roots()}
+        picked = tuple(op for op in self.raisings if self.op_weight_shift(op) in roots)
+        if sorted(map(self.op_weight_shift, picked)) != sorted(roots):
+            raise InternalInvariantError(
+                f"{self.descriptor} has not exactly one raising per simple root")
+        return picked
 
 
 def _unit(k: int, i: int) -> tuple[int, ...]:
     w = [0] * k
     w[i - 1] = 1
     return tuple(w)
-
-
-def _zero(k: int) -> tuple[int, ...]:
-    return (0,) * k
 
 
 def _gl_family(tag: str, cols: list[int], idx, rows: list[int]
@@ -336,7 +315,7 @@ def _matrix_space(descriptor: str, row_blocks: list[tuple[str, int]],
     for tag, (family, size) in zip([""] if len(row_blocks) == 1 else ["t", "b"], row_blocks):
         factor, weights, raisings, block_form = _ROW_FAMILIES[family](size)
         factors.append(factor)
-        zero = _zero(factor.coords)
+        zero = (0,) * factor.coords
         var_weights.append(tuple(weights[s - offset - 1] if offset < s <= offset + size else zero
                                  for s in rows for _ in all_cols))
         k_raise += [make_operator(f"Z{tag}{name}", "raising",
@@ -353,7 +332,7 @@ def _matrix_space(descriptor: str, row_blocks: list[tuple[str, int]],
         cols = list(range(start, start + size))
         start += size
         factors.append(TorusFactor("GL", size, size))
-        var_weights.append(tuple(_unit(size, j - cols[0] + 1) if j in cols else _zero(size)
+        var_weights.append(tuple(_unit(size, j - cols[0] + 1) if j in cols else (0,) * size
                                  for s in rows for j in all_cols))
         for ci, i in enumerate(cols, start=1):
             for cj, j in enumerate(cols[ci - 1:], start=ci):
@@ -390,11 +369,11 @@ def _case_c(n: int, m: int, l: int) -> SpaceConfig:
         for i in range(1, m + 1):
             gn.append(_unit(n, a))
             gm.append(_unit(m, i))
-            gl.append(_zero(l))
+            gl.append((0,) * l)
     for c in range(1, l + 1):
         for d in range(1, n + 1):
             gn.append(tuple(-w for w in _unit(n, d)))
-            gm.append(_zero(m))
+            gm.append((0,) * m)
             gl.append(_unit(l, c))
     factors = [TorusFactor("GL", n, n, signed=bool(l))]
     var_weights = [tuple(gn)]

@@ -131,6 +131,26 @@ def test_gl_tensor_rational_rejects_overlong_signature():
                            Signature((), ()), 1)
 
 
+def test_gl_tensor_rational_equals_direct_evaluation_from_its_stable_rank():
+    # from n = max(l(mu) + l(nu), l(lam)) on, the value at the stable rank is the
+    # LR coefficient of the twisted diagrams at n itself (Koike 1989)
+    small = [(), (1,), (2,), (1, 1)]
+    sigs = [Signature(p, m) for p in small for m in small]
+    lams = sigs + [Signature(p, m) for p in ((1, 1, 1), (2, 1, 1)) for m in small]
+    checked = 0
+    for mu in sigs:
+        for nu in sigs:
+            for lam in lams:
+                low = max(len(mu.plus + mu.minus) + len(nu.plus + nu.minus),
+                          len(lam.plus + lam.minus), 1)
+                shifts = (mu.minus[0] if mu.minus else 0, nu.minus[0] if nu.minus else 0)
+                for n in range(low, low + 5):
+                    assert gl_tensor_rational(mu, nu, lam, n) == \
+                        _shifted_lr(mu, nu, lam, n, *shifts), (mu, nu, lam, n)
+                checked += 1
+    assert checked == 6144
+
+
 def test_enforce_raises_with_named_bound():
     with pytest.raises(StableRangeError, match=r"n > 2\*len\(lam\) = 2"):
         gl_to_o((2,), (), 2)

@@ -104,6 +104,13 @@ def test_tensor_gl_rational_trivial(capsys):
     assert out == '{"value":1}\n'
 
 
+def test_tensor_gl_rational_at_a_huge_rank_reads_its_stable_value(capsys):
+    # the value is evaluated at the stable rank l(mu) + l(nu), not on n rows
+    argv = ("tensor", "gl-rational", "--mu", "1;1", "--nu", "1", "--lam", "1", "--n")
+    assert run(capsys, *argv, "10000000000000") == run(capsys, *argv, "3") == \
+        (0, '{"value":1}\n', "")
+
+
 def test_restrict_value_and_table(capsys):
     rc, out, _ = run(capsys, "restrict", "o", "--lam", "2", "--n", "5", "--m", "5",
                      "--mu", "1", "--nu", "1")
@@ -313,6 +320,23 @@ def test_restrict_table_builds_one_label_per_distinct_weight(capsys, monkeypatch
     nus = {tuple(row["labels"][1]["weight"]) for row in rows}
     assert len(built) == len(mus) + len(nus)
     assert err or len(built) < 2 * len(rows)  # fewer than two labels per cell
+
+
+def test_verify_builds_one_label_per_distinct_weight_per_column(capsys, monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return IrrepLabel(*args)
+
+    monkeypatch.setattr(cli, "IrrepLabel", counting)
+    rc, out, _ = run(capsys, "verify", "seesaw-a", "--n", "5", "--m", "2", "--max-degree", "4")
+    assert rc == 0
+    entries = json.loads(out)["entries"]
+    columns = [{tuple(e["labels"][i]["weight"]) for e in entries} for i in range(2)]
+    assert sorted(built) == sorted({(fam, 5 if fam == "O" else 2, w)
+                                    for fam, col in zip(("O", "GL"), columns) for w in col})
+    assert len(built) < 2 * len(entries)
 
 
 def test_table_emitter_still_validates_each_label(capsys, monkeypatch):
@@ -844,6 +868,17 @@ def test_replay_oracle_digests_every_request_of_a_seed(capsys):
     assert count == "140 requests"
     assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
     assert script.main(["1,x"]) == 2
+
+
+def test_replay_oracle_digests_formula_tables_requests(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "replay_oracle.py"
+    spec = importlib.util.spec_from_file_location("replay_oracle", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["1", "--workload", "formula-tables"]) == 0
+    count, digest = capsys.readouterr().out.rstrip("\n").split("\t")
+    assert count.endswith(" requests") and int(count.split()[0]) > 0
+    assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 
 
 def test_verify_brackets_case_a(capsys):

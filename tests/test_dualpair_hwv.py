@@ -1,6 +1,6 @@
 import hashlib
 import itertools
-import random
+import re
 import warnings
 from dataclasses import replace
 from math import comb
@@ -408,68 +408,65 @@ def test_simple_raisings_match_the_pair_sum_rule():
     assert (len(config.raisings), len(config.simple_raisings)) == (280, 29)
 
 
-def _random_shift_config(seed, positive):
-    """Six x_i d_j raisings on four variables of random GL_2 weights in {-1, 0, 1}^2;
-    with `positive`, only pairs whose shift has a positive height 2*w_0 + w_1."""
-    rng = random.Random(seed)
-    weights = tuple(tuple(rng.randint(-1, 1) for _ in range(2)) for _ in range(4))
-    pairs = [(i, j) for i, j in itertools.product(range(4), repeat=2)
-             if not positive or sum((2 - k) * (a - b) for k, (a, b) in
-                                    enumerate(zip(weights[i], weights[j]))) > 0]
-    raisings = tuple(make_operator(f"R{i}{j}", "raising", [(1, {i: 1}, {j: 1})])
-                     for i, j in rng.sample(pairs, min(6, len(pairs))))
-    return SpaceConfig("random shifts", 4, ("a", "b", "c", "d"),
-                       (TorusFactor("GL", 2, 2, signed=True),), (weights,),
-                       (), (), (), raisings, ())
-
-
-def test_simple_raisings_match_the_pair_sum_rule_on_repeated_shifts():
-    # built-in configs never repeat a shift or double one; these x_i d_j
-    # raisings on random small weights do both, each of positive height
-    repeated = doubled = 0
-    for seed in range(200):
-        config = _random_shift_config(seed, positive=True)
-        assert config.simple_raisings == _pair_sum_simple_raisings(config), seed
-        shifts = [config.op_weight_shift(op) for op in config.raisings]
-        repeated += len(set(shifts)) < len(shifts)
-        doubled += any(tuple(tuple(2 * c for c in w) for w in s) in shifts for s in shifts)
-    assert repeated and doubled
-
-
-def test_simple_raisings_refuse_a_raising_of_height_at_most_zero():
-    # the height walk needs every raising positive; a shift by 0 or a lowering
-    # is no raising, so the pick names it an internal error.  Every unfiltered
-    # random config of the test above has one
-    for seed in range(200):
-        with pytest.raises(InternalInvariantError, match="has height <= 0$"):
-            _random_shift_config(seed, positive=False).simple_raisings
-
-
 @pytest.mark.parametrize("shape", [MatrixSpaceShape("A", n, 1) for n in range(8, 13)]
                          + [ProductO(5, 5, 2)], ids=str)
 def test_simple_raisings_pick_without_testing_every_pair(shape):
-    # the pick walks the shifts by height instead of testing every pair; it
-    # picks what the pair rule picks on shapes of many raisings
+    # the pick reads the factors' simple roots instead of testing every pair;
+    # it picks what the pair rule picks on shapes of many raisings
     config = build_config(shape)
     assert config.simple_raisings == _pair_sum_simple_raisings(config)
 
 
-def test_simple_raisings_read_shift_differences_up_to_twice_the_largest_coordinate():
-    # GL_3 heights 3*w_0 + 2*w_1 + w_2 are 1, 1 and 15.  (2, -3, 1) - (-1, 2, 0)
-    # = (3, -5, 1) is no shift here.  The shift digit must hold +-6; a 3-bit
-    # digit would wrap it to (3, 3, 0), the third shift, and drop (2, -3, 1),
-    # which is no sum of two shifts
-    weights = ((-1, 2, 0), (2, -3, 1), (3, 3, 0))
-    raisings = tuple(make_operator(f"X{i}", "raising", [(1, {i: 1}, {})]) for i in range(3))
-    config = SpaceConfig("three shifts", 3, ("a", "b", "c"),
-                         (TorusFactor("GL", 3, 3, signed=True),), (weights,),
-                         (), (), (), raisings, ())
-    assert config.simple_raisings == raisings == _pair_sum_simple_raisings(config)
-    # the earlier example, (3, 0) - (-2, 1) on GL_2, has heights 6, -3 and -6
-    lowering = replace(config, factors=(TorusFactor("GL", 2, 2, signed=True),),
-                       var_weights=(((3, 0), (-2, 1), (-3, 0)),))
-    with pytest.raises(InternalInvariantError):
-        lowering.simple_raisings
+# The simple roots in the e_i basis: A_{k-1} for GL_k, B_k for O_{2k+1},
+# D_k for O_{2k} (k >= 2) and C_k for Sp_{2k} (Bourbaki's tables)
+TEXTBOOK_SIMPLE_ROOTS = {
+    ("GL", 1): "", ("GL", 2): "e1-e2", ("GL", 3): "e1-e2 e2-e3",
+    ("GL", 4): "e1-e2 e2-e3 e3-e4", ("GL", 5): "e1-e2 e2-e3 e3-e4 e4-e5",
+    ("GL", 6): "e1-e2 e2-e3 e3-e4 e4-e5 e5-e6",
+    ("O", 1): "", ("O", 2): "", ("O", 3): "e1", ("O", 4): "e1-e2 e1+e2",
+    ("O", 5): "e1-e2 e2", ("O", 6): "e1-e2 e2-e3 e2+e3", ("O", 7): "e1-e2 e2-e3 e3",
+    ("O", 8): "e1-e2 e2-e3 e3-e4 e3+e4", ("O", 9): "e1-e2 e2-e3 e3-e4 e4",
+    ("Sp", 2): "2e1", ("Sp", 4): "e1-e2 2e2", ("Sp", 6): "e1-e2 e2-e3 2e3",
+    ("Sp", 8): "e1-e2 e2-e3 e3-e4 2e4", ("Sp", 10): "e1-e2 e2-e3 e3-e4 e4-e5 2e5",
+    ("Sp", 12): "e1-e2 e2-e3 e3-e4 e4-e5 e5-e6 2e6",
+}
+
+
+def _textbook_roots(text, coords):
+    roots = []
+    for word in text.split():
+        w = [0] * coords
+        for sign, coeff, i in re.findall(r"([+-]?)(\d?)e(\d)", word):
+            w[int(i) - 1] = (-1 if sign == "-" else 1) * int(coeff or 1)
+        roots.append(tuple(w))
+    return roots
+
+
+@pytest.mark.parametrize("family,rank", TEXTBOOK_SIMPLE_ROOTS, ids=lambda v: str(v))
+def test_torus_factor_simple_roots_are_the_textbook_ones(family, rank):
+    coords = {"GL": rank, "O": rank // 2, "Sp": rank // 2}[family]
+    expected = _textbook_roots(TEXTBOOK_SIMPLE_ROOTS[family, rank], coords)
+    for signed in ((False, True) if family == "GL" else (False,)):
+        factor = TorusFactor(family, rank, coords, signed)
+        assert factor.simple_roots() == expected
+        # the conditions derived from the roots are the family rule they replaced
+        conditions = [((i, 1), (i + 1, -1)) for i in range(coords - 1)]
+        if family == "O" and rank % 2 == 0 and coords >= 2:
+            conditions.append(((coords - 2, 1), (coords - 1, 1)))
+        elif coords and (family != "GL" or not signed):
+            conditions.append(((coords - 1, 1),))
+        assert factor.dominance() == conditions
+
+
+@pytest.mark.parametrize("fault", ["dropped", "doubled"])
+def test_simple_raisings_need_exactly_one_raising_per_simple_root(fault):
+    config = build_config(MatrixSpaceShape("A", 5, 2))
+    first = config.simple_raisings[0]
+    k_raisings = (tuple(op for op in config.k_raisings if op is not first) if fault == "dropped"
+                  else config.k_raisings + (first,))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^A\(n=5,m=2\) has not exactly one raising per simple root$"):
+        replace(config, k_raisings=k_raisings).simple_raisings
 
 
 def test_product_o_refuses_non_positive_sizes():
