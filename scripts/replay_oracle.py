@@ -59,12 +59,12 @@ def replay(seeds: list[int], workload: str = WORKLOADS[0]) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("seeds", help="comma-separated positive seeds, e.g. 1,2,3")
+    parser.add_argument("seeds", metavar="SEEDS", help="comma-separated positive seeds, e.g. 1,2,3")
     parser.add_argument("--workload", choices=WORKLOADS, default=WORKLOADS[0])
     args = parser.parse_args(argv)
     parts = args.seeds.split(",")
     if not all(p.isdigit() and int(p) > 0 for p in parts):
-        print("usage: replay_oracle.py SEEDS  (comma-separated positive seeds, e.g. 1,2,3)",
+        print(parser.format_usage().rstrip() + "  (comma-separated positive seeds, e.g. 1,2,3)",
               file=sys.stderr)
         return 2
     count, hexdigest = replay([int(p) for p in parts], args.workload)

@@ -857,11 +857,16 @@ def test_oracle_ladder_exits_quietly_when_stdout_closes(tmp_path):
     assert first.startswith(b"A(5,2) FULL deg 7\t")
 
 
-def test_replay_oracle_digests_every_request_of_a_seed(capsys):
+def _replay_script():
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "replay_oracle.py"
     spec = importlib.util.spec_from_file_location("replay_oracle", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_replay_oracle_digests_every_request_of_a_seed(capsys):
+    script = _replay_script()
     with warnings.catch_warnings(record=True):  # the out-of-range requests warn
         assert script.main(["1"]) == 0
     count, digest = capsys.readouterr().out.rstrip("\n").split("\t")
@@ -871,11 +876,7 @@ def test_replay_oracle_digests_every_request_of_a_seed(capsys):
 
 
 def test_replay_oracle_digests_formula_tables_requests(capsys):
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "replay_oracle.py"
-    spec = importlib.util.spec_from_file_location("replay_oracle", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["1", "--workload", "formula-tables"]) == 0
+    assert _replay_script().main(["1", "--workload", "formula-tables"]) == 0
     count, digest = capsys.readouterr().out.rstrip("\n").split("\t")
     assert count.endswith(" requests") and int(count.split()[0]) > 0
     assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
