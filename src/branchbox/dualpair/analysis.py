@@ -32,12 +32,13 @@ grevlex order and then reversed.  A monomial is one int (`poly`) of the
 table's digit width, for which each operator is packed once per call.
 One builder, `_annihilator_rows`, turns one operator's images of a block's
 columns into sparse {column: int} annihilator rows: for the kernel
-dimensions and for the ideal's rank in `harmonic_report`.  Each row goes
-into the online reducer `linalg.reduce_into` as it is built, and a kernel
-dimension applies no further operator once the rank reaches the block
-size.  The bracket check multiplies the operators' normal-ordered terms
-c*x^a*d^b, a basis of the Weyl algebra, so each relation it certifies is an
-operator identity, true on every polynomial.
+dimensions and for the ideal's rank in `harmonic_report`, which ranks each
+degree's r2 images with one pivot dict and reads the separation range off
+the shape.  Each row goes into the online reducer `linalg.reduce_into` as
+it is built, and a kernel dimension applies no further operator once the
+rank reaches the block size.  The bracket check multiplies the operators'
+normal-ordered terms c*x^a*d^b, a basis of the Weyl algebra, so each
+relation it certifies is an operator identity, true on every polynomial.
 """
 
 from __future__ import annotations
@@ -53,19 +54,13 @@ from ..errors import BudgetError, InternalInvariantError, UsageError
 from ..partitions import as_partition
 from ..reports import MultiplicityEntry
 from .configs import FULL, MOD_IDEAL, MatrixSpaceShape, ProductO, SpaceConfig, build_config
-# Nothing here calls build_product_config (`build_config` builds a ProductO
-# shape through it): the benchmark's tracer (perfbench/tracer.py) wraps the
-# binding `branchbox.dualpair.analysis.build_product_config`, and its tests
-# need the name to exist.
-from .configs import build_product_config  # noqa: F401
 from .linalg import reduce_into, solve_columns
-# Nothing here calls nullspace or rank: the benchmark's tracer (perfbench/tracer.py)
-# wraps the bindings `branchbox.dualpair.analysis.nullspace` and `.rank`, and its
-# tests need the names to exist.
-from .linalg import nullspace, rank  # noqa: F401
 from .poly import (Monomial, Operator, Poly, Term, apply_operator, apply_to_monomial,
                    digit_width, pack)
-# Uncalled (the bracket check multiplies terms); the tracer wraps this binding too.
+# Nothing here calls these: the benchmark's tracer (perfbench/tracer.py) wraps their
+# bindings in this module, and its tests need the names to exist.
+from .configs import build_product_config  # noqa: F401
+from .linalg import nullspace, rank  # noqa: F401
 from .poly import commutator_apply  # noqa: F401
 
 DEFAULT_BUDGET = 20000  # monomials in one weight block
@@ -324,10 +319,6 @@ def hwv_multiplicities(shape: MatrixSpaceShape | ProductO, max_degree: int,
     return entries
 
 
-def _add_keys(a: tuple, b: tuple) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
-
-
 @dataclass(frozen=True)
 class HarmonicReport:
     descriptor: str
@@ -343,42 +334,38 @@ class HarmonicReport:
 def harmonic_report(shape: MatrixSpaceShape, max_degree: int) -> HarmonicReport:
     """Degreewise dimensions of harmonics and of the invariant ideal.
 
-    The identity harmonic + ideal = full is reported per degree; in case A
-    inside the separation range n >= 2m the free-module certificate over the
-    m(m+1)/2 quadratic invariants is checked as well.
+    The identity harmonic + ideal = full is reported per degree.  The ideal
+    in degree d is the span of the r2 images of degree d - 2, ranked with
+    one pivot dict per degree: images of different weights share no
+    monomial, so no row meets a pivot of another weight.  Inside the
+    separation range (`MatrixSpaceShape.separates_variables`) the
+    free-module certificate over the r2 family is checked as well.
     """
     config = build_config(shape)
     table = build_buckets(config, max_degree)
-    full, harmonic, ideal = ([0] * (max_degree + 1) for _ in range(3))
+    full, harmonic = [0] * (max_degree + 1), [0] * (max_degree + 1)
     deltas = [op.packed(table.width) for op in config.deltas]
+    # each r2 raises the degree by 2, applied only up to max_degree: no digit carries
+    r2s = [op.packed(table.width) for op in config.r2s]
+    images: list[list[Poly]] = [[] for _ in range(max_degree + 1)]
     for key, basis in table.buckets.items():
         d = table.degrees[key]
         full[d] += len(basis)
         harmonic[d] += _kernel_dim(deltas, basis)
-
-    # each r2 raises the degree by 2, applied only up to max_degree: no digit carries
-    r2s = [(config.op_weight_shift(op), op.packed(table.width)) for op in config.r2s]
-    groups: dict[tuple, list[Poly]] = {}
-    for key, basis in table.buckets.items():
-        if table.degrees[key] + 2 > max_degree:
-            continue
-        for shift, op in r2s:
-            vecs = groups.setdefault(_add_keys(key, shift), [])
-            for mono in basis:
-                img = apply_to_monomial(op, mono)
-                if img:
-                    vecs.append(img)
-    for tkey, vecs in groups.items():
+        if d + 2 <= max_degree:
+            images[d + 2] += (apply_to_monomial(op, mono) for op in r2s for mono in basis)
+    ideal = []
+    for vecs in images:
         pivots: dict[int, dict[int, int]] = {}
         for row in _annihilator_rows(vecs):
             reduce_into(pivots, row)
-        ideal[table.degrees[tkey]] += len(pivots)
+        ideal.append(len(pivots))
 
     identity_ok = all(full[d] == harmonic[d] + ideal[d] for d in range(max_degree + 1))
 
     separation_ok = gens = None
-    if shape.case == "A" and not shape.split_columns and shape.n >= 2 * shape.m:
-        gens = shape.m * (shape.m + 1) // 2
+    if shape.separates_variables:
+        gens = len(config.r2s)
         separation_ok = all(
             full[d] == sum(harmonic[d - 2 * b] * comb(b + gens - 1, gens - 1)
                            for b in range(d // 2 + 1))
@@ -579,8 +566,9 @@ def minor_hwv(n: int, m: int, columns) -> MinorCertificate:
     """The determinant on rows 1..j and the given columns, with its certificate.
 
     These minors generate the orthogonal highest-weight covariants in the
-    range 2m <= n; the certificate checks harmonicity, invariance under the
-    group-side raisings, and the expected one-column orthogonal weight.
+    separation range 2m <= n (`MatrixSpaceShape.separates_variables`); the
+    certificate checks harmonicity, invariance under the group-side
+    raisings, and the expected one-column orthogonal weight.
     """
     cols = tuple(columns)
     j = len(cols)
@@ -590,9 +578,9 @@ def minor_hwv(n: int, m: int, columns) -> MinorCertificate:
         raise UsageError(f"column indices must lie in 1..{m}")
     if any(cols[i] >= cols[i + 1] for i in range(j - 1)):
         raise UsageError("column indices must be strictly increasing")
-    if 2 * m > n:
-        raise UsageError(f"minor certificates need 2m <= n, got n={n}, m={m}")
     shape = MatrixSpaceShape("A", n, m)
+    if not shape.separates_variables:
+        raise UsageError(f"minor certificates need 2m <= n, got n={n}, m={m}")
     config = build_config(shape)
 
     def idx(s, c):
@@ -607,10 +595,8 @@ def minor_hwv(n: int, m: int, columns) -> MinorCertificate:
                     sign = -sign
         mono = [0] * config.var_count
         for row in range(1, j + 1):
-            mono[idx(row, cols[perm[row - 1]])] += 1
-        key = tuple(mono)
-        poly[key] = poly.get(key, 0) + sign
-    poly = {k: v for k, v in poly.items() if v}
+            mono[idx(row, cols[perm[row - 1]])] = 1
+        poly[tuple(mono)] = sign  # rows 1..j and strictly increasing columns: one per perm
     width = digit_width(j)  # the operators keep or lower the degree j
     packed = {pack(mono, width): c for mono, c in poly.items()}
 

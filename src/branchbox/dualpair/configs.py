@@ -69,6 +69,13 @@ class MatrixSpaceShape:
         since those rows are all of them and a block has one degree."""
         return False
 
+    @property
+    def separates_variables(self) -> bool:
+        """Whether the shape lies in the separation range: case A, one column block and
+        n >= 2m, where P(M_{n,m}) is the harmonics times the free algebra of the
+        quadratic invariants (Howe-Tan-Willenbring 2005)."""
+        return self.case == "A" and not self.split_columns and self.n >= 2 * self.m
+
 
 @dataclass(frozen=True)
 class ProductO:

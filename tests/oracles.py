@@ -11,7 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from branchbox.dualpair import analysis, build_config
 from branchbox.dualpair.linalg import solve_columns
@@ -424,6 +424,52 @@ def nullspace_gauss_jordan(rows: list[list], ncols: int) -> list[tuple[int, ...]
         g = gcd(*ints)
         basis.append(tuple(a // g for a in ints))
     return basis
+
+
+def harmonic_report_dense(shape, max_degree: int) -> analysis.HarmonicReport:
+    """`analysis.harmonic_report` from exponent tuples and Fraction Gauss-Jordan.
+
+    In each degree d one dense system per count, over every monomial of
+    degree d (`monomials_of_degree`): the harmonics are the kernel of the
+    Delta family stacked into one matrix, and the ideal's dimension is the
+    rank of every r2 image of every degree d - 2 monomial
+    (`apply_to_exponents`, `nullspace_gauss_jordan`).  No weight blocks,
+    packed codes or online reduction.  The separation certificate is
+    checked in case A with one column block and n >= 2m, over the m(m+1)/2
+    quadratic invariants.
+    """
+    config = build_config(shape)
+    full, harmonic, ideal = [], [], []
+    for d in range(max_degree + 1):
+        monos = list(monomials_of_degree(config.var_count, d))
+        col = {mono: j for j, mono in enumerate(monos)}
+        rows: dict = {}  # (delta, target monomial) -> dense row over monos
+        for i, op in enumerate(config.deltas):
+            for j, mono in enumerate(monos):
+                for target, c in apply_to_exponents(op, mono).items():
+                    rows.setdefault((i, target), [0] * len(monos))[j] = c
+        images = []
+        if d >= 2:
+            for op in config.r2s:
+                for mono in monomials_of_degree(config.var_count, d - 2):
+                    image = [0] * len(monos)
+                    for target, c in apply_to_exponents(op, mono).items():
+                        image[col[target]] = c
+                    images.append(image)
+        full.append(len(monos))
+        harmonic.append(len(nullspace_gauss_jordan(list(rows.values()), len(monos))))
+        ideal.append(len(monos) - len(nullspace_gauss_jordan(images, len(monos))))
+    identity_ok = all(f == h + i for f, h, i in zip(full, harmonic, ideal))
+    separation_ok = gens = None
+    if shape.case == "A" and not shape.split_columns and shape.n >= 2 * shape.m:
+        gens = shape.m * (shape.m + 1) // 2
+        separation_ok = all(
+            full[d] == sum(harmonic[d - 2 * b] * comb(b + gens - 1, gens - 1)
+                           for b in range(d // 2 + 1))
+            for d in range(max_degree + 1))
+    return analysis.HarmonicReport(config.descriptor, max_degree, tuple(full),
+                                   tuple(harmonic), tuple(ideal), identity_ok,
+                                   separation_ok, gens)
 
 
 def lr_fillings_reference(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:

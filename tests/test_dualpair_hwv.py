@@ -21,7 +21,8 @@ from branchbox.partitions import Signature, as_partition, associate_o, enumerate
 from branchbox.reports import sorted_entries
 
 from .oracles import (buckets_by_enumeration, decoded_buckets, dominant_weight,
-                      grevlex_mono_key, nullspace_gauss_jordan, printed_config)
+                      grevlex_mono_key, harmonic_report_dense, nullspace_gauss_jordan,
+                      printed_config)
 
 
 def weights_table(entries):
@@ -709,6 +710,48 @@ def test_harmonic_report_separation_only_in_stable_range():
     report = harmonic_report(MatrixSpaceShape("A", 3, 2), 3)
     assert report.identity_ok          # the exact-sequence identity always holds
     assert report.separation_ok is None  # no free-module claim outside n >= 2m
+
+
+def _small_harmonic_shapes():
+    """Every A, A split (m = l = 1), B, stacked C and plain C shape of at most 6 variables."""
+    shapes = [MatrixSpaceShape("A", n, 1, 1, split_columns=True) for n in (1, 2, 3)]
+    for n, m in itertools.product(range(1, 7), repeat=2):
+        shapes += [MatrixSpaceShape("A", n, m), MatrixSpaceShape("B", n, m)]
+        shapes += [MatrixSpaceShape("C", n, m, l, split_columns=split)
+                   for l in range(7) for split in (False, True) if l or not split]
+    return [shape for shape in shapes if shape.var_count <= 6]
+
+
+def test_harmonic_report_equals_the_dense_reference():
+    shapes = _small_harmonic_shapes()
+    assert len(shapes) == 74
+    for shape in shapes:
+        assert harmonic_report(shape, 4) == harmonic_report_dense(shape, 4), shape
+
+
+# sha256 of repr(harmonic_report(shape, degree)), recorded while the ideal was
+# ranked one target weight group at a time
+HARMONIC_REPORT_DIGESTS = [
+    (("A", 5, 2, 0, False), 6, "1e55c60bbebe43c008ea12265ab0b7ce5e43356ca5ea27ae3cae18a7318bfc04"),
+    (("A", 4, 2, 0, False), 5, "e96249078cf30c7c5c024b439f60f03044d20b710a6f2067a4c229e905507ca2"),
+    (("A", 3, 1, 1, True), 5, "34f90b9a9b0b24f08a1bdf8978286d06752d23802ce88cb217704aedf46866f7"),
+    (("A", 5, 1, 1, True), 5, "2b449db1cd6edea8de148ce03e5b1ee01016f566be4d573f2337739cf7cf9c9d"),
+    (("B", 2, 2, 0, False), 5, "7a45f6afe6a49a9b1e7d624794a7d2b84983c6cf64637f4f917bdf40e050779f"),
+    (("B", 1, 2, 0, False), 6, "ef3d561e6b4c9fde551667bad26990f617483b2f2621882f5a75e298215e32d6"),
+    (("C", 2, 2, 1, True), 4, "854095a65b7456cfb0ae96fea33ac73872e4b282bbe9b3a34bf173aba2d80fd6"),
+    (("C", 2, 1, 1, False), 5, "81478e488148f5982fc226437b051534db5b9dc63df67d8c6b694b482f7e228a"),
+    (("C", 3, 2, 1, False), 4, "078c00c67247ceb6ac1e86346f9dca6d5977a0e5724b5e3edf75edf0100bb5f1"),
+    (("A", 6, 3, 0, False), 4, "7a893a39a134014a6d3ebe61f8f78b2f070e2d2da268fbfe458a2c00a00471fb"),
+    (("A", 2, 3, 0, False), 5, "0c81bc005bd27b706be7fd6225a348afa181e83e72ac6aee5fc10e097bf602dd"),
+]
+
+
+@pytest.mark.parametrize("shape,degree,digest", HARMONIC_REPORT_DIGESTS,
+                         ids=[f"{c}({n},{m}{f'+{l}' if split else f',{l}' if l else ''})-deg{d}"
+                              for (c, n, m, l, split), d, _ in HARMONIC_REPORT_DIGESTS])
+def test_harmonic_report_is_pinned(shape, degree, digest):
+    report = harmonic_report(MatrixSpaceShape(*shape), degree)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
 
 
 def test_harmonic_isotypic_dims_match_weyl_formula():

@@ -662,6 +662,27 @@ def test_minor_validation():
         minor_hwv(5, 2, [3])  # column out of range
 
 
+@pytest.mark.parametrize("n,m", [(n, m) for m in range(1, 5) for n in range(1, 2 * m)])
+def test_minor_validation_names_the_separation_range(n, m):
+    with pytest.raises(UsageError, match=rf"^minor certificates need 2m <= n, got n={n}, m={m}$"):
+        minor_hwv(n, m, [1])
+
+
+# (n, m) with n, m <= 6 in the separation range n >= 2m
+SEPARATION_RANGE = {(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (4, 2), (5, 2), (6, 2), (6, 3)}
+
+
+def test_separates_variables_truth_table():
+    for n, m in itertools.product(range(1, 7), repeat=2):
+        assert MatrixSpaceShape("A", n, m).separates_variables == ((n, m) in SEPARATION_RANGE)
+        assert not MatrixSpaceShape("B", n, m).separates_variables
+        for l in range(1, 7):
+            assert not MatrixSpaceShape("A", n, m, l, split_columns=True).separates_variables
+            for split in (False, True):
+                assert not MatrixSpaceShape("C", n, m, l, split_columns=split).separates_variables
+        assert not MatrixSpaceShape("C", n, m).separates_variables
+
+
 def test_delta_and_r2_degree_shifts():
     config = build_config(MatrixSpaceShape("A", 3, 1))
     assert config.deltas and config.r2s
