@@ -183,7 +183,7 @@ def weight_to_signature(weight: Iterable[int]) -> Signature:
 
 @dataclass(frozen=True)
 class IrrepLabel:
-    """A labelled irreducible: family GL/O/Sp, matrix size, and weight data."""
+    """A labelled irreducible: family GL/O/Sp, matrix size, and weight data, kept canonical."""
 
     family: str
     rank: int
@@ -195,21 +195,19 @@ class IrrepLabel:
         if self.rank < 0:
             raise LabelError("rank must be nonnegative")
         w = self.weight
-        if self.family == "GL":
-            if isinstance(w, Signature):
-                check_signature_rank(w, self.rank)
-            else:
-                if len(as_partition(w)) > self.rank:
-                    raise LabelError(f"partition {w} too long for GL_{self.rank}")
-        elif self.family == "O":
-            if isinstance(w, Signature):
-                raise LabelError("O labels are partitions")
-            if not is_admissible_o(w, self.rank):
-                raise LabelError(f"{w} is not an admissible O_{self.rank} label")
+        if isinstance(w, Signature):
+            if self.family != "GL":
+                raise LabelError(f"{self.family} labels are partitions")
+            canonical = as_signature(*w)
+            check_signature_rank(canonical, self.rank)
         else:
-            if isinstance(w, Signature):
-                raise LabelError("Sp labels are partitions")
-            if self.rank % 2:
+            if self.family == "Sp" and self.rank % 2:
                 raise LabelError("Sp rank is the matrix size 2n")
-            if len(as_partition(w)) > self.rank // 2:
+            canonical = as_partition(w)
+            if self.family == "GL" and len(canonical) > self.rank:
+                raise LabelError(f"partition {w} too long for GL_{self.rank}")
+            if self.family == "O" and not admissible_o_kernel(canonical, self.rank):
+                raise LabelError(f"{w} is not an admissible O_{self.rank} label")
+            if self.family == "Sp" and len(canonical) > self.rank // 2:
                 raise LabelError(f"{w} too long for Sp_{self.rank}")
+        object.__setattr__(self, "weight", canonical)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branchbox
-from branchbox import branch, lr, schur
+from branchbox import branch, jsonio, lr, schur
 from branchbox.errors import LabelError, UsageError
 from branchbox.partitions import (IrrepLabel, Signature, as_partition,
                                   as_signature, associate_o,
@@ -256,3 +256,19 @@ def test_irrep_label_validation():
         IrrepLabel("Sp", 4, (1, 1, 1))  # rank 4 means Sp_4, length <= 2
     with pytest.raises(LabelError):
         IrrepLabel("O", 5, Signature((1,), ()))  # signatures are GL-only
+
+
+@pytest.mark.parametrize("family,rank,given,canonical", [
+    ("GL", 3, (2, 1, 0), (2, 1)),
+    ("GL", 3, [2, 1], (2, 1)),
+    ("O", 5, [2, 1], (2, 1)),
+    ("O", 5, (1, 0, 0), (1,)),
+    ("Sp", 4, [2, 2, 0], (2, 2)),
+    ("GL", 3, Signature([2, 0], (1, 0)), Signature((2,), (1,))),
+], ids=["GL-zeros", "GL-list", "O-list", "O-zeros", "Sp-list", "Signature"])
+def test_irrep_label_stores_its_canonical_weight(family, rank, given, canonical):
+    label, expected = IrrepLabel(family, rank, given), IrrepLabel(family, rank, canonical)
+    assert label == expected
+    assert hash(label) == hash(expected)
+    assert label.weight == canonical and type(label.weight) is type(canonical)
+    assert jsonio.dumps(jsonio.label_json(label)) == jsonio.dumps(jsonio.label_json(expected))
