@@ -8,7 +8,7 @@ from math import comb
 
 from .branch import ENFORCE, hilbert_range, refuse
 from .errors import BudgetError, InternalInvariantError, UsageError
-from .partitions import Partition, as_partition, partitions_of
+from .partitions import as_partition, partitions_of
 
 
 def dim_gl(lam, n: int) -> int:

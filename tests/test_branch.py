@@ -1,11 +1,9 @@
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchbox import branch, cli, lr
-from branchbox.branch import (ENFORCE, WARN_AND_COMPUTE, _shifted_lr,
+from branchbox.branch import (WARN_AND_COMPUTE, _shifted_lr,
                               gl_tensor_rational, gl_to_o, gl_to_sp,
                               o_restrict_stable, o_tensor_stable,
                               sp_tensor_stable)
