@@ -818,6 +818,20 @@ def test_verify_all_passes_and_covers_every_suite(capsys):
     assert capsys.readouterr().out == ""
 
 
+# sha256 of verify_all.py's stdout without --quiet: every suite's per-entry JSON
+VERIFY_ALL_STDOUT_SHA256 = "9cd1f24e9957f2d373923eafea393f66463512455151309a18c0d1aba1bfdab8"
+
+
+def test_verify_all_stdout_is_pinned(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
+    spec = importlib.util.spec_from_file_location("verify_all", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main([]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_STDOUT_SHA256
+
+
 def test_stability_scan_marks_the_first_n_the_range_rule_calls_stable(capsys):
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "stability_scan.py"
     spec = importlib.util.spec_from_file_location("stability_scan", path)
