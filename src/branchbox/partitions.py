@@ -210,4 +210,5 @@ class IrrepLabel:
                 raise LabelError(f"{w} is not an admissible O_{self.rank} label")
             if self.family == "Sp" and len(canonical) > self.rank // 2:
                 raise LabelError(f"{w} too long for Sp_{self.rank}")
-        object.__setattr__(self, "weight", canonical)
+        if canonical is not w:  # as_partition returns a canonical tuple itself
+            object.__setattr__(self, "weight", canonical)
